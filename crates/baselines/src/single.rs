@@ -6,11 +6,11 @@
 //! gap between this and full ISOSceles isolates inter-layer pipelining's.
 
 use isos_nn::graph::Network;
+use isos_sim::metrics::NetworkMetrics;
 use isos_trace::TraceSink;
 use isosceles::accel::{stable_key, Accelerator};
 use isosceles::arch::{run_network, run_network_traced};
 use isosceles::mapping::ExecMode;
-use isosceles::metrics::NetworkMetrics;
 use isosceles::IsoscelesConfig;
 use serde::{Deserialize, Serialize};
 

@@ -1,8 +1,8 @@
 //! Wall-clock performance report over the workload × model matrix.
 //!
 //! ```text
-//! perf_report [--smoke] [--out BENCH_10.json] [--seed N] [--threads N]
-//!             [--warmup N] [--repeat N] [--baseline BENCH_N.json]
+//! perf_report [--smoke] [--out BENCH_10.json] [--seed N] [--warmup N]
+//!             [--repeat N] [--baseline BENCH_N.json]
 //!             [--regress-pct P]
 //! ```
 //!
@@ -14,11 +14,10 @@
 //! machine-dependent; the trajectory (and the within-report ratios
 //! between models) is the signal.
 //!
-//! # Timing methodology (schema v2)
+//! # Timing methodology (schema v3)
 //!
-//! Jobs run **sequentially** — never on the engine's worker pool — so a
-//! cell's wall time is uncontended even when `--threads` asks the
-//! simulations themselves for run-level parallelism. Each cell does
+//! Jobs run **sequentially** on one thread — never on the engine's worker
+//! pool — so a cell's wall time is uncontended. Each cell does
 //! `--warmup` untimed simulations (page in the code and the allocator),
 //! then reports the **minimum** over `--repeat` timed calls: the min is
 //! the standard noise-rejecting statistic for a deterministic
@@ -27,22 +26,12 @@
 //! cache-key hashing, metadata construction, or metrics cloning (the
 //! overheads the engine's per-job stats include).
 //!
-//! # Thread-pool semantics
-//!
-//! `--threads N` sets the *run-level* pool (`isos_sim::threads`), which
-//! parallelizes independent pipeline groups inside one simulation with a
-//! fixed-order merge, so metrics are bit-identical at any count. The
-//! request is capped at the machine's available cores: oversubscribed
-//! workers cannot speed a run up, and on a small machine they would
-//! poison the timings with contention. The engine-level pool (concurrent
-//! jobs) is deliberately *not* used here.
-//!
 //! `--smoke` runs only the smallest workload (G58) so CI can validate
 //! the schema in seconds without gating on timings.
 //!
 //! # Baseline comparison
 //!
-//! `--baseline BENCH_N.json` loads a prior report (v1 or v2) and prints
+//! `--baseline BENCH_N.json` loads a prior report (v1, v2 or v3) and prints
 //! per-row speedup ratios (`baseline millis / new millis`) for every
 //! matching `(workload, model)` cell, plus the geometric-mean speedup of
 //! the `isosceles` rows. The exit status is non-zero if any `isosceles`
@@ -54,15 +43,16 @@ use std::process::exit;
 use std::time::Instant;
 
 use isos_nn::models::{paper_suite, suite_workload};
-use isos_sim::threads::{available_cores, run_threads, set_run_threads};
 use isosceles_bench::suite::SEED;
 use isosceles_bench::trace::{accel_by_name, MODEL_NAMES};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag stored in the report so downstream tooling can detect
 /// incompatible layout changes. `v2` switched from engine-pool job
-/// timings to sequential min-of-`--repeat` simulate-only timings.
-pub const REPORT_SCHEMA: &str = "isosceles-perf-report/v2";
+/// timings to sequential min-of-`--repeat` simulate-only timings; `v3`
+/// dropped the `threads`/`effective_threads` fields with the run-level
+/// pool they described.
+pub const REPORT_SCHEMA: &str = "isosceles-perf-report/v3";
 
 /// Default output path (repo root, named after this PR's bench file).
 const DEFAULT_OUT: &str = "BENCH_10.json";
@@ -97,12 +87,6 @@ struct Report {
     schema: String,
     /// Sparsity-pattern seed the matrix ran with.
     seed: u64,
-    /// Requested `--threads` value (run-level pool request).
-    threads: usize,
-    /// Effective run-level workers after the core-count cap — the pool
-    /// size the simulations actually ran with. Metrics are bit-identical
-    /// at any value; only wall-clock differs.
-    effective_threads: usize,
     /// Whether this was a `--smoke` run (subset of workloads).
     smoke: bool,
     /// Untimed warmup simulations per cell.
@@ -118,9 +102,9 @@ struct Report {
 
 /// A prior report's timings, keyed by `(workload, model)`.
 ///
-/// Parsed from the JSON tree rather than a typed struct so both v1
-/// (engine timings) and v2 (min-of-k) layouts load; only `schema` and
-/// the `timings` rows are required.
+/// Parsed from the JSON tree rather than a typed struct so every layout
+/// (v1 engine timings, v2 and v3 min-of-k) loads; only `schema` and the
+/// `timings` rows are required.
 struct Baseline {
     schema: String,
     rows: Vec<(String, String, f64)>,
@@ -219,16 +203,12 @@ fn compare(report: &Report, baseline: &Baseline, regress_pct: f64) -> Vec<String
 fn usage(error: &str) -> ! {
     eprintln!("error: {error}");
     eprintln!(
-        "usage: perf_report [--smoke] [--out PATH] [--seed N] [--threads N]\n\
-         \x20                  [--warmup N] [--repeat N] [--baseline PATH] [--regress-pct P]\n\
+        "usage: perf_report [--smoke] [--out PATH] [--seed N] [--warmup N]\n\
+         \x20                  [--repeat N] [--baseline PATH] [--regress-pct P]\n\
          \n\
          --smoke          time only G58 (schema check; not a perf baseline)\n\
          --out PATH       output JSON path (default {DEFAULT_OUT})\n\
          --seed N         sparsity-pattern seed (default {SEED})\n\
-         --threads N      run-level workers inside each simulation, capped at the\n\
-         \x20                machine's cores (default: ISOS_THREADS, else 1). Jobs\n\
-         \x20                themselves always run sequentially so timings are\n\
-         \x20                uncontended; the engine-level job pool is not used.\n\
          --warmup N       untimed simulations per cell (default {DEFAULT_WARMUP})\n\
          --repeat N       timed simulations per cell, min reported (default {DEFAULT_REPEAT})\n\
          --baseline PATH  compare against a prior report; exit 1 if any\n\
@@ -242,7 +222,6 @@ fn main() {
     let mut smoke = false;
     let mut out = PathBuf::from(DEFAULT_OUT);
     let mut seed = SEED;
-    let mut requested_threads: Option<usize> = None;
     let mut warmup = DEFAULT_WARMUP;
     let mut repeats = DEFAULT_REPEAT;
     let mut baseline_path: Option<PathBuf> = None;
@@ -260,17 +239,6 @@ fn main() {
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => seed = n,
                 None => usage("--seed needs an integer"),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                // Cap at real cores: extra workers cannot make a run
-                // faster, and on a small machine they would poison the
-                // timings with contention. Results are identical either
-                // way (the pool is bit-deterministic in worker count).
-                Some(n) if n >= 1 => {
-                    requested_threads = Some(n);
-                    set_run_threads(n.min(available_cores()));
-                }
-                _ => usage("--threads needs a positive integer"),
             },
             "--warmup" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => warmup = n,
@@ -313,10 +281,9 @@ fn main() {
 
     eprintln!(
         "perf_report: timing {} workloads x {} models sequentially \
-         (warmup {warmup}, min of {repeats}, {} run-level threads)",
+         (warmup {warmup}, min of {repeats})",
         workloads.len(),
-        models.len(),
-        run_threads()
+        models.len()
     );
 
     let wall = Instant::now();
@@ -342,8 +309,6 @@ fn main() {
     let report = Report {
         schema: REPORT_SCHEMA.to_string(),
         seed,
-        threads: requested_threads.unwrap_or_else(run_threads),
-        effective_threads: run_threads(),
         smoke,
         warmup,
         repeats,

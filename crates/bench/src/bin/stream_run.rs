@@ -111,12 +111,8 @@ fn usage(error: &str) -> ! {
          --policy P       batch-formation policy (default greedy)\n\
          --seed N         base sparsity seed (default {SEED})\n\
          --out PATH       write the JSON report here (default: stdout)\n\
-         --threads N      run-level worker threads (also ISOS_THREADS):\n\
-         \x20                 requests are simulated serially, but each\n\
-         \x20                 simulation spreads its pipeline groups over N\n\
-         \x20                 workers. (The suite engine's job pool reads the\n\
-         \x20                 same flag; stream rows are driven serially, so\n\
-         \x20                 here only the run-level pool applies.)\n\
+         --threads N      engine worker threads (also ISOS_THREADS): the\n\
+         \x20                 requests of each stream are simulated N at a time\n\
          --no-cache       disable the result cache (also ISOS_NO_CACHE)"
     );
     exit(2);
@@ -173,18 +169,17 @@ fn main() {
                 Some(v) => out = Some(PathBuf::from(v)),
                 None => usage("--out needs a value"),
             },
-            // Also an engine flag (EngineOptions::from_env re-parses it);
-            // here it sizes the run-level pool inside each request's
-            // simulation — the only parallelism this serial driver has.
+            // Engine flags: EngineOptions::from_env parses them; here they
+            // are only validated.
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => isos_sim::threads::set_run_threads(n),
+                Some(n) if n >= 1 => {}
                 _ => usage("--threads needs an integer >= 1"),
             },
             "--no-cache" => {}
             "--help" | "-h" => usage("help requested"),
             other if other.starts_with("--threads=") => {
                 match other["--threads=".len()..].parse::<usize>() {
-                    Ok(n) if n >= 1 => isos_sim::threads::set_run_threads(n),
+                    Ok(n) if n >= 1 => {}
                     _ => usage("--threads needs an integer >= 1"),
                 }
             }

@@ -47,7 +47,7 @@ use std::time::Instant;
 use isos_baselines::{FusedLayerConfig, IsoscelesSingleConfig, SpartenConfig};
 use isos_nn::models::{paper_suite, Workload};
 use isos_sim::metrics::NetworkMetrics;
-use isosceles::accel::Accelerator;
+use isosceles::accel::{fnv1a, Accelerator, FNV_OFFSET};
 use isosceles::IsoscelesConfig;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -338,20 +338,48 @@ pub struct SuiteRun {
     pub stats: EngineStats,
 }
 
-/// FNV-1a fold, matching [`isosceles::accel::stable_key`]'s primitive.
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(state, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Content hash addressing one `(accelerator, workload, seed)` job under
 /// the current schema version.
 pub fn job_key(accel: &dyn Accelerator, workload: &WorkloadId, seed: u64) -> u64 {
-    let h = fnv1a(0xcbf2_9ce4_8422_2325, &SCHEMA_VERSION.to_le_bytes());
+    let h = fnv1a(FNV_OFFSET, &SCHEMA_VERSION.to_le_bytes());
     let h = fnv1a(h, &accel.cache_key().to_le_bytes());
     let h = fnv1a(h, workload.as_str().as_bytes());
     fnv1a(h, &seed.to_le_bytes())
+}
+
+/// Runs `job(i)` for every `i` in `0..n` on up to `threads` scoped
+/// workers (clamped to `1..=n`), each pulling the next index off a shared
+/// counter, and returns the results in index order — so the output is
+/// independent of the worker count and of completion order.
+///
+/// # Panics
+///
+/// Panics if any `job` call panics.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    crossbeam::thread::scope(|s| {
+        for _ in 0..threads.clamp(1, n.max(1)) {
+            s.spawn(|_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = job(i);
+                slots.lock()[i] = Some(out);
+            });
+        }
+    })
+    .expect("fan-out worker panicked");
+    slots
+        .into_inner()
+        .into_iter()
+        .map(|s| s.expect("every index ran"))
+        .collect()
 }
 
 /// Cumulative job counters shared by an engine and all its clones.
@@ -621,22 +649,11 @@ impl SuiteEngine {
             .flat_map(|w| (0..accels.len()).map(move |a| (w, a)))
             .collect();
 
-        let slots: Mutex<Vec<Option<(NetworkMetrics, JobRecord)>>> =
-            Mutex::new((0..jobs.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
         let threads = self.opts.threads.clamp(1, jobs.len().max(1));
-
-        crossbeam::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(w, a)) = jobs.get(i) else { break };
-                    let done = self.run_job(&workloads[w], accels[a], seed);
-                    slots.lock()[i] = Some(done);
-                });
-            }
-        })
-        .expect("suite engine worker panicked");
+        let done = fan_out(jobs.len(), threads, |i| {
+            let (w, a) = jobs[i];
+            self.run_job(&workloads[w], accels[a], seed)
+        });
 
         let mut stats = EngineStats {
             threads,
@@ -645,8 +662,7 @@ impl SuiteEngine {
         let mut grid: Vec<Vec<NetworkMetrics>> = (0..workloads.len())
             .map(|_| Vec::with_capacity(accels.len()))
             .collect();
-        for (slot, &(w, _)) in slots.into_inner().into_iter().zip(&jobs) {
-            let (metrics, record) = slot.expect("all jobs completed");
+        for ((metrics, record), &(w, _)) in done.into_iter().zip(&jobs) {
             if record.cache_hit {
                 stats.hits += 1;
             } else if record.deduped {
@@ -1038,6 +1054,28 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 44, "cache key collision in standard matrix");
+    }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // Every user's on-disk cache is addressed by these keys. A change
+        // to the shared FNV-1a fold, a config's serialized form or the key
+        // layout orphans every cache, so it must be deliberate: bump
+        // SCHEMA_VERSION and recapture these literals (taken at version 3)
+        // in the same commit.
+        let cfg = IsoscelesConfig::default();
+        let id = WorkloadId::new("R81");
+        let stream = isos_stream::StreamConfig::default();
+        assert_eq!(
+            isosceles::accel::stable_key("isosceles", &cfg),
+            0xd987_d2a7_fec4_ef5b
+        );
+        assert_eq!(cfg.cache_key(), 0xd987_d2a7_fec4_ef5b);
+        assert_eq!(job_key(&cfg, &id, SEED), 0xa450_79c7_d0e8_b236);
+        assert_eq!(
+            crate::stream::stream_key(&cfg, &id, &stream, SEED),
+            0x2410_9c68_fecc_596e
+        );
     }
 
     #[test]

@@ -10,27 +10,17 @@
 //! otherwise dump hundreds of per-request entries into the store for a
 //! scenario nobody addresses by request.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use isos_stream::gen::{request_seed, request_workload};
 use isos_stream::{arrivals, schedule, StreamConfig, StreamMetrics};
-use isosceles::accel::Accelerator;
-use parking_lot::Mutex;
+use isosceles::accel::{fnv1a, Accelerator, FNV_OFFSET};
 
 use crate::cache::EntryMeta;
-use crate::engine::{SuiteEngine, WorkloadId, SCHEMA_VERSION};
+use crate::engine::{fan_out, SuiteEngine, WorkloadId, SCHEMA_VERSION};
 use crate::trace::{accel_by_name, MODEL_NAMES};
 use isos_sim::metrics::RunMetrics;
 
 /// Payload kind streaming rows are stored under.
 pub const STREAM_KIND: &str = "stream";
-
-/// FNV-1a fold, matching [`isosceles::accel::stable_key`]'s primitive.
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(state, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Content hash addressing one `(accelerator, workload, scenario, seed)`
 /// streaming row under the current schema version. The `"stream"` tag
@@ -42,7 +32,7 @@ pub fn stream_key(
     cfg: &StreamConfig,
     seed: u64,
 ) -> u64 {
-    let h = fnv1a(0xcbf2_9ce4_8422_2325, &SCHEMA_VERSION.to_le_bytes());
+    let h = fnv1a(FNV_OFFSET, &SCHEMA_VERSION.to_le_bytes());
     let h = fnv1a(h, STREAM_KIND.as_bytes());
     let h = fnv1a(h, &accel.cache_key().to_le_bytes());
     let h = fnv1a(h, workload.as_str().as_bytes());
@@ -64,33 +54,12 @@ fn simulate_requests(
     cfg: &StreamConfig,
     threads: usize,
 ) -> Vec<RunMetrics> {
-    let n = cfg.requests as usize;
-    let slots: Mutex<Vec<Option<RunMetrics>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let threads = threads.clamp(1, n.max(1));
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = i as u64;
-                let w = request_workload(workload, seed, r)
-                    .unwrap_or_else(|| panic!("unknown workload id {workload:?}"));
-                let total = accel.simulate(&w.network, request_seed(seed, r)).total;
-                slots.lock()[i] = Some(total);
-            });
-        }
+    fan_out(cfg.requests as usize, threads, |i| {
+        let r = i as u64;
+        let w = request_workload(workload, seed, r)
+            .unwrap_or_else(|| panic!("unknown workload id {workload:?}"));
+        accel.simulate(&w.network, request_seed(seed, r)).total
     })
-    .expect("stream request worker panicked");
-
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|s| s.expect("all requests simulated"))
-        .collect()
 }
 
 /// Runs (or recalls) one streaming scenario through the engine's cache.
@@ -178,7 +147,7 @@ mod tests {
     use isos_stream::{Arrival, BatchPolicy};
     use isosceles::IsoscelesConfig;
     use std::path::PathBuf;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         static NONCE: AtomicU32 = AtomicU32::new(0);

@@ -25,12 +25,11 @@ use isos_baselines::{
 };
 use isos_nn::graph::Network;
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
-use isos_sim::metrics::RunMetrics;
+use isos_sim::metrics::{NetworkMetrics, RunMetrics};
 use isos_trace::TraceSink;
 use isosceles::accel::{stable_key, Accelerator};
 use isosceles::arch::{run_network, run_network_traced};
 use isosceles::mapping::{map_network, ExecMode};
-use isosceles::metrics::NetworkMetrics;
 use isosceles::IsoscelesConfig;
 
 /// A description lowered onto one of the substrate's cost models.

@@ -20,9 +20,7 @@
 //!   --smoke           tiny space for CI (and default net G58 in arch mode)
 //!   --out DIR         output directory (default results/dse)
 //!   --seed N          simulation seed (default the suite seed)
-//!   --threads N       worker threads for the engine job pool and the
-//!                     run-level pool inside each simulation (also
-//!                     ISOS_THREADS)
+//!   --threads N       engine worker threads (also ISOS_THREADS)
 //!   --no-cache        disable the engine result cache (also ISOS_NO_CACHE)
 //! ```
 //!
@@ -64,15 +62,8 @@ fn usage(error: &str) -> ! {
          --smoke         tiny space for CI (arch mode: default net G58)\n\
          --out DIR       output directory (default results/dse)\n\
          --seed N        simulation seed (default {SEED})\n\
-         --threads N     worker threads (also ISOS_THREADS). Sizes BOTH\n\
-         \u{20}               pools: the engine's job pool (one worker per\n\
-         \u{20}               workload x model simulation) and the run-level\n\
-         \u{20}               pool inside each simulation (pipeline groups of\n\
-         \u{20}               one network simulated concurrently). The pools\n\
-         \u{20}               nest — J engine jobs x N run workers can occupy\n\
-         \u{20}               up to J*N cores — so on a saturated engine the\n\
-         \u{20}               run pool mostly helps the long-tail jobs that\n\
-         \u{20}               finish last\n\
+         --threads N     engine worker threads, one simulation each\n\
+         \u{20}               (also ISOS_THREADS)\n\
          --no-cache      disable the engine result cache (also ISOS_NO_CACHE)",
         SUITE_IDS.join(", "),
     );
@@ -155,11 +146,10 @@ fn main() {
                 Ok(n) => seed = n,
                 Err(_) => usage("--seed needs an integer"),
             },
-            // Also an engine flag (EngineOptions::from_env re-parses it
-            // for the job pool); here it additionally sizes the run-level
-            // pool inside each simulation.
+            // Engine flags: EngineOptions::from_env parses them; here they
+            // are only validated.
             "--threads" => match value("--threads").parse::<usize>() {
-                Ok(n) if n >= 1 => isos_sim::threads::set_run_threads(n),
+                Ok(n) if n >= 1 => {}
                 _ => usage("--threads needs an integer >= 1"),
             },
             "--no-cache" => {}

@@ -20,9 +20,9 @@
 //! ```
 
 use crate::mapping::ExecMode;
-use crate::metrics::NetworkMetrics;
 use crate::IsoscelesConfig;
 use isos_nn::graph::Network;
+use isos_sim::metrics::NetworkMetrics;
 use isos_trace::TraceSink;
 
 /// A cycle-level accelerator performance model.
@@ -67,13 +67,16 @@ pub trait Accelerator: Sync {
     }
 }
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the state every content hash starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds `bytes` into an FNV-1a state.
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into an FNV-1a state. Every content-addressed key in
+/// the workspace ([`stable_key`], the suite engine's job and stream
+/// keys) is built from this one fold, so a change here invalidates
+/// every cache.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))

@@ -152,7 +152,7 @@ mod tests {
             .expect("some pipelined block");
         let run = simulate_group(&net, &cfg, group, 1);
         assert_eq!(run.layers.len(), group.layers.len());
-        let mut sum = crate::metrics::RunMetrics::default();
+        let mut sum = isos_sim::metrics::RunMetrics::default();
         for (_, m) in &run.layers {
             sum.accumulate(m);
         }

@@ -13,13 +13,12 @@
 use super::scheduler::DynamicScheduler;
 use crate::config::IsoscelesConfig;
 use crate::mapping::{map_network, ExecMode, Mapping, PipelineGroup};
-use crate::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_nn::graph::{Network, NodeId};
 use isos_nn::work::{layer_work, LayerWork};
 use isos_sim::dram::{exact_recip, throttle};
 use isos_sim::harness::{Grants, MemClient, MemHarness};
+use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_sim::stats::Utilization;
-use isos_sim::threads::run_threads;
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};
 
 /// Where a simulated layer's input comes from.
@@ -199,8 +198,8 @@ pub fn simulate_group_traced(
 }
 
 /// [`simulate_group_traced`] writing through a caller-owned scratch, so
-/// the network executors pay the interval-buffer allocations once per
-/// run (or per worker) instead of once per group. The scratch carries no
+/// the network executor pays the interval-buffer allocations once per
+/// run instead of once per group. The scratch carries no
 /// state between groups — every buffer is cleared and rebuilt — so the
 /// results are bit-identical to a fresh scratch.
 fn simulate_group_into(
@@ -746,90 +745,22 @@ pub fn run_network_traced(
     simulate_mapping_traced(net, cfg, &mapping, seed, sink)
 }
 
-/// Simulates a network under a precomputed mapping, running independent
-/// groups on the run-level worker pool
-/// ([`isos_sim::threads::run_threads`]).
+/// Simulates a network under a precomputed mapping.
 pub fn simulate_mapping(
     net: &Network,
     cfg: &IsoscelesConfig,
     mapping: &Mapping,
     seed: u64,
 ) -> NetworkMetrics {
-    simulate_mapping_threads(net, cfg, mapping, seed, run_threads())
+    simulate_mapping_traced(net, cfg, mapping, seed, &mut NullSink)
 }
 
-/// [`simulate_mapping`] with an explicit worker count, honored verbatim
-/// (no core-count clamp — determinism tests exercise exact counts).
-///
-/// Each group's simulation is a pure function of `(net, cfg, group,
-/// seed)`: groups time-share the physical IS-OS block, but no simulation
-/// state flows between them, so they can run on any worker in any order.
-/// Results are gathered into per-group slots and merged in mapping order,
-/// which makes the returned [`NetworkMetrics`] — including every
-/// float accumulation in the per-layer breakdowns — bit-identical at any
-/// `threads` value.
-pub fn simulate_mapping_threads(
-    net: &Network,
-    cfg: &IsoscelesConfig,
-    mapping: &Mapping,
-    seed: u64,
-    threads: usize,
-) -> NetworkMetrics {
-    let groups = &mapping.groups;
-    let workers = threads.max(1).min(groups.len().max(1));
-    if workers <= 1 {
-        return simulate_mapping_seq(net, cfg, mapping, seed, &mut NullSink);
-    }
-    let slots: Vec<std::sync::Mutex<Option<GroupRun>>> =
-        groups.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut sc = IntervalScratch::default();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(group) = groups.get(i) else { break };
-                    let run = simulate_group_into(net, cfg, group, seed, 0, &mut NullSink, &mut sc);
-                    *slots[i].lock().expect("group slot poisoned") = Some(run);
-                }
-            });
-        }
-    });
-    let mut out = NetworkMetrics::default();
-    for (group, slot) in groups.iter().zip(slots) {
-        let run = slot
-            .into_inner()
-            .expect("group slot poisoned")
-            .expect("worker filled every slot");
-        out.push_group(group.name.clone(), run.metrics, run.layers);
-    }
-    out
-}
-
-/// [`simulate_mapping`] with trace emission. With an enabled sink,
-/// groups run sequentially on the shared IS-OS block, so each group's
-/// events start where the previous group's cycles ended and the whole
-/// network lands on one timeline; a disabled sink takes the parallel
-/// path (tracing only observes the simulation, so the metrics are
-/// bit-identical either way).
+/// [`simulate_mapping`] with trace emission. Groups run in mapping order
+/// on the shared IS-OS block, so each group's events start where the
+/// previous group's cycles ended and the whole network lands on one
+/// timeline. Tracing only observes the simulation: the metrics are
+/// bit-identical with any sink.
 pub fn simulate_mapping_traced(
-    net: &Network,
-    cfg: &IsoscelesConfig,
-    mapping: &Mapping,
-    seed: u64,
-    sink: &mut dyn TraceSink,
-) -> NetworkMetrics {
-    if sink.enabled() {
-        simulate_mapping_seq(net, cfg, mapping, seed, sink)
-    } else {
-        simulate_mapping(net, cfg, mapping, seed)
-    }
-}
-
-/// The sequential executor: groups in mapping order on one thread, with
-/// trace timestamps chained across groups.
-fn simulate_mapping_seq(
     net: &Network,
     cfg: &IsoscelesConfig,
     mapping: &Mapping,

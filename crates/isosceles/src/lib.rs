@@ -46,10 +46,8 @@ pub mod config;
 pub mod dataflow;
 pub mod interconnect;
 pub mod mapping;
-pub mod metrics;
 pub mod spgemm;
 
 pub use accel::Accelerator;
 pub use config::IsoscelesConfig;
 pub use mapping::{map_network, ExecMode, Mapping, PipelineGroup};
-pub use metrics::{NetworkMetrics, RunMetrics};

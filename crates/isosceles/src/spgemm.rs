@@ -9,7 +9,7 @@
 //! merged and reduced by the K-merger — the same structures the OS backend
 //! uses for transposition.
 
-use crate::metrics::RunMetrics;
+use isos_sim::metrics::RunMetrics;
 use isos_tensor::merge::comparator_levels;
 use isos_tensor::{Csf, Point, Shape};
 use serde::{Deserialize, Serialize};

@@ -14,8 +14,6 @@
 //!   accounting (the shared filter buffer of Sec. IV-A),
 //! - [`queue`]: bounded decoupling FIFOs with occupancy statistics,
 //! - [`stats`]: utilization and summary statistics (gmean speedups),
-//! - [`threads`]: the run-level worker-pool knob (`ISOS_THREADS`) behind
-//!   deterministic intra-run parallelism,
 //! - [`energy`]: the per-operation energy model behind Fig. 17,
 //! - [`area`]: the analytic area model reproducing Table II.
 //!
@@ -41,7 +39,6 @@ pub mod metrics;
 pub mod queue;
 pub mod sram;
 pub mod stats;
-pub mod threads;
 
 pub use harness::{MemClient, MemHarness};
 pub use metrics::{NetworkMetrics, RequestSpan, RunMetrics, StreamMetrics};

@@ -12,10 +12,9 @@
 //! - [`apportion_cycles`]: exact-sum integer apportionment used to split
 //!   a group's cycles over its member layers.
 //!
-//! `isosceles::metrics` re-exports these for backward compatibility, but
-//! downstream crates (`isos-baselines`, `isosceles-bench`,
-//! `isos-explore`) name them from here so that depending on a *result*
-//! does not require depending on the ISOSceles *model*.
+//! Every crate, the ISOSceles model included, names them from here, so
+//! depending on a *result* does not require depending on the ISOSceles
+//! *model*.
 
 use crate::energy::Activity;
 use crate::stats::Utilization;

@@ -553,6 +553,22 @@ mod tests {
     }
 
     #[test]
+    fn run_stream_is_a_pure_function_of_its_inputs() {
+        // Same workload, seed and scenario: the whole stream (request
+        // order, spans, totals) must replay bit for bit on every suite
+        // workload.
+        let accel = IsoscelesConfig::default();
+        let c = StreamConfig {
+            requests: 6,
+            ..StreamConfig::default()
+        };
+        for id in isos_nn::models::SUITE_IDS {
+            let replay = run_stream(&accel, id, 7, &c);
+            assert_eq!(run_stream(&accel, id, 7, &c), replay, "{id}");
+        }
+    }
+
+    #[test]
     fn run_stream_batch1_burst_matches_accumulated_simulate() {
         let accel = IsoscelesConfig::default();
         let c = StreamConfig {

@@ -16,12 +16,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-# The run-level pool must be metrics-invisible: the whole suite passes
-# with any worker count, golden metrics included. One pass at 8 workers
-# (clamped to real cores by ISOS_THREADS handling) pins that.
-echo "==> cargo test --workspace -q (ISOS_THREADS=8)"
-ISOS_THREADS=8 cargo test --workspace -q
-
 echo "==> dse --smoke (design-space exploration fast path)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
   --smoke --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse" >/dev/null
@@ -54,7 +48,7 @@ PERF_JSON="${TMPDIR:-/tmp}/isos-check-perf/BENCH_smoke.json"
 # The committed numbers are min-of-24 from a quiet machine while smoke is
 # min-of-10, so the margin is wide (150%) — this catches order-of-magnitude
 # kernel regressions, not noise. Full-matrix gating is a manual run:
-#   perf_report --threads 8 --baseline BENCH_5.json
+#   perf_report --baseline BENCH_5.json
 cargo run --release -q -p isosceles-bench --bin perf_report -- \
   --smoke --repeat 10 --baseline BENCH_10.json --regress-pct 150 \
   --out "$PERF_JSON"
