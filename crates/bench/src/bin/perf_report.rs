@@ -230,30 +230,28 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |name: &str| match it.next() {
+            Some(v) => v.clone(),
+            None => usage(&format!("{name} needs a value")),
+        };
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(v) => out = PathBuf::from(v),
-                None => usage("--out needs a value"),
+            "--out" => out = PathBuf::from(value("--out")),
+            "--seed" => match value("--seed").parse() {
+                Ok(n) => seed = n,
+                Err(_) => usage("--seed needs an integer"),
             },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => usage("--seed needs an integer"),
+            "--warmup" => match value("--warmup").parse() {
+                Ok(n) => warmup = n,
+                Err(_) => usage("--warmup needs an integer"),
             },
-            "--warmup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => warmup = n,
-                None => usage("--warmup needs an integer"),
-            },
-            "--repeat" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => repeats = n,
+            "--repeat" => match value("--repeat").parse::<usize>() {
+                Ok(n) if n >= 1 => repeats = n,
                 _ => usage("--repeat needs a positive integer"),
             },
-            "--baseline" => match it.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => usage("--baseline needs a path"),
-            },
-            "--regress-pct" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(p) if p >= 0.0 => regress_pct = p,
+            "--baseline" => baseline_path = Some(PathBuf::from(value("--baseline"))),
+            "--regress-pct" => match value("--regress-pct").parse::<f64>() {
+                Ok(p) if p >= 0.0 => regress_pct = p,
                 _ => usage("--regress-pct needs a non-negative number"),
             },
             "--help" | "-h" => usage("help requested"),

@@ -5,7 +5,7 @@
 //! stream_run [--smoke] [--net IDS] [--model NAMES] [--requests N]
 //!            [--batch B] [--arrival burst|periodic:N|poisson:F]
 //!            [--policy greedy|waitfull] [--seed N] [--out PATH]
-//!            [--threads N] [--no-cache]
+//!            [--threads N] [--no-cache] [--cache-bytes N[k|m|g]]
 //! ```
 //!
 //! Streams `--requests` inference requests (default 256, each with its
@@ -21,7 +21,7 @@ use std::process::exit;
 
 use isos_sim::energy::{energy_of, EnergyParams};
 use isos_stream::{Arrival, BatchPolicy, StreamConfig, StreamMetrics};
-use isosceles_bench::engine::SuiteEngine;
+use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use isosceles_bench::stream::run_stream_cached;
 use isosceles_bench::suite::SEED;
 use isosceles_bench::trace::{accel_by_name, MODEL_NAMES};
@@ -101,6 +101,7 @@ fn usage(error: &str) -> ! {
          [--batch B]\n\
          \x20                 [--arrival burst|periodic:N|poisson:F] [--policy greedy|waitfull]\n\
          \x20                 [--seed N] [--out PATH] [--threads N] [--no-cache]\n\
+         \x20                 [--cache-bytes N[k|m|g]]\n\
          \n\
          --smoke          G58 x 8 requests (schema check)\n\
          --net IDS        comma-separated workload ids (default: full suite)\n\
@@ -113,7 +114,8 @@ fn usage(error: &str) -> ! {
          --out PATH       write the JSON report here (default: stdout)\n\
          --threads N      engine worker threads (also ISOS_THREADS): the\n\
          \x20                 requests of each stream are simulated N at a time\n\
-         --no-cache       disable the result cache (also ISOS_NO_CACHE)"
+         --no-cache       disable the result cache (also ISOS_NO_CACHE)\n\
+         --cache-bytes N  bound the result cache, e.g. 512m (also ISOS_CACHE_BYTES)"
     );
     exit(2);
 }
@@ -125,64 +127,47 @@ fn main() {
     let mut out: Option<PathBuf> = None;
     let mut seed = SEED;
     let mut cfg = StreamConfig::default();
+    let mut engine_opts = EngineOptions::from_env();
+    let list = |v: String| -> Vec<String> { v.split(',').map(|s| s.trim().to_string()).collect() };
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        match engine_opts.parse_flag(arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => usage(&e),
+        }
+        let mut value = |name: &str| match it.next() {
+            Some(v) => v.clone(),
+            None => usage(&format!("{name} needs a value")),
+        };
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--net" => match it.next() {
-                Some(v) => nets = v.split(',').map(|s| s.trim().to_string()).collect(),
-                None => usage("--net needs a value"),
+            "--net" => nets = list(value("--net")),
+            "--model" => models = list(value("--model")),
+            "--requests" => match value("--requests").parse() {
+                Ok(n) => cfg.requests = n,
+                Err(_) => usage("--requests needs an integer"),
             },
-            "--model" => match it.next() {
-                Some(v) => models = v.split(',').map(|s| s.trim().to_string()).collect(),
-                None => usage("--model needs a value"),
+            "--batch" => match value("--batch").parse() {
+                Ok(n) => cfg.batch = n,
+                Err(_) => usage("--batch needs an integer"),
             },
-            "--requests" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.requests = n,
-                None => usage("--requests needs an integer"),
+            "--arrival" => match Arrival::parse(&value("--arrival")) {
+                Ok(a) => cfg.arrival = a,
+                Err(e) => usage(&e),
             },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.batch = n,
-                None => usage("--batch needs an integer"),
+            "--policy" => match BatchPolicy::parse(&value("--policy")) {
+                Ok(p) => cfg.policy = p,
+                Err(e) => usage(&e),
             },
-            "--arrival" => match it.next() {
-                Some(v) => match Arrival::parse(v) {
-                    Ok(a) => cfg.arrival = a,
-                    Err(e) => usage(&e),
-                },
-                None => usage("--arrival needs a value"),
+            "--seed" => match value("--seed").parse() {
+                Ok(n) => seed = n,
+                Err(_) => usage("--seed needs an integer"),
             },
-            "--policy" => match it.next() {
-                Some(v) => match BatchPolicy::parse(v) {
-                    Ok(p) => cfg.policy = p,
-                    Err(e) => usage(&e),
-                },
-                None => usage("--policy needs a value"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => usage("--seed needs an integer"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => usage("--out needs a value"),
-            },
-            // Engine flags: EngineOptions::from_env parses them; here they
-            // are only validated.
-            "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => {}
-                _ => usage("--threads needs an integer >= 1"),
-            },
-            "--no-cache" => {}
+            "--out" => out = Some(PathBuf::from(value("--out"))),
             "--help" | "-h" => usage("help requested"),
-            other if other.starts_with("--threads=") => {
-                match other["--threads=".len()..].parse::<usize>() {
-                    Ok(n) if n >= 1 => {}
-                    _ => usage("--threads needs an integer >= 1"),
-                }
-            }
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -211,7 +196,7 @@ fn main() {
         }
     }
 
-    let engine = SuiteEngine::from_env();
+    let engine = SuiteEngine::new(engine_opts);
     let params = EnergyParams::default();
     eprintln!(
         "stream_run: {} requests (batch {}, {} arrivals, {} policy) x {} workloads x {} models",

@@ -30,9 +30,9 @@
 //! # Examples
 //!
 //! ```no_run
-//! use isosceles_bench::engine::SuiteEngine;
+//! use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 //! use isosceles_bench::suite::SEED;
-//! let run = SuiteEngine::from_env().run_suite(SEED);
+//! let run = SuiteEngine::new(EngineOptions::from_env()).run_suite(SEED);
 //! assert_eq!(run.rows.len(), 11);
 //! eprintln!("{}", run.stats.summary());
 //! ```
@@ -145,67 +145,74 @@ fn default_threads() -> usize {
 }
 
 impl EngineOptions {
-    /// Resolves options from process arguments and environment.
+    /// Resolves options from environment variables; command lines
+    /// apply their engine flags on top with
+    /// [`parse_flag`](Self::parse_flag), and flags win:
     ///
-    /// Flags win over environment variables:
-    ///
-    /// - `--threads N` / `--threads=N`, else `ISOS_THREADS`, else
-    ///   available parallelism;
-    /// - `--no-cache`, else `ISOS_NO_CACHE` (any value but `0` or empty);
+    /// - `ISOS_THREADS` (`--threads`), else available parallelism;
+    /// - `ISOS_NO_CACHE` (`--no-cache`), any value but `0` or empty;
     /// - `ISOS_CACHE_DIR` overrides the `results/cache` location;
-    /// - `--cache-bytes N[k|m|g]`, else `ISOS_CACHE_BYTES`, bounds the
-    ///   store (unbounded when unset).
-    ///
-    /// Unrecognized arguments are ignored so binaries keep their own
-    /// flags.
+    /// - `ISOS_CACHE_BYTES` (`--cache-bytes`) bounds the store
+    ///   (unbounded when unset).
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut opts = Self::default();
-
-        if let Ok(v) = std::env::var("ISOS_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                opts.threads = n.max(1);
-            }
+        let var = |name| std::env::var(name).ok().filter(|v| !v.is_empty());
+        if let Some(n) = var("ISOS_THREADS").and_then(|v| v.trim().parse::<usize>().ok()) {
+            opts.threads = n.max(1);
         }
-        if let Ok(v) = std::env::var("ISOS_NO_CACHE") {
-            if !v.is_empty() && v != "0" {
-                opts.use_cache = false;
-            }
+        if var("ISOS_NO_CACHE").is_some_and(|v| v != "0") {
+            opts.use_cache = false;
         }
-        if let Ok(dir) = std::env::var("ISOS_CACHE_DIR") {
-            if !dir.is_empty() {
-                opts.cache_dir = PathBuf::from(dir);
-            }
+        if let Some(dir) = var("ISOS_CACHE_DIR") {
+            opts.cache_dir = PathBuf::from(dir);
         }
-        if let Ok(v) = std::env::var("ISOS_CACHE_BYTES") {
-            if let Some(n) = parse_byte_size(&v) {
-                opts.cache_bytes = Some(n);
-            }
-        }
-
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if arg == "--no-cache" {
-                opts.use_cache = false;
-            } else if arg == "--threads" {
-                if let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    opts.threads = n.max(1);
-                }
-            } else if let Some(v) = arg.strip_prefix("--threads=") {
-                if let Ok(n) = v.parse::<usize>() {
-                    opts.threads = n.max(1);
-                }
-            } else if arg == "--cache-bytes" {
-                if let Some(n) = it.next().and_then(|v| parse_byte_size(v)) {
-                    opts.cache_bytes = Some(n);
-                }
-            } else if let Some(v) = arg.strip_prefix("--cache-bytes=") {
-                if let Some(n) = parse_byte_size(v) {
-                    opts.cache_bytes = Some(n);
-                }
-            }
+        if let Some(n) = var("ISOS_CACHE_BYTES").and_then(|v| parse_byte_size(&v)) {
+            opts.cache_bytes = Some(n);
         }
         opts
+    }
+
+    /// Applies `arg` if it is an engine flag: `--threads N`,
+    /// `--threads=N`, `--no-cache`, `--cache-bytes N[k|m|g]` or
+    /// `--cache-bytes=N[k|m|g]`, taking a separate value from `rest`.
+    /// Returns `Ok(false)`, consuming nothing, for any other argument.
+    ///
+    /// # Errors
+    ///
+    /// A missing value, a non-number, or zero.
+    pub fn parse_flag<S: AsRef<str>>(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = S>,
+    ) -> Result<bool, String> {
+        let (flag, inline) = arg
+            .split_once('=')
+            .map_or((arg, None), |(f, v)| (f, Some(v)));
+        let mut value = || match inline {
+            Some(v) => Ok(v.to_string()),
+            None => rest
+                .next()
+                .map(|v| v.as_ref().to_string())
+                .ok_or(format!("{flag} needs a value")),
+        };
+        match flag {
+            "--no-cache" if inline.is_none() => self.use_cache = false,
+            "--threads" => {
+                let v = value()?;
+                let n = v.parse().ok().filter(|&n| n >= 1);
+                self.threads = n.ok_or(format!("--threads needs an integer >= 1, got {v:?}"))?;
+            }
+            "--cache-bytes" => {
+                let v = value()?;
+                let n = parse_byte_size(&v).filter(|&n| n >= 1);
+                let n = n.ok_or(format!(
+                    "--cache-bytes needs a size >= 1 such as 64k, got {v:?}"
+                ))?;
+                self.cache_bytes = Some(n);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 }
 
@@ -543,12 +550,6 @@ impl SuiteEngine {
             opts,
             shared: Arc::default(),
         }
-    }
-
-    /// Creates an engine configured from CLI flags and environment
-    /// variables (see [`EngineOptions::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(EngineOptions::from_env())
     }
 
     /// The resolved options.
@@ -1138,6 +1139,65 @@ mod tests {
         assert!(opts.threads >= 1);
         assert!(opts.use_cache);
         assert_eq!(opts.cache_dir, PathBuf::from("results/cache"));
+    }
+
+    /// Runs `args` through `parse_flag`; returns the options and the
+    /// arguments it passed through, or its first error.
+    fn parse(args: &[&str]) -> (EngineOptions, Result<Vec<String>, String>) {
+        let mut opts = EngineOptions {
+            threads: 3,
+            ..EngineOptions::default()
+        };
+        let mut it = args.iter();
+        let mut other = Vec::new();
+        while let Some(arg) = it.next() {
+            match opts.parse_flag(arg, &mut it) {
+                Ok(true) => {}
+                Ok(false) => other.push(arg.to_string()),
+                Err(e) => return (opts, Err(e)),
+            }
+        }
+        (opts, Ok(other))
+    }
+
+    #[test]
+    fn parse_flag_accepts_every_form_and_passes_other_args_through() {
+        let args = [
+            "--threads",
+            "4",
+            "--net",
+            "R96",
+            "--no-cache",
+            "--cache-bytes",
+            "64k",
+            "fig14",
+        ];
+        let (opts, rest) = parse(&args);
+        assert_eq!(rest.unwrap(), ["--net", "R96", "fig14"]);
+        assert_eq!((opts.threads, opts.use_cache), (4, false));
+        assert_eq!(opts.cache_bytes, Some(64 << 10));
+
+        let (opts, rest) = parse(&["--threads=2", "--cache-bytes=3m", "--no-cache=1"]);
+        assert_eq!(rest.unwrap(), ["--no-cache=1"]);
+        assert_eq!((opts.threads, opts.use_cache), (2, true));
+        assert_eq!(opts.cache_bytes, Some(3 << 20));
+    }
+
+    #[test]
+    fn parse_flag_rejects_bad_values() {
+        for bad in [
+            "--threads 0",
+            "--threads abc",
+            "--threads=0",
+            "--threads",
+            "--cache-bytes 0",
+            "--cache-bytes 64x",
+            "--cache-bytes=",
+        ] {
+            let (opts, rest) = parse(&bad.split(' ').collect::<Vec<_>>());
+            assert!(rest.is_err(), "{bad} accepted");
+            assert_eq!((opts.threads, opts.cache_bytes), (3, None), "{bad}");
+        }
     }
 
     #[test]

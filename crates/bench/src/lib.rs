@@ -11,9 +11,9 @@
 //! including the per-layer traffic split; [`trace`] runs any suite
 //! workload with event tracing attached and exports Perfetto/CSV/markdown
 //! timelines; [`stream`] runs `isos-stream` batched streaming-inference
-//! scenarios through the same engine cache and thread budget. The
-//! binaries under `src/bin/` each regenerate one table or figure from
-//! those results (see DESIGN.md's experiment index).
+//! scenarios through the same engine cache and thread budget. The `paper`
+//! binary regenerates every table and figure from those results, one
+//! command each (see DESIGN.md's experiment index).
 
 #![warn(missing_docs)]
 

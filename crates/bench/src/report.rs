@@ -1,9 +1,9 @@
 //! CSV/markdown export of experiment results.
 //!
-//! Every figure harness prints human-readable tables; [`CsvTable`] writes
+//! Every `paper` command prints human-readable tables; [`CsvTable`] writes
 //! the same data as CSV (or markdown) under `results/` so plots can be
 //! regenerated with any external tool (`cargo run -p isosceles-bench
-//! --bin export_results`). [`Report`] wraps a finished suite run and
+//! --bin paper -- export`). [`Report`] wraps a finished suite run and
 //! derives the standard tables from it, including the per-layer traffic
 //! split behind the paper's Fig. 14-style analyses.
 

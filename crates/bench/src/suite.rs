@@ -63,15 +63,6 @@ impl SuiteRow {
     }
 }
 
-/// Formats a bar-style text row for harness output.
-pub fn fmt_row(label: &str, values: &[(&str, f64)]) -> String {
-    let mut s = format!("{label:<28}");
-    for (id, v) in values {
-        s.push_str(&format!(" {id}={v:<8.2}"));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,13 +118,5 @@ mod tests {
         let text = serde::json::to_string(&row);
         let back: SuiteRow = serde::json::from_str(&text).expect("parse");
         assert_eq!(text, serde::json::to_string(&back));
-    }
-
-    #[test]
-    fn fmt_row_aligns_labels() {
-        let s = fmt_row("label", &[("a", 1.0), ("b", 2.5)]);
-        assert!(s.starts_with("label"));
-        assert!(s.contains("a=1"));
-        assert!(s.contains("b=2.5"));
     }
 }

@@ -5,7 +5,7 @@
 //! recorded timeline as Perfetto JSON (`*.trace.json`), occupancy CSV
 //! (`*.timeline.csv`), and a markdown stall summary (`*.stalls.md`)
 //! under `results/traces/`. Tracing is opt-in: nothing here runs unless
-//! a binary is asked for it (`trace_run`, or `suite_summary --trace`),
+//! a binary is asked for it (`trace_run`, or `paper summary --trace`),
 //! and traced metrics are bit-identical to untraced ones.
 
 use std::io;

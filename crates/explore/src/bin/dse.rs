@@ -11,17 +11,7 @@
 //! (`--arch-space`, 10,800 points).
 //!
 //! ```text
-//! cargo run --release -p isos-explore --bin dse -- [flags]
-//!   --net ID          workload to explore (default R96)
-//!   --arch PATH       explore the .toml/.json description(s) at PATH
-//!   --arch-space      explore the built-in described-architecture space
-//!   --top-k N         survivors to simulate cycle-level (default 8)
-//!   --budget-mm2 F    discard screened points above F mm² at 45 nm
-//!   --smoke           tiny space for CI (and default net G58 in arch mode)
-//!   --out DIR         output directory (default results/dse)
-//!   --seed N          simulation seed (default the suite seed)
-//!   --threads N       engine worker threads (also ISOS_THREADS)
-//!   --no-cache        disable the engine result cache (also ISOS_NO_CACHE)
+//! cargo run --release -p isos-explore --bin dse -- [flags]   # flags: dse --help
 //! ```
 //!
 //! [`IsoscelesConfig`]: isosceles::IsoscelesConfig
@@ -34,7 +24,7 @@ use isos_explore::search::{search, search_arch, search_stream, SearchOptions};
 use isos_explore::space::{ArchPoint, ArchSpace, DesignSpace};
 use isos_nn::models::{try_suite_workload, SUITE_IDS};
 use isos_stream::StreamConfig;
-use isosceles_bench::engine::SuiteEngine;
+use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use isosceles_bench::suite::SEED;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -46,7 +36,7 @@ fn usage(error: &str) -> ! {
         "usage: dse [--net ID] [--arch PATH | --arch-space] [--top-k N]\n\
          \u{20}          [--budget-mm2 F] [--smoke] [--out DIR] [--seed N]\n\
          \u{20}          [--stream [--batches LIST] [--requests N]]\n\
-         \u{20}          [--threads N] [--no-cache]\n\
+         \u{20}          [--threads N] [--no-cache] [--cache-bytes N[k|m|g]]\n\
          \n\
          --net ID        workload to explore (default R96); one of {}\n\
          --arch PATH     explore declarative description(s): a .toml/.json\n\
@@ -64,7 +54,9 @@ fn usage(error: &str) -> ! {
          --seed N        simulation seed (default {SEED})\n\
          --threads N     engine worker threads, one simulation each\n\
          \u{20}               (also ISOS_THREADS)\n\
-         --no-cache      disable the engine result cache (also ISOS_NO_CACHE)",
+         --no-cache      disable the engine result cache (also ISOS_NO_CACHE)\n\
+         --cache-bytes N bound the engine result cache, e.g. 512m\n\
+         \u{20}               (also ISOS_CACHE_BYTES)",
         SUITE_IDS.join(", "),
     );
     exit(2);
@@ -103,10 +95,16 @@ fn main() {
     let mut stream = false;
     let mut batches: Vec<u64> = vec![1, 2, 4, 8];
     let mut requests: u64 = 64;
+    let mut engine_opts = EngineOptions::from_env();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        match engine_opts.parse_flag(arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => usage(&e),
+        }
         let mut value = |name: &str| match it.next() {
             Some(v) => v.clone(),
             None => usage(&format!("{name} needs a value")),
@@ -146,13 +144,6 @@ fn main() {
                 Ok(n) => seed = n,
                 Err(_) => usage("--seed needs an integer"),
             },
-            // Engine flags: EngineOptions::from_env parses them; here they
-            // are only validated.
-            "--threads" => match value("--threads").parse::<usize>() {
-                Ok(n) if n >= 1 => {}
-                _ => usage("--threads needs an integer >= 1"),
-            },
-            "--no-cache" => {}
             "--help" | "-h" => usage("help requested"),
             other => usage(&format!("unknown flag {other}")),
         }
@@ -178,7 +169,7 @@ fn main() {
         usage(&format!("unknown workload id {net}"));
     };
 
-    let engine = SuiteEngine::from_env();
+    let engine = SuiteEngine::new(engine_opts);
 
     if stream {
         let space = if smoke {

@@ -17,7 +17,7 @@
 //! 2. it *cross-validates the interval model*: at compute-bound
 //!    densities, time-multiplexed cycles approach `#layers x` the
 //!    spatial design's, the expected ratio for 1/#layers the MACs (see
-//!    `--bin microsim_validation` and the integration tests).
+//!    `paper microsim` in `isosceles-bench` and the integration tests).
 
 use crate::config::IsoscelesConfig;
 use crate::dataflow::{execute_conv, Pou};

@@ -37,6 +37,11 @@ fn main() {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        match opts.engine.parse_flag(arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => die(&e),
+        }
         let mut take = |flag: &str| -> Option<String> {
             if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
                 Some(v.to_string())
@@ -61,9 +66,7 @@ fn main() {
         } else if arg == "--smoke" {
             smoke = true;
         }
-        // --threads / --no-cache / --cache-bytes are consumed by
-        // EngineOptions::from_env(); anything else is ignored, matching
-        // the other harness binaries.
+        // Anything else is ignored.
     }
 
     if smoke {

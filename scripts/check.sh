@@ -16,6 +16,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> paper all (every table and figure, one suite run, nine export files)"
+ROOT="$(pwd)"
+PAPER_DIR="$(mktemp -d "${TMPDIR:-/tmp}/isos-check-paper.XXXXXX")"
+(cd "$PAPER_DIR" && ISOS_CACHE_DIR="$PAPER_DIR/cache" cargo run --release -q \
+  --manifest-path "$ROOT/Cargo.toml" -p isosceles-bench --bin paper -- all >/dev/null)
+for f in fig14a_speedup.csv fig14b_cycles.csv fig14c_traffic.csv fig15_bandwidth.csv \
+  fig16_mac_util.csv fig17_energy.csv layer_traffic.csv layer_traffic.md suite_summary.csv; do
+  [ -s "$PAPER_DIR/results/$f" ] || { echo "paper smoke: results/$f missing or empty" >&2; exit 1; }
+done
+rm -rf "$PAPER_DIR"
+
 echo "==> dse --smoke (design-space exploration fast path)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
   --smoke --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse" >/dev/null
