@@ -64,9 +64,11 @@ pub struct EntryMeta {
 /// for single-inference [`NetworkMetrics`] rows, `"stream"` for
 /// streaming rows), so heterogeneous row types share one store without
 /// one kind's entry ever decoding as another's. The payload stays an
-/// uninterpreted [`Value`] until a typed load asks for it, which is why
-/// the (de)serialization is hand-written rather than derived.
-#[derive(Clone, Debug)]
+/// uninterpreted [`Value`] until a typed load asks for it. The
+/// conversions are hand-written and by value so the payload, most of
+/// an entry's bytes, moves between the file's tree and the entry
+/// instead of being copied.
+#[derive(Debug)]
 struct EntryFile {
     schema: u32,
     kind: String,
@@ -77,8 +79,8 @@ struct EntryFile {
     payload: Value,
 }
 
-impl Serialize for EntryFile {
-    fn to_value(&self) -> Value {
+impl EntryFile {
+    fn into_tree(self) -> Value {
         Value::Obj(vec![
             ("schema".to_string(), self.schema.to_value()),
             ("kind".to_string(), self.kind.to_value()),
@@ -86,21 +88,19 @@ impl Serialize for EntryFile {
             ("accel_key".to_string(), self.accel_key.to_value()),
             ("workload".to_string(), self.workload.to_value()),
             ("seed".to_string(), self.seed.to_value()),
-            ("payload".to_string(), self.payload.clone()),
+            ("payload".to_string(), self.payload),
         ])
     }
-}
 
-impl Deserialize for EntryFile {
-    fn from_value(v: &Value) -> Result<Self, serde::json::Error> {
+    fn from_tree(mut tree: Value) -> Result<Self, serde::json::Error> {
         Ok(EntryFile {
-            schema: u32::from_value(v.field("schema")?)?,
-            kind: String::from_value(v.field("kind")?)?,
-            accel: String::from_value(v.field("accel")?)?,
-            accel_key: u64::from_value(v.field("accel_key")?)?,
-            workload: WorkloadId::from_value(v.field("workload")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
-            payload: v.field("payload")?.clone(),
+            schema: u32::from_value(tree.field("schema")?)?,
+            kind: String::from_value(tree.field("kind")?)?,
+            accel: String::from_value(tree.field("accel")?)?,
+            accel_key: u64::from_value(tree.field("accel_key")?)?,
+            workload: WorkloadId::from_value(tree.field("workload")?)?,
+            seed: u64::from_value(tree.field("seed")?)?,
+            payload: tree.take_field("payload")?,
         })
     }
 }
@@ -296,7 +296,7 @@ impl CacheStore {
             seed: meta.seed,
             payload: payload.to_value(),
         };
-        let text = serde::json::to_string(&entry);
+        let text = entry.into_tree().render();
         let bytes = text.len() as u64;
 
         let shard = shard_of(key);
@@ -397,7 +397,7 @@ impl CacheStore {
                 return None;
             }
         };
-        let parsed: Result<EntryFile, _> = serde::json::from_str(&text);
+        let parsed = serde::json::parse(&text).and_then(EntryFile::from_tree);
         let entry = match parsed {
             Ok(e) if e.schema == SCHEMA_VERSION => e,
             // Corrupt, truncated, or from an unknown schema version:
@@ -681,6 +681,30 @@ mod tests {
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.writes, c.quarantined), (1, 1, 1, 0));
         assert_eq!(store.usage().entries, 1);
+    }
+
+    #[test]
+    fn multibyte_and_escaped_names_roundtrip() {
+        let store = CacheStore::open(scratch_root("unicode"), None);
+        let meta = EntryMeta {
+            workload: WorkloadId::new("Réseau-😀 \"q\" \\ \u{1}\n"),
+            ..meta(0)
+        };
+        let mut m = metrics(31);
+        m.layers = ["conv1/ç", "块\t2", "end\"\\"]
+            .iter()
+            .zip(1u64..)
+            .map(|(name, cycles)| {
+                let run = RunMetrics {
+                    cycles,
+                    ..RunMetrics::default()
+                };
+                (name.to_string(), run)
+            })
+            .collect();
+        store.store(0xc0ffee, &meta, &m);
+        assert_eq!(store.load(0xc0ffee, &meta), Some(m));
+        assert_eq!(store.counters().quarantined, 0);
     }
 
     #[test]

@@ -212,11 +212,11 @@ impl Report {
     ///
     /// Propagates filesystem errors.
     pub fn write_all(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+        let layers = self.layer_traffic_table();
         Ok(vec![
             self.summary_table().write(dir, "suite_summary")?,
-            self.layer_traffic_table().write(dir, "layer_traffic")?,
-            self.layer_traffic_table()
-                .write_markdown(dir, "layer_traffic")?,
+            layers.write(dir, "layer_traffic")?,
+            layers.write_markdown(dir, "layer_traffic")?,
         ])
     }
 }

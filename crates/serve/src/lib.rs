@@ -31,7 +31,8 @@ pub mod protocol;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
@@ -139,14 +140,16 @@ impl Server {
     /// in-flight request, workers finish queued jobs, and everything is
     /// joined before returning.
     pub fn run(self) {
-        let handles: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
+        let mut handles = Vec::new();
         while !self.shared.stop.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    reap_finished(&mut handles);
                     let shared = Arc::clone(&self.shared);
                     shared.connections.fetch_add(1, Ordering::Relaxed);
-                    let handle = std::thread::spawn(move || handle_connection(stream, &shared));
-                    handles.lock().expect("handle list lock").push(handle);
+                    handles.push(std::thread::spawn(move || {
+                        handle_connection(stream, &shared)
+                    }));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL_INTERVAL);
@@ -156,10 +159,23 @@ impl Server {
         }
         // Drain: connections observe the stop flag at their next read
         // timeout and close after finishing the request in hand.
-        for handle in handles.into_inner().expect("handle list lock") {
+        for handle in handles {
             let _ = handle.join();
         }
         self.shared.pool.shutdown();
+    }
+}
+
+/// Joins and drops the handles of connection threads that have exited.
+/// A finished thread's stack stays mapped until it is joined, so without
+/// this a long-running server's memory grows with connections served.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let (finished, live): (Vec<_>, Vec<_>) = std::mem::take(handles)
+        .into_iter()
+        .partition(|h| h.is_finished());
+    *handles = live;
+    for handle in finished {
+        let _ = handle.join();
     }
 }
 
@@ -405,4 +421,33 @@ fn stats_line(shared: &Shared) -> String {
         ),
     ));
     Response::stats(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reaping_drops_exited_connection_threads() {
+        let mut handles: Vec<JoinHandle<()>> = (0..4).map(|_| std::thread::spawn(|| {})).collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handles.iter().all(JoinHandle::is_finished) {
+            assert!(Instant::now() < deadline, "short threads never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handles);
+        assert!(handles.is_empty());
+    }
+
+    #[test]
+    fn reaping_keeps_live_connection_threads() {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let mut handles = vec![std::thread::spawn(move || {
+            let _ = rx.recv();
+        })];
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "a blocked thread is still live");
+        drop(tx);
+        handles.pop().unwrap().join().unwrap();
+    }
 }

@@ -254,6 +254,18 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
     let pong = client.roundtrip(r#"{"type":"ping"}"#, &["pong"]).remove(0);
     assert_eq!(kind_of(&pong), "pong");
 
+    // Nesting far past the parser's depth cap is an ordinary malformed
+    // request, not a stack overflow that takes the server down.
+    let err = client.roundtrip(&"[".repeat(100_000), &["error"]).remove(0);
+    let message = err.field("message").unwrap().as_str().unwrap();
+    assert!(message.contains("malformed"), "{message}");
+    assert!(message.contains("nesting"), "{message}");
+    let lines = client.roundtrip(
+        r#"{"type":"run","workload":"G58","model":"isosceles"}"#,
+        &["done"],
+    );
+    assert_eq!(kind_of(&lines[0]), "row");
+
     client.roundtrip(r#"{"type":"shutdown"}"#, &["bye"]);
     handle.join().expect("server thread");
 }

@@ -113,4 +113,19 @@ echo "==> serve --smoke (simulation service self-check)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-serve-cache" cargo run --release -q -p isos-serve --bin serve -- \
   --smoke
 
+echo "==> perfbench suite smoke (every warm cache hit checked against a direct simulation)"
+SUITE_RESULT="$(bash perfbench/run.sh --workload suite --seed 1 --seconds 2 --trace 1 2>/dev/null | tail -n 1)"
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$SUITE_RESULT" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+assert r["correct"] is True, f"perfbench suite smoke incorrect: {r}"
+assert r["failed"] == 0, f"perfbench suite smoke failed operations: {r}"
+PY
+else
+  printf '%s\n' "$SUITE_RESULT" | grep -q '"correct":true' \
+    && printf '%s\n' "$SUITE_RESULT" | grep -q '"failed":0,' \
+    || { echo "perfbench suite smoke: $SUITE_RESULT" >&2; exit 1; }
+fi
+
 echo "All checks passed."
