@@ -48,8 +48,9 @@ impl Default for FusedLayerConfig {
 
 /// Greedy fusion: consecutive conv layers are fused while their *dense*
 /// weights fit the filter buffer; pools/FC are boundaries (the original
-/// paper fuses only convolutional stages).
-fn fuse_groups(net: &Network, cfg: &FusedLayerConfig) -> Vec<Vec<NodeId>> {
+/// paper fuses only convolutional stages). The buffer size is the only
+/// configuration it reads, so sweeps memoize the groups on it.
+fn fuse_groups(net: &Network, filter_buffer_bytes: u64) -> Vec<Vec<NodeId>> {
     let mut groups: Vec<Vec<NodeId>> = Vec::new();
     let mut current: Vec<NodeId> = Vec::new();
     let mut current_bytes = 0.0f64;
@@ -65,7 +66,7 @@ fn fuse_groups(net: &Network, cfg: &FusedLayerConfig) -> Vec<Vec<NodeId>> {
             groups.push(vec![id]);
             continue;
         }
-        if !current.is_empty() && current_bytes + w > cfg.filter_buffer_bytes as f64 {
+        if !current.is_empty() && current_bytes + w > filter_buffer_bytes as f64 {
             groups.push(std::mem::take(&mut current));
             current_bytes = 0.0;
         }
@@ -96,28 +97,40 @@ pub fn group_metrics(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) ->
     simulate_group_traced(net, group, cfg, 0, &mut NullSink)
 }
 
+/// The totals of [`group_metrics`] without its per-layer breakdown: the
+/// same arithmetic and the same memory-harness path, so the result equals
+/// `group_metrics(..).metrics` bit for bit. Design-space screening calls
+/// this.
+pub fn group_totals(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> RunMetrics {
+    group_totals_traced(net, group, cfg, &[], 0, &mut NullSink, None).metrics
+}
+
 /// Internal alias kept for the model's own call sites.
 fn simulate_group(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> FusedGroupRun {
     group_metrics(net, group, cfg)
 }
 
-/// [`simulate_group`] with trace emission. Every fused layer is one unit
-/// spanning the whole group run (the layers execute concurrently in the
-/// tile pipeline): its busy time is its ideal MAC share, the dense-array
-/// efficiency loss lands on `MergeBound`, waiting for the *other* fused
-/// layers' tile wavefronts on `InputStarved`, and whatever the memory
-/// bound stretches the group beyond its compute time on `DramThrottled`.
-fn simulate_group_traced(
+/// A fused group's totals plus the byte and cycle terms its per-layer
+/// breakdown and trace are built from.
+struct GroupTotals {
+    metrics: RunMetrics,
+    input_bytes: f64,
+    output_bytes: f64,
+    compute_cycles: f64,
+}
+
+/// The group totals, posting the memory streams under `units` (one per
+/// fused layer; empty when not tracing) at start cycle `t0`. Each layer's
+/// halo-inflated MACs are pushed onto `layer_macs` when given.
+fn group_totals_traced(
     net: &Network,
     group: &[NodeId],
     cfg: &FusedLayerConfig,
+    units: &[UnitId],
     t0: u64,
     sink: &mut dyn TraceSink,
-) -> FusedGroupRun {
-    let unit_ids: Vec<UnitId> = group
-        .iter()
-        .map(|&id| sink.unit(&net.layer(id).name, UnitKind::Layer))
-        .collect();
+    mut layer_macs: Option<&mut Vec<f64>>,
+) -> GroupTotals {
     let mut m = RunMetrics::default();
     let mut mem = MemHarness::new(cfg.dram_bytes_per_cycle);
     let first = net.layer(group[0]);
@@ -144,17 +157,17 @@ fn simulate_group_traced(
     // group recomputes the halo ring needed by the layers after it. The
     // ring grows by (R-1) per remaining downstream layer (paper Fig. 2).
     let mut macs = 0.0;
-    let mut macs_per_layer: Vec<f64> = Vec::with_capacity(group.len());
     for (pos, &id) in group.iter().enumerate() {
-        let layer = net.layer(id);
         let ext: usize = group[pos + 1..]
             .iter()
             .map(|&j| net.layer(j).kind.kernel().0.saturating_sub(1))
             .sum();
         let halo_factor = ((tile + ext as f64) / tile).powi(2);
-        let layer_macs = layer.dense_macs() * halo_factor;
-        macs += layer_macs;
-        macs_per_layer.push(layer_macs);
+        let macs_here = net.layer(id).dense_macs() * halo_factor;
+        macs += macs_here;
+        if let Some(out) = layer_macs.as_deref_mut() {
+            out.push(macs_here);
+        }
     }
     m.effectual_macs = macs;
 
@@ -170,18 +183,19 @@ fn simulate_group_traced(
     // leaving at the last. `cycles` covers the memory time, so every
     // stream is granted in full and the totals match the posted bytes —
     // splitting the weight stream only refines trace attribution.
+    let unit = |pos: usize| units.get(pos).copied().unwrap_or(UnitId::NONE);
     let clients: Vec<MemClient> = group
         .iter()
-        .zip(&unit_ids)
-        .map(|(&id, &unit)| MemClient::weight(net.layer(id).weight_dense_bytes()).for_unit(unit))
+        .enumerate()
+        .map(|(pos, &id)| MemClient::weight(net.layer(id).weight_dense_bytes()).for_unit(unit(pos)))
         .chain(std::iter::once(
-            MemClient::activation(input_bytes).for_unit(unit_ids[0]),
+            MemClient::activation(input_bytes).for_unit(unit(0)),
         ))
         .collect();
     mem.step_traced(
         &clients,
         &[output_bytes],
-        &unit_ids[unit_ids.len() - 1..],
+        &units[units.len().saturating_sub(1)..],
         m.cycles,
         t0,
         sink,
@@ -189,6 +203,47 @@ fn simulate_group_traced(
     mem.finish(&mut m);
     // 4 local bytes per MAC: a 16-bit partial read-modify-write.
     m.charge_compute_activity(macs, 4.0);
+    GroupTotals {
+        metrics: m,
+        input_bytes,
+        output_bytes,
+        compute_cycles,
+    }
+}
+
+/// [`simulate_group`] with trace emission, built on the group totals.
+/// Every fused layer is one unit spanning the whole group run (the layers
+/// execute concurrently in the tile pipeline): its busy time is its ideal
+/// MAC share, the dense-array efficiency loss lands on `MergeBound`,
+/// waiting for the *other* fused layers' tile wavefronts on
+/// `InputStarved`, and whatever the memory bound stretches the group
+/// beyond its compute time on `DramThrottled`.
+fn simulate_group_traced(
+    net: &Network,
+    group: &[NodeId],
+    cfg: &FusedLayerConfig,
+    t0: u64,
+    sink: &mut dyn TraceSink,
+) -> FusedGroupRun {
+    let unit_ids: Vec<UnitId> = group
+        .iter()
+        .map(|&id| sink.unit(&net.layer(id).name, UnitKind::Layer))
+        .collect();
+    let mut macs_per_layer: Vec<f64> = Vec::with_capacity(group.len());
+    let GroupTotals {
+        metrics: m,
+        input_bytes,
+        output_bytes,
+        compute_cycles,
+    } = group_totals_traced(
+        net,
+        group,
+        cfg,
+        &unit_ids,
+        t0,
+        sink,
+        Some(&mut macs_per_layer),
+    );
 
     if sink.enabled() {
         let t_f = m.cycles as f64;
@@ -279,7 +334,7 @@ impl Accelerator for FusedLayerConfig {
     /// so the seed does not enter.
     fn simulate(&self, net: &Network, _seed: u64) -> NetworkMetrics {
         let mut out = NetworkMetrics::default();
-        for group in fuse_groups(net, self) {
+        for group in fuse_groups(net, self.filter_buffer_bytes) {
             let run = simulate_group(net, &group, self);
             let name = net.layer(group[0]).name.clone();
             out.push_group(name, run.metrics, run.layers);
@@ -297,7 +352,7 @@ impl Accelerator for FusedLayerConfig {
     ) -> NetworkMetrics {
         let mut out = NetworkMetrics::default();
         let mut t0 = 0u64;
-        for group in fuse_groups(net, self) {
+        for group in fuse_groups(net, self.filter_buffer_bytes) {
             let run = simulate_group_traced(net, &group, self, t0, sink);
             t0 += run.metrics.cycles;
             let name = net.layer(group[0]).name.clone();
@@ -309,8 +364,9 @@ impl Accelerator for FusedLayerConfig {
 
 /// Layer ids per fused group, exposed for per-pipeline comparisons
 /// (Fig. 18 aggregates baselines over ISOSceles's pipeline extents).
+/// Depends on `cfg.filter_buffer_bytes` alone.
 pub fn fused_groups(net: &Network, cfg: &FusedLayerConfig) -> Vec<Vec<NodeId>> {
-    fuse_groups(net, cfg)
+    fuse_groups(net, cfg.filter_buffer_bytes)
 }
 
 #[cfg(test)]
@@ -371,6 +427,26 @@ mod tests {
             .map(|&id| simulate_group(&net, &[id], &cfg).metrics.effectual_macs)
             .sum();
         assert!(deep.metrics.effectual_macs > shallow);
+    }
+
+    #[test]
+    fn group_totals_equal_the_full_group_run() {
+        let net = resnet50(0.9, 1);
+        for (fb, tile) in [(256 << 10, 8), (5 << 19, 32), (8 << 20, 128)] {
+            let cfg = FusedLayerConfig {
+                filter_buffer_bytes: fb,
+                tile,
+                ..FusedLayerConfig::default()
+            };
+            for group in fused_groups(&net, &cfg) {
+                assert_eq!(
+                    group_totals(&net, &group, &cfg),
+                    group_metrics(&net, &group, &cfg).metrics,
+                    "group at layer {}",
+                    group[0]
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,21 @@
 //! [`Accelerator`], so described machines run through the bench suite
 //! engine (and its cache: the cache key hashes the description itself)
 //! exactly like the built-in models. [`ArchAccel::estimate`] produces a
-//! [`NetworkEstimate`] compatible with `explore::model`, which is what
-//! lets the DSE screen thousands of described points analytically.
+//! [`NetworkEstimate`] compatible with `explore::model`, and
+//! `ArchScreen` produces its totals alone, which is what lets the DSE
+//! screen thousands of described points analytically.
+
+use std::collections::HashMap;
 
 use super::schema::{ArchDesc, ArchError, DataflowStyle, PipelinePolicy, TensorKind};
-use crate::model::{estimate_mapping, GroupEstimate, LayerEstimate, NetworkEstimate};
-use isos_baselines::{
-    fused_group_metrics, fused_groups, sparten_layer_metrics, FusedLayerConfig, SpartenConfig,
+use crate::model::{
+    estimate_mapping, EstimateTotals, GroupEstimate, IsOsScreen, LayerEstimate, NetworkEstimate,
 };
-use isos_nn::graph::Network;
+use isos_baselines::{
+    fused_group_metrics, fused_group_totals, fused_groups, sparten_layer_metrics, FusedLayerConfig,
+    SpartenConfig,
+};
+use isos_nn::graph::{Network, NodeId};
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::metrics::{NetworkMetrics, RunMetrics};
 use isos_trace::TraceSink;
@@ -220,30 +226,7 @@ impl ArchAccel {
     /// constants (merger cost scaled linearly in radix from the
     /// radix-256 anchor, as in [`crate::model::area_mm2`]).
     pub fn area_mm2(&self) -> f64 {
-        let per_lane_bytes: u64 = self
-            .desc
-            .levels
-            .iter()
-            .filter(|l| l.per_lane)
-            .map(|l| l.bytes)
-            .sum();
-        let shared_bytes: u64 = self
-            .desc
-            .levels
-            .iter()
-            .filter(|l| !l.per_lane)
-            .map(|l| l.bytes)
-            .sum();
-        let area_cfg = AreaConfig {
-            lanes: self.desc.compute.lanes as u32,
-            macs_per_lane: self.desc.compute.macs_per_lane as u32,
-            mergers_per_lane: self.desc.compute.mergers_per_lane as u32,
-            lane_sram_kb: (per_lane_bytes / 1024) as u32,
-            filter_buffer_kb: (shared_bytes / 1024) as u32,
-        };
-        let mut params = AreaParams::default();
-        params.merger_mm2 *= self.desc.compute.merger_radix as f64 / 256.0;
-        area_of(&area_cfg, &params).total_mm2()
+        desc_area_mm2(&self.desc)
     }
 
     /// Estimated energy per inference in millijoules, from
@@ -251,6 +234,107 @@ impl ArchAccel {
     pub fn energy_mj(&self, net: &Network) -> f64 {
         self.estimate(net).energy_mj(&self.energy_cfg())
     }
+}
+
+/// [`ArchAccel::area_mm2`] of a description, without lowering it.
+pub(crate) fn desc_area_mm2(desc: &ArchDesc) -> f64 {
+    let per_lane_bytes: u64 = desc
+        .levels
+        .iter()
+        .filter(|l| l.per_lane)
+        .map(|l| l.bytes)
+        .sum();
+    let shared_bytes: u64 = desc
+        .levels
+        .iter()
+        .filter(|l| !l.per_lane)
+        .map(|l| l.bytes)
+        .sum();
+    let area_cfg = AreaConfig {
+        lanes: desc.compute.lanes as u32,
+        macs_per_lane: desc.compute.macs_per_lane as u32,
+        mergers_per_lane: desc.compute.mergers_per_lane as u32,
+        lane_sram_kb: (per_lane_bytes / 1024) as u32,
+        filter_buffer_kb: (shared_bytes / 1024) as u32,
+    };
+    let mut params = AreaParams::default();
+    params.merger_mm2 *= desc.compute.merger_radix as f64 / 256.0;
+    area_of(&area_cfg, &params).total_mm2()
+}
+
+/// Screens descriptions against one network, keeping totals only.
+///
+/// Work that depends only on the workload is done once per screen, and
+/// each point costs a closed form over it:
+/// - IS-OS points go through [`IsOsScreen`]: one mapping per distinct
+///   [`MapKey`](isosceles::mapping::MapKey), its group work summed once,
+///   then `group_cycles` per group;
+/// - output-stationary points sum `sparten_layer_metrics` over the
+///   layers;
+/// - fused-tile points reuse `fused_groups` per filter-buffer size (the
+///   only field fusion reads) and sum `fused_group_totals`.
+///
+/// Every family accumulates the same per-group functions
+/// [`ArchAccel::estimate`] runs through [`EstimateTotals::add_group`], so
+/// [`totals`](Self::totals) equals `estimate(net).totals()` bit for bit.
+#[derive(Debug)]
+pub(crate) struct ArchScreen<'a> {
+    net: &'a Network,
+    is_os: IsOsScreen<'a>,
+    fused: HashMap<u64, Vec<Vec<NodeId>>>,
+}
+
+impl<'a> ArchScreen<'a> {
+    /// An empty screen over `net`.
+    pub(crate) fn new(net: &'a Network) -> Self {
+        Self {
+            net,
+            is_os: IsOsScreen::new(net),
+            fused: HashMap::new(),
+        }
+    }
+
+    /// Validates and lowers `desc`, then estimates its totals on the
+    /// screen's network.
+    ///
+    /// # Errors
+    ///
+    /// Returns the description's validation error.
+    pub(crate) fn totals(&mut self, desc: &ArchDesc) -> Result<EstimateTotals, ArchError> {
+        let net = self.net;
+        Ok(match lower(desc)? {
+            Lowered::IsOs { cfg, mode } => self.is_os.totals(&cfg, mode),
+            Lowered::OutputStationary(cfg) => {
+                let mut out = EstimateTotals::default();
+                for node in net.nodes() {
+                    add_metrics(&mut out, &sparten_layer_metrics(&node.layer, &cfg));
+                }
+                out
+            }
+            Lowered::FusedTile(cfg) => {
+                let groups = self
+                    .fused
+                    .entry(cfg.filter_buffer_bytes)
+                    .or_insert_with(|| fused_groups(net, &cfg));
+                let mut out = EstimateTotals::default();
+                for group in groups.iter() {
+                    add_metrics(&mut out, &fused_group_totals(net, group, &cfg));
+                }
+                out
+            }
+        })
+    }
+}
+
+/// Adds one `RunMetrics` group to screening totals, as
+/// [`push_metrics_group`] adds it to a [`NetworkEstimate`].
+fn add_metrics(out: &mut EstimateTotals, m: &RunMetrics) {
+    out.add_group(
+        m.cycles as f64,
+        m.weight_traffic,
+        m.act_traffic,
+        m.effectual_macs,
+    );
 }
 
 /// Folds one `RunMetrics` group into a [`NetworkEstimate`]. If `layers`
@@ -267,18 +351,14 @@ fn push_metrics_group(
     } else {
         layers
     };
-    let g = GroupEstimate {
+    out.push(GroupEstimate {
         name,
         cycles: m.cycles as f64,
         weight_bytes: m.weight_traffic,
         act_bytes: m.act_traffic,
         macs: m.effectual_macs,
         layers,
-    };
-    out.cycles += g.cycles;
-    out.dram_bytes += g.total_bytes();
-    out.macs += g.macs;
-    out.groups.push(g);
+    });
 }
 
 fn layer_estimate_of(name: String, m: &RunMetrics) -> LayerEstimate {

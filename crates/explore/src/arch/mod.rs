@@ -34,6 +34,7 @@ pub mod reference;
 pub mod schema;
 pub mod toml;
 
+pub(crate) use lower::{desc_area_mm2, ArchScreen};
 pub use lower::{lower, ArchAccel, Lowered};
 pub use schema::{
     ArchDesc, ArchError, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, LoopDim,

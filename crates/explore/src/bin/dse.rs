@@ -47,8 +47,8 @@ fn usage(error: &str) -> ! {
          \u{20}               scenario (p99 / cycles-per-image / mm\u{b2} frontier)\n\
          --batches LIST  comma-separated batch sizes (default 1,2,4,8)\n\
          --requests N    requests per streamed scenario (default 64)\n\
-         --top-k N       survivors to simulate cycle-level (default 8)\n\
-         --budget-mm2 F  discard screened points above F mm\u{b2} at 45 nm\n\
+         --top-k N       survivors to simulate cycle-level, >= 1 (default 8)\n\
+         --budget-mm2 F  discard screened points above F mm\u{b2} at 45 nm (F > 0)\n\
          --smoke         tiny space for CI (arch mode: default net G58)\n\
          --out DIR       output directory (default results/dse)\n\
          --seed N        simulation seed (default {SEED})\n\
@@ -131,12 +131,12 @@ fn main() {
                 _ => usage("--requests needs an integer >= 1"),
             },
             "--top-k" => match value("--top-k").parse() {
-                Ok(n) => opts.top_k = n,
-                Err(_) => usage("--top-k needs an integer"),
+                Ok(n) if n >= 1 => opts.top_k = n,
+                _ => usage("--top-k needs an integer >= 1"),
             },
-            "--budget-mm2" => match value("--budget-mm2").parse() {
-                Ok(f) => opts.budget_mm2 = Some(f),
-                Err(_) => usage("--budget-mm2 needs a number"),
+            "--budget-mm2" => match value("--budget-mm2").parse::<f64>() {
+                Ok(f) if f.is_finite() && f > 0.0 => opts.budget_mm2 = Some(f),
+                _ => usage("--budget-mm2 needs a finite number > 0"),
             },
             "--smoke" => smoke = true,
             "--out" => out = PathBuf::from(value("--out")),

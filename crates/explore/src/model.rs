@@ -35,10 +35,12 @@
 //! suite workloads at the default configuration (measured error is a few
 //! percent on most; see DESIGN.md).
 
-use isos_nn::graph::Network;
+use std::collections::HashMap;
+
+use isos_nn::graph::{Network, NodeId};
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::energy::{energy_of, Activity, EnergyBreakdown, EnergyParams};
-use isosceles::mapping::{map_network, ExecMode, Mapping, PipelineGroup};
+use isosceles::mapping::{map_network, ExecMode, MapKey, Mapping, PipelineGroup};
 use isosceles::IsoscelesConfig;
 use serde::{Deserialize, Serialize};
 
@@ -95,6 +97,46 @@ impl GroupEstimate {
     }
 }
 
+/// The whole-network totals of an analytical estimate: what screening
+/// ranks and keeps per point.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct EstimateTotals {
+    /// Total estimated cycles.
+    pub cycles: f64,
+    /// Total off-chip traffic in bytes.
+    pub dram_bytes: f64,
+    /// Total effectual MACs.
+    pub macs: f64,
+}
+
+impl EstimateTotals {
+    /// Adds one group's cycles and work. Every estimator accumulates
+    /// through here, so totals built with or without a breakdown are
+    /// bit-identical.
+    pub(crate) fn add_group(&mut self, cycles: f64, weight_bytes: f64, act_bytes: f64, macs: f64) {
+        self.cycles += cycles;
+        self.dram_bytes += weight_bytes + act_bytes;
+        self.macs += macs;
+    }
+
+    /// Activity mirror matching what the simulator reports: DRAM traffic,
+    /// one shared-SRAM (filter buffer) byte per MAC, and a read-modify-
+    /// write of a 2-byte partial in lane-local SRAM per MAC.
+    pub fn activity(&self, cfg: &IsoscelesConfig) -> Activity {
+        Activity {
+            dram_bytes: self.dram_bytes,
+            shared_sram_bytes: self.macs,
+            local_sram_bytes: self.macs * 2.0 * cfg.accumulator_bytes() as f64,
+            macs: self.macs,
+        }
+    }
+
+    /// Estimated energy per inference in millijoules, default constants.
+    pub fn energy_mj(&self, cfg: &IsoscelesConfig) -> f64 {
+        energy_of(&self.activity(cfg), &EnergyParams::default()).total_mj()
+    }
+}
+
 /// Analytical estimate for a whole network under one mapping.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetworkEstimate {
@@ -109,16 +151,27 @@ pub struct NetworkEstimate {
 }
 
 impl NetworkEstimate {
-    /// Activity mirror matching what the simulator reports: DRAM traffic,
-    /// one shared-SRAM (filter buffer) byte per MAC, and a read-modify-
-    /// write of a 2-byte partial in lane-local SRAM per MAC.
-    pub fn activity(&self, cfg: &IsoscelesConfig) -> Activity {
-        Activity {
+    /// The whole-network totals, without the breakdown.
+    pub fn totals(&self) -> EstimateTotals {
+        EstimateTotals {
+            cycles: self.cycles,
             dram_bytes: self.dram_bytes,
-            shared_sram_bytes: self.macs,
-            local_sram_bytes: self.macs * 2.0 * cfg.accumulator_bytes() as f64,
             macs: self.macs,
         }
+    }
+
+    /// Appends one group, adding it to the totals.
+    pub(crate) fn push(&mut self, g: GroupEstimate) {
+        let mut t = self.totals();
+        t.add_group(g.cycles, g.weight_bytes, g.act_bytes, g.macs);
+        (self.cycles, self.dram_bytes, self.macs) = (t.cycles, t.dram_bytes, t.macs);
+        self.groups.push(g);
+    }
+
+    /// Activity mirror matching what the simulator reports (see
+    /// [`EstimateTotals::activity`]).
+    pub fn activity(&self, cfg: &IsoscelesConfig) -> Activity {
+        self.totals().activity(cfg)
     }
 
     /// Estimated energy per inference.
@@ -128,7 +181,7 @@ impl NetworkEstimate {
 
     /// Estimated energy per inference in millijoules, default constants.
     pub fn energy_mj(&self, cfg: &IsoscelesConfig) -> f64 {
-        self.energy(cfg, &EnergyParams::default()).total_mj()
+        self.totals().energy_mj(cfg)
     }
 
     /// Flattened per-layer estimates across all groups, in execution
@@ -138,91 +191,202 @@ impl NetworkEstimate {
     }
 }
 
-/// Estimates one pipeline group analytically.
-pub fn estimate_group(
-    net: &Network,
-    cfg: &IsoscelesConfig,
-    group: &PipelineGroup,
-) -> GroupEstimate {
-    let bw = cfg.dram_bytes_per_cycle.max(1e-9);
-    let peak = (cfg.total_macs() as f64 * cfg.pe_efficiency).max(1e-9);
-    let interval = cfg.scheduler_interval as f64;
+/// The per-layer workload facts the group estimator reads, gathered once
+/// per network: screening a sweep reads them for every distinct mapping
+/// instead of re-deriving them from the layers (and re-scanning the graph
+/// for consumers) at every point.
+#[derive(Clone, Debug)]
+pub(crate) struct NetFacts {
+    layers: Vec<LayerFacts>,
+    /// Consumers of each node, in node order.
+    consumers: Vec<Vec<NodeId>>,
+}
 
+/// One layer's entry in [`NetFacts`].
+#[derive(Clone, Debug)]
+struct LayerFacts {
+    weight_bytes: f64,
+    macs: f64,
+    in_act_bytes: f64,
+    out_act_bytes: f64,
+    r_kernel: usize,
+    in_h: usize,
+    producers: Vec<NodeId>,
+}
+
+impl NetFacts {
+    /// Gathers the facts of every layer of `net`.
+    pub(crate) fn new(net: &Network) -> Self {
+        let mut consumers = vec![Vec::new(); net.len()];
+        let layers = net
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(id, node)| {
+                for &p in &node.inputs {
+                    if !consumers[p].contains(&id) {
+                        consumers[p].push(id);
+                    }
+                }
+                let layer = &node.layer;
+                LayerFacts {
+                    weight_bytes: layer.weight_csf_bytes(),
+                    macs: layer.effectual_macs(),
+                    in_act_bytes: layer.in_act_csf_bytes(),
+                    out_act_bytes: layer.out_act_csf_bytes(),
+                    r_kernel: layer.kind.kernel().0,
+                    in_h: layer.input.h,
+                    producers: node.inputs.clone(),
+                }
+            })
+            .collect();
+        Self { layers, consumers }
+    }
+}
+
+/// One group's off-chip work: what [`group_work`] sums and
+/// [`group_cycles`] prices. It depends only on the group (its layers and
+/// tiling), not on bandwidth or compute rate.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct GroupWork {
+    /// Compressed weight bytes of the member layers.
+    pub weight_bytes: f64,
+    /// Activation bytes crossing the group boundary (inputs + outputs +
+    /// halos).
+    pub act_bytes: f64,
+    /// Effectual MACs.
+    pub macs: f64,
+    /// Member layers.
+    pub layers: usize,
+}
+
+/// One member layer's share of a [`GroupWork`], as [`group_work`] reports
+/// it to its caller.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct LayerWork {
+    /// The layer.
+    pub id: NodeId,
+    /// Its compressed weight bytes.
+    pub weight_bytes: f64,
+    /// Its external inputs plus its group-leaving outputs.
+    pub act_bytes: f64,
+    /// Its effectual MACs.
+    pub macs: f64,
+}
+
+/// Sums one pipeline group's weight, MAC and activation work, calling
+/// `each_layer` with every member's share in group order.
+///
+/// Activation traffic follows the simulator's stream accounting: external
+/// input streams are deduplicated per producer exactly as the simulator's
+/// `ext_index` does (network inputs get a synthetic key so two root
+/// layers don't share a stream) and charged at `k_tiles × (1 + halo)`;
+/// outputs leaving the group write back to DRAM once.
+pub(crate) fn group_work(
+    facts: &NetFacts,
+    group: &PipelineGroup,
+    mut each_layer: impl FnMut(LayerWork),
+) -> GroupWork {
     let mut weight_bytes = 0.0;
     let mut macs = 0.0;
     let mut in_bytes = 0.0;
     let mut out_bytes = 0.0;
     let mut seen_ext: Vec<usize> = Vec::new();
-    let mut layer_ests: Vec<LayerEstimate> = Vec::with_capacity(group.layers.len());
 
     for &id in &group.layers {
-        let layer = net.layer(id);
-        let layer_weight = layer.weight_csf_bytes();
-        let layer_macs = layer.effectual_macs();
-        weight_bytes += layer_weight;
-        macs += layer_macs;
+        let layer = &facts.layers[id];
+        weight_bytes += layer.weight_bytes;
+        macs += layer.macs;
 
-        // External input streams, deduplicated per producer exactly as the
-        // simulator's `ext_index` does (network inputs get a synthetic key
-        // so two root layers don't share a stream).
-        let (r_kernel, _) = layer.kind.kernel();
-        let halo_frac = if group.p_tiles > 1 && layer.input.h > 0 {
-            ((group.p_tiles - 1) * r_kernel.saturating_sub(1)) as f64 / layer.input.h as f64
+        let halo_frac = if group.p_tiles > 1 && layer.in_h > 0 {
+            ((group.p_tiles - 1) * layer.r_kernel.saturating_sub(1)) as f64 / layer.in_h as f64
         } else {
             0.0
         };
         let scale = group.k_tiles as f64 * (1.0 + halo_frac);
-        let inputs = &net.nodes()[id].inputs;
         let mut layer_act = 0.0;
-        if inputs.is_empty() && !seen_ext.contains(&(id + 1_000_000)) {
+        if layer.producers.is_empty() && !seen_ext.contains(&(id + 1_000_000)) {
             seen_ext.push(id + 1_000_000);
-            layer_act += layer.in_act_csf_bytes() * scale;
+            layer_act += layer.in_act_bytes * scale;
         }
-        for &p in inputs {
+        for &p in &layer.producers {
             if !group.layers.contains(&p) && !seen_ext.contains(&p) {
                 seen_ext.push(p);
-                layer_act += layer.in_act_csf_bytes() * scale;
+                layer_act += layer.in_act_bytes * scale;
             }
         }
         in_bytes += layer_act;
 
-        // Outputs leaving the group write back to DRAM.
-        let consumers = net.consumers(id);
+        let consumers = &facts.consumers[id];
         if consumers.is_empty() || consumers.iter().any(|c| !group.layers.contains(c)) {
-            let leaving = layer.out_act_csf_bytes();
+            let leaving = layer.out_act_bytes;
             out_bytes += leaving;
             layer_act += leaving;
         }
-        layer_ests.push(LayerEstimate {
-            name: layer.name.clone(),
-            cycles: 0.0,
-            weight_bytes: layer_weight,
+        each_layer(LayerWork {
+            id,
+            weight_bytes: layer.weight_bytes,
             act_bytes: layer_act,
-            macs: layer_macs,
+            macs: layer.macs,
         });
     }
 
-    let act_bytes = in_bytes + out_bytes;
-    let t_weights = weight_bytes / bw;
-    let t_compute = macs / peak;
-    let t_act = act_bytes / bw;
-    let t_mem_total = (weight_bytes + act_bytes) / bw;
+    GroupWork {
+        weight_bytes,
+        act_bytes: in_bytes + out_bytes,
+        macs,
+        layers: group.layers.len(),
+    }
+}
 
-    // Weights serialize ahead of compute; then compute overlaps the
-    // activation streams, with total memory time as a floor. Fill/drain
-    // charges the scheduler's one-interval demand lag per member layer
-    // plus a constant start/finish quantization.
+/// Prices one group's work on `cfg`: the closed form in DRAM bandwidth,
+/// peak effectual MAC rate and scheduler interval.
+///
+/// Weights serialize ahead of compute; then compute overlaps the
+/// activation streams, with total memory time as a floor. Fill/drain
+/// charges the scheduler's one-interval demand lag per member layer plus
+/// a constant start/finish quantization.
+pub(crate) fn group_cycles(work: &GroupWork, cfg: &IsoscelesConfig) -> f64 {
+    let bw = cfg.dram_bytes_per_cycle.max(1e-9);
+    let peak = (cfg.total_macs() as f64 * cfg.pe_efficiency).max(1e-9);
+    let interval = cfg.scheduler_interval as f64;
+
+    let t_weights = work.weight_bytes / bw;
+    let t_compute = work.macs / peak;
+    let t_act = work.act_bytes / bw;
+    let t_mem_total = (work.weight_bytes + work.act_bytes) / bw;
+
     let steady = (t_weights + t_compute.max(t_act)).max(t_mem_total);
-    let fill =
-        interval * (FILL_BASE_INTERVALS + FILL_PER_LAYER_INTERVALS * group.layers.len() as f64);
-    let cycles = steady + fill;
+    let fill = interval * (FILL_BASE_INTERVALS + FILL_PER_LAYER_INTERVALS * work.layers as f64);
+    steady + fill
+}
 
-    // Attribute the group's cycles to its layers by MAC share, mirroring
-    // the simulator's apportionment of its interval-loop cycles.
+/// Estimates one pipeline group analytically: [`group_work`] priced by
+/// [`group_cycles`], with the cycles attributed to the member layers by
+/// MAC share (mirroring the simulator's apportionment of its
+/// interval-loop cycles).
+pub(crate) fn estimate_group(
+    net: &Network,
+    facts: &NetFacts,
+    cfg: &IsoscelesConfig,
+    group: &PipelineGroup,
+) -> GroupEstimate {
+    let mut layer_ests: Vec<LayerEstimate> = Vec::with_capacity(group.layers.len());
+    let work = group_work(facts, group, |l| {
+        layer_ests.push(LayerEstimate {
+            name: net.layer(l.id).name.clone(),
+            cycles: 0.0,
+            weight_bytes: l.weight_bytes,
+            act_bytes: l.act_bytes,
+            macs: l.macs,
+        })
+    });
+    let cycles = group_cycles(&work, cfg);
+
     let n = layer_ests.len().max(1) as f64;
     for l in &mut layer_ests {
-        l.cycles = if macs > 0.0 {
-            cycles * (l.macs / macs)
+        l.cycles = if work.macs > 0.0 {
+            cycles * (l.macs / work.macs)
         } else {
             cycles / n
         };
@@ -231,9 +395,9 @@ pub fn estimate_group(
     GroupEstimate {
         name: group.name.clone(),
         cycles,
-        weight_bytes,
-        act_bytes,
-        macs,
+        weight_bytes: work.weight_bytes,
+        act_bytes: work.act_bytes,
+        macs: work.macs,
         layers: layer_ests,
     }
 }
@@ -252,15 +416,53 @@ pub fn estimate_mapping(
     cfg: &IsoscelesConfig,
     mapping: &Mapping,
 ) -> NetworkEstimate {
+    let facts = NetFacts::new(net);
     let mut out = NetworkEstimate::default();
     for group in &mapping.groups {
-        let g = estimate_group(net, cfg, group);
-        out.cycles += g.cycles;
-        out.dram_bytes += g.total_bytes();
-        out.macs += g.macs;
-        out.groups.push(g);
+        out.push(estimate_group(net, &facts, cfg, group));
     }
     out
+}
+
+/// Memoized IS-OS screening of one network: the workload facts, gathered
+/// once, and the group work of every distinct mapping, keyed by the
+/// [`MapKey`] that fixes it. A point then costs one hash lookup plus
+/// [`group_cycles`] per group — the same functions [`estimate_mapping`]
+/// runs, so the totals are bit-identical to it.
+#[derive(Debug)]
+pub(crate) struct IsOsScreen<'a> {
+    net: &'a Network,
+    facts: NetFacts,
+    plans: HashMap<MapKey, Vec<GroupWork>>,
+}
+
+impl<'a> IsOsScreen<'a> {
+    /// An empty memo over `net`.
+    pub(crate) fn new(net: &'a Network) -> Self {
+        Self {
+            net,
+            facts: NetFacts::new(net),
+            plans: HashMap::new(),
+        }
+    }
+
+    /// The whole-network totals of [`estimate_mapping`] on the mapper's
+    /// plan for `cfg` in `mode`.
+    pub(crate) fn totals(&mut self, cfg: &IsoscelesConfig, mode: ExecMode) -> EstimateTotals {
+        let (net, facts) = (self.net, &self.facts);
+        let works = self.plans.entry(MapKey::of(cfg, mode)).or_insert_with(|| {
+            map_network(net, cfg, mode)
+                .groups
+                .iter()
+                .map(|g| group_work(facts, g, |_| {}))
+                .collect()
+        });
+        let mut out = EstimateTotals::default();
+        for w in works.iter() {
+            out.add_group(group_cycles(w, cfg), w.weight_bytes, w.act_bytes, w.macs);
+        }
+        out
+    }
 }
 
 /// Estimates a whole network under the greedy mapper's plan (what the

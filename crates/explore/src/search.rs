@@ -5,30 +5,108 @@
 //! Two parallel flows share the pattern. [`search`] sweeps
 //! [`IsoscelesConfig`] points ([`DesignSpace`]); [`search_arch`] sweeps
 //! declarative [`ArchPoint`]s — descriptions of whole architecture
-//! families — screening each through its interpreter's
-//! [`ArchAccel::estimate`] and simulating survivors through the same
-//! cached engine (described points cache under their description hash).
+//! families — screening each to the totals its interpreter's
+//! [`ArchAccel::estimate`] gives and simulating survivors through the
+//! same cached engine (described points cache under their description
+//! hash).
+//!
+//! Screening does the work that depends only on the workload once per
+//! sweep (layer facts, one mapping per distinct key, fused groups per
+//! buffer size) and a closed form per point, keeps totals only, and
+//! ranks point indices, so only the survivors are cloned.
 
-use crate::arch::{reference, ArchAccel, ArchError};
-use crate::model::{area_mm2, estimate_network, NetworkEstimate};
+use crate::arch::{desc_area_mm2, reference, ArchAccel, ArchError, ArchScreen};
+use crate::model::{area_mm2, EstimateTotals, IsOsScreen};
 use crate::pareto::pareto_indices;
 use crate::space::{ArchPoint, DesignPoint, DesignSpace};
 use isos_nn::models::Workload;
 use isos_sim::energy::{energy_of, EnergyParams};
 use isos_stream::StreamConfig;
 use isosceles::accel::Accelerator;
+use isosceles::mapping::ExecMode;
 use isosceles::IsoscelesConfig;
 use isosceles_bench::engine::{CacheStats, SuiteEngine};
 use isosceles_bench::stream::run_stream_cached;
 use serde::{Deserialize, Serialize};
+
+/// What screening keeps per point: the estimate's totals, area and
+/// energy — no per-group or per-layer breakdown.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Score {
+    estimate: EstimateTotals,
+    area_mm2: f64,
+    energy_mj: f64,
+}
+
+/// Scores configurations on the greedy mapper's pipelined plan.
+fn score_configs(screen: &mut IsOsScreen, points: &[DesignPoint]) -> Vec<Score> {
+    points
+        .iter()
+        .map(|p| {
+            let estimate = screen.totals(&p.config, ExecMode::Pipelined);
+            Score {
+                estimate,
+                area_mm2: area_mm2(&p.config),
+                energy_mj: estimate.energy_mj(&p.config),
+            }
+        })
+        .collect()
+}
+
+/// Scores described points.
+fn score_arch(screen: &mut ArchScreen, points: &[ArchPoint]) -> Result<Vec<Score>, ArchError> {
+    points
+        .iter()
+        .map(|p| {
+            let estimate = screen
+                .totals(&p.desc)
+                .map_err(|e| ArchError::new(format!("point `{}`: {e}", p.label)))?;
+            Ok(Score {
+                estimate,
+                area_mm2: desc_area_mm2(&p.desc),
+                // All described datapaths use 16-bit accumulators (the
+                // schema does not parameterize precision), so the default
+                // conversion constants apply to every family.
+                energy_mj: estimate.energy_mj(&IsoscelesConfig::default()),
+            })
+        })
+        .collect()
+}
+
+/// Point indices by estimated cycles, ascending; ties keep enumeration
+/// order.
+fn rank(scores: &[Score]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| {
+        scores[a]
+            .estimate
+            .cycles
+            .total_cmp(&scores[b].estimate.cycles)
+    });
+    order
+}
+
+/// The indices of the best-estimated `top_k` points within the area
+/// budget, best first, and the number of points over the budget.
+fn select(scores: &[Score], opts: &SearchOptions) -> (Vec<usize>, usize) {
+    let within: Vec<usize> = rank(scores)
+        .into_iter()
+        .filter(|&i| opts.budget_mm2.is_none_or(|b| scores[i].area_mm2 <= b))
+        .collect();
+    let over_budget = scores.len() - within.len();
+    (
+        within.into_iter().take(opts.top_k.max(1)).collect(),
+        over_budget,
+    )
+}
 
 /// One analytically screened design point.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScreenedPoint {
     /// The candidate.
     pub point: DesignPoint,
-    /// Analytical estimate for the workload.
-    pub estimate: NetworkEstimate,
+    /// Analytical estimate for the workload, totals only.
+    pub estimate: EstimateTotals,
     /// Total area in mm² at 45 nm.
     pub area_mm2: f64,
     /// Estimated energy per inference in millijoules.
@@ -39,23 +117,40 @@ pub struct ScreenedPoint {
 /// thousands of points cost milliseconds, no simulation — sorted by
 /// estimated cycles ascending.
 pub fn screen(workload: &Workload, space: &DesignSpace) -> Vec<ScreenedPoint> {
-    let mut screened: Vec<ScreenedPoint> = space
-        .enumerate()
+    let points = space.enumerate();
+    let scores = score_configs(&mut IsOsScreen::new(&workload.network), &points);
+    rank(&scores)
         .into_iter()
-        .map(|point| {
-            let estimate = estimate_network(&workload.network, &point.config);
-            let area_mm2 = area_mm2(&point.config);
-            let energy_mj = estimate.energy_mj(&point.config);
-            ScreenedPoint {
-                point,
-                estimate,
-                area_mm2,
-                energy_mj,
-            }
+        .map(|i| ScreenedPoint {
+            point: points[i].clone(),
+            estimate: scores[i].estimate,
+            area_mm2: scores[i].area_mm2,
+            energy_mj: scores[i].energy_mj,
         })
-        .collect();
-    screened.sort_by(|a, b| a.estimate.cycles.total_cmp(&b.estimate.cycles));
-    screened
+        .collect()
+}
+
+/// Screens `space` and picks the points to simulate: the best-estimated
+/// `top_k` within the area budget, plus the paper default as the anchor
+/// every speedup is measured against. Returns them with the number of
+/// points screened and the number over the budget.
+fn config_survivors(
+    is_os: &mut IsOsScreen,
+    space: &DesignSpace,
+    opts: &SearchOptions,
+) -> (Vec<DesignPoint>, usize, usize) {
+    let points = space.enumerate();
+    let scores = score_configs(is_os, &points);
+    let (picked, over_budget) = select(&scores, opts);
+    let mut survivors: Vec<DesignPoint> = picked.iter().map(|&i| points[i].clone()).collect();
+    let default_cfg = IsoscelesConfig::default();
+    if !survivors.iter().any(|p| p.config == default_cfg) {
+        survivors.push(DesignPoint {
+            label: "paper-default".into(),
+            config: default_cfg,
+        });
+    }
+    (survivors, points.len(), over_budget)
 }
 
 /// Search parameters.
@@ -144,28 +239,9 @@ pub fn search(
     opts: &SearchOptions,
     seed: u64,
 ) -> SearchResult {
-    let screened = screen(workload, space);
-    let total = screened.len();
-    let within: Vec<ScreenedPoint> = screened
-        .into_iter()
-        .filter(|s| opts.budget_mm2.is_none_or(|b| s.area_mm2 <= b))
-        .collect();
-    let over_budget = total - within.len();
-
-    // Survivors: best-estimated K, plus the paper default as the anchor
-    // every speedup is measured against.
-    let mut survivors: Vec<DesignPoint> = within
-        .into_iter()
-        .take(opts.top_k.max(1))
-        .map(|s| s.point)
-        .collect();
+    let mut is_os = IsOsScreen::new(&workload.network);
+    let (survivors, total, over_budget) = config_survivors(&mut is_os, space, opts);
     let default_cfg = IsoscelesConfig::default();
-    if !survivors.iter().any(|p| p.config == default_cfg) {
-        survivors.push(DesignPoint {
-            label: "paper-default".into(),
-            config: default_cfg,
-        });
-    }
 
     let accels: Vec<&dyn Accelerator> = survivors
         .iter()
@@ -185,7 +261,7 @@ pub fn search(
         .iter()
         .zip(metrics)
         .map(|(p, m)| {
-            let est = estimate_network(&workload.network, &p.config);
+            let est = is_os.totals(&p.config, ExecMode::Pipelined);
             let energy = energy_of(&m.total.activity, &EnergyParams::default());
             EvaluatedPoint {
                 label: p.label.clone(),
@@ -300,26 +376,8 @@ pub fn search_stream(
     } else {
         batches.to_vec()
     };
-    let screened = screen(workload, space);
-    let total = screened.len();
-    let within: Vec<ScreenedPoint> = screened
-        .into_iter()
-        .filter(|s| opts.budget_mm2.is_none_or(|b| s.area_mm2 <= b))
-        .collect();
-    let over_budget = total - within.len();
-
-    let mut survivors: Vec<DesignPoint> = within
-        .into_iter()
-        .take(opts.top_k.max(1))
-        .map(|s| s.point)
-        .collect();
-    let default_cfg = IsoscelesConfig::default();
-    if !survivors.iter().any(|p| p.config == default_cfg) {
-        survivors.push(DesignPoint {
-            label: "paper-default".into(),
-            config: default_cfg,
-        });
-    }
+    let (survivors, total, over_budget) =
+        config_survivors(&mut IsOsScreen::new(&workload.network), space, opts);
 
     let mut evaluated: Vec<StreamEvaluatedPoint> = survivors
         .iter()
@@ -373,8 +431,9 @@ pub fn search_stream(
 pub struct ArchScreenedPoint {
     /// The candidate description.
     pub point: ArchPoint,
-    /// Analytical estimate for the workload (via the interpreter).
-    pub estimate: NetworkEstimate,
+    /// Analytical estimate for the workload (via the interpreter),
+    /// totals only.
+    pub estimate: EstimateTotals,
     /// Total area in mm² at 45 nm, from the described hierarchy.
     pub area_mm2: f64,
     /// Estimated energy per inference in millijoules.
@@ -393,24 +452,16 @@ pub fn screen_arch(
     workload: &Workload,
     points: &[ArchPoint],
 ) -> Result<Vec<ArchScreenedPoint>, ArchError> {
-    let mut screened = Vec::with_capacity(points.len());
-    for point in points {
-        let accel = ArchAccel::new(point.desc.clone())
-            .map_err(|e| ArchError::new(format!("point `{}`: {e}", point.label)))?;
-        let estimate = accel.estimate(&workload.network);
-        // All described datapaths use 16-bit accumulators (the schema
-        // does not parameterize precision), so the default conversion
-        // constants apply to every family.
-        let energy_mj = estimate.energy_mj(&IsoscelesConfig::default());
-        screened.push(ArchScreenedPoint {
-            point: point.clone(),
-            area_mm2: accel.area_mm2(),
-            energy_mj,
-            estimate,
-        });
-    }
-    screened.sort_by(|a, b| a.estimate.cycles.total_cmp(&b.estimate.cycles));
-    Ok(screened)
+    let scores = score_arch(&mut ArchScreen::new(&workload.network), points)?;
+    Ok(rank(&scores)
+        .into_iter()
+        .map(|i| ArchScreenedPoint {
+            point: points[i].clone(),
+            estimate: scores[i].estimate,
+            area_mm2: scores[i].area_mm2,
+            energy_mj: scores[i].energy_mj,
+        })
+        .collect())
 }
 
 /// One simulated described point.
@@ -484,19 +535,11 @@ pub fn search_arch(
     opts: &SearchOptions,
     seed: u64,
 ) -> Result<ArchSearchResult, ArchError> {
-    let screened = screen_arch(workload, points)?;
-    let total = screened.len();
-    let within: Vec<ArchScreenedPoint> = screened
-        .into_iter()
-        .filter(|s| opts.budget_mm2.is_none_or(|b| s.area_mm2 <= b))
-        .collect();
-    let over_budget = total - within.len();
-
-    let mut survivors: Vec<ArchPoint> = within
-        .into_iter()
-        .take(opts.top_k.max(1))
-        .map(|s| s.point)
-        .collect();
+    let mut screen = ArchScreen::new(&workload.network);
+    let scores = score_arch(&mut screen, points)?;
+    let (picked, over_budget) = select(&scores, opts);
+    let total = scores.len();
+    let mut survivors: Vec<ArchPoint> = picked.iter().map(|&i| points[i].clone()).collect();
     let anchor_desc = reference::isosceles();
     if !survivors.iter().any(|p| p.desc == anchor_desc) {
         survivors.push(ArchPoint {
@@ -527,7 +570,9 @@ pub fn search_arch(
         .zip(&accels)
         .zip(metrics)
         .map(|((p, accel), m)| {
-            let est = accel.estimate(&workload.network);
+            let est = screen
+                .totals(&p.desc)
+                .expect("survivors already validated during screening");
             let energy = energy_of(&m.total.activity, &EnergyParams::default());
             ArchEvaluatedPoint {
                 label: p.label.clone(),

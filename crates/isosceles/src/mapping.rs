@@ -17,7 +17,7 @@ use isos_nn::layer::LayerKind;
 use serde::{Deserialize, Serialize};
 
 /// How the mapper schedules the network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Inter-layer pipelining (full ISOSceles).
     Pipelined,
@@ -67,7 +67,9 @@ impl PipelineGroup {
             .unwrap_or(layers[0]);
         let name = net.layer(first_conv).name.clone();
         let occs: Vec<f64> = (0..net.len()).map(|id| weight_occupancy(net, id)).collect();
-        let (p_tiles, k_tiles) = tiling_for(net, cfg, &occs, &layers);
+        // Tiling reads no mode; any mode gives the same key fields.
+        let key = MapKey::of(cfg, ExecMode::Pipelined);
+        let (p_tiles, k_tiles) = tiling_for(net, &key, &occs, &layers);
         Self {
             name,
             layers,
@@ -290,8 +292,80 @@ struct Unit {
     pipelineable: bool,
 }
 
+/// Everything [`map_network`] reads: the configuration fields the greedy
+/// mapper and its tiler consult, plus the execution mode.
+///
+/// The mapper runs on the key, not on the configuration, so it cannot
+/// read a field the key leaves out: two configurations with equal keys
+/// get equal mappings by construction. Design-space sweeps memoize
+/// [`map_network`] on this key (bandwidth, merger radix, MACs per lane
+/// and PE efficiency do not change the plan).
+#[derive(Clone, Copy, Debug)]
+pub struct MapKey {
+    mode: ExecMode,
+    lanes: usize,
+    max_contexts: usize,
+    filter_buffer_bytes: u64,
+    context_bytes_per_lane: u64,
+    accumulator_bytes: u64,
+    filter_buffer_alloc_overhead: f64,
+}
+
+impl MapKey {
+    /// The key of mapping under `cfg` in `mode`.
+    pub fn of(cfg: &IsoscelesConfig, mode: ExecMode) -> Self {
+        Self {
+            mode,
+            lanes: cfg.lanes,
+            max_contexts: cfg.max_contexts,
+            filter_buffer_bytes: cfg.filter_buffer_bytes,
+            context_bytes_per_lane: cfg.context_bytes_per_lane,
+            accumulator_bytes: cfg.accumulator_bytes(),
+            filter_buffer_alloc_overhead: cfg.filter_buffer_alloc_overhead,
+        }
+    }
+
+    /// [`IsoscelesConfig::filter_buffer_occupancy`] on the key's copy of
+    /// the allocation overhead.
+    fn filter_buffer_occupancy(&self, weight_csf_bytes: f64) -> f64 {
+        weight_csf_bytes * self.filter_buffer_alloc_overhead
+    }
+
+    /// All fields, the overhead by bit pattern (so `Eq` is reflexive).
+    fn fields(&self) -> (ExecMode, usize, usize, u64, u64, u64, u64) {
+        (
+            self.mode,
+            self.lanes,
+            self.max_contexts,
+            self.filter_buffer_bytes,
+            self.context_bytes_per_lane,
+            self.accumulator_bytes,
+            self.filter_buffer_alloc_overhead.to_bits(),
+        )
+    }
+}
+
+impl PartialEq for MapKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for MapKey {}
+
+impl std::hash::Hash for MapKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.fields().hash(state);
+    }
+}
+
 /// Builds the execution plan for `net` under `cfg`.
 pub fn map_network(net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapping {
+    map_keyed(net, &MapKey::of(cfg, mode))
+}
+
+/// [`map_network`] on a [`MapKey`].
+fn map_keyed(net: &Network, key: &MapKey) -> Mapping {
     let units = collect_units(net);
     // The greedy grower re-tests overlapping layer sets against the
     // context constraint, and the per-layer accumulator occupancy behind
@@ -313,7 +387,7 @@ pub fn map_network(net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapp
         }
         let layers = std::mem::take(current_flat);
         let name = current[0].name.clone();
-        let (p_tiles, k_tiles) = tiling_for(net, cfg, &occs, &layers);
+        let (p_tiles, k_tiles) = tiling_for(net, key, &occs, &layers);
         groups.push(PipelineGroup {
             name,
             layers,
@@ -324,23 +398,23 @@ pub fn map_network(net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapp
     };
 
     for unit in units {
-        let single_only = mode == ExecMode::SingleLayer;
+        let single_only = key.mode == ExecMode::SingleLayer;
         if !unit.pipelineable || single_only {
             flush(&mut current, &mut current_flat, &mut groups);
-            push_decomposed(net, cfg, &occs, &unit.members, &mut groups);
+            push_decomposed(net, key, &occs, &unit.members, &mut groups);
             continue;
         }
         // Would appending this unit violate a resource constraint?
         candidate.clear();
         candidate.extend_from_slice(&current_flat);
         candidate.extend_from_slice(&unit.members);
-        if !current.is_empty() && !fits(net, cfg, &occs, &candidate) {
+        if !current.is_empty() && !fits(net, key, &occs, &candidate) {
             flush(&mut current, &mut current_flat, &mut groups);
         }
         // A unit that doesn't even fit alone runs as single layers
         // (weights tiled on K as needed).
-        if !fits(net, cfg, &occs, &unit.members) && unit.members.len() > 1 {
-            push_decomposed(net, cfg, &occs, &unit.members, &mut groups);
+        if !fits(net, key, &occs, &unit.members) && unit.members.len() > 1 {
+            push_decomposed(net, key, &occs, &unit.members, &mut groups);
             continue;
         }
         current_flat.extend_from_slice(&unit.members);
@@ -355,7 +429,7 @@ pub fn map_network(net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapp
 /// the preceding conv when layers run unpipelined, Sec. V).
 fn push_decomposed(
     net: &Network,
-    cfg: &IsoscelesConfig,
+    key: &MapKey,
     occs: &[f64],
     members: &[NodeId],
     groups: &mut Vec<PipelineGroup>,
@@ -371,7 +445,7 @@ fn push_decomposed(
             continue;
         }
         let layers = vec![id];
-        let (p_tiles, k_tiles) = tiling_for(net, cfg, occs, &layers);
+        let (p_tiles, k_tiles) = tiling_for(net, key, occs, &layers);
         groups.push(PipelineGroup {
             name: net.layer(id).name.clone(),
             layers,
@@ -432,25 +506,25 @@ fn block_display_name(net: &Network, first: NodeId, fallback: &str) -> String {
 
 /// Checks the three on-chip constraints for co-residency: filter buffer,
 /// per-lane context arrays, and context (layer) count.
-fn fits(net: &Network, cfg: &IsoscelesConfig, occs: &[f64], layers: &[NodeId]) -> bool {
-    if layers.len() > cfg.max_contexts {
+fn fits(net: &Network, key: &MapKey, occs: &[f64], layers: &[NodeId]) -> bool {
+    if layers.len() > key.max_contexts {
         return false;
     }
     let fb: f64 = layers
         .iter()
-        .map(|&id| cfg.filter_buffer_occupancy(net.layer(id).weight_csf_bytes()))
+        .map(|&id| key.filter_buffer_occupancy(net.layer(id).weight_csf_bytes()))
         .sum();
-    if fb > cfg.filter_buffer_bytes as f64 {
+    if fb > key.filter_buffer_bytes as f64 {
         return false;
     }
     // Context arrays: assume maximal P tiling is allowed to shrink the
     // requirement; check at the tiling the group would actually use.
-    let (p_tiles, _) = tiling_for(net, cfg, occs, layers);
+    let (p_tiles, _) = tiling_for(net, key, occs, layers);
     let ctx: f64 = layers
         .iter()
-        .map(|&id| context_bytes_per_lane(net, cfg, occs[id], id, p_tiles))
+        .map(|&id| context_bytes_per_lane(net, key, occs[id], id, p_tiles))
         .sum();
-    ctx <= cfg.context_bytes_per_lane as f64
+    ctx <= key.context_bytes_per_lane as f64
 }
 
 /// Accumulator occupancy of one layer's context array. A slot `(r, k, s)`
@@ -471,7 +545,7 @@ fn weight_occupancy(net: &Network, id: NodeId) -> f64 {
 /// rows per lane). `occupancy` is the layer's [`weight_occupancy`].
 fn context_bytes_per_lane(
     net: &Network,
-    cfg: &IsoscelesConfig,
+    key: &MapKey,
     occupancy: f64,
     id: NodeId,
     p_tiles: usize,
@@ -480,14 +554,14 @@ fn context_bytes_per_lane(
     let k = layer.output.c;
     let p = layer.output.h;
     let rows_per_tile = p.div_ceil(p_tiles).max(1);
-    let rows_per_lane = rows_per_tile.div_ceil(cfg.lanes).max(1);
-    let k_split = if rows_per_tile < cfg.lanes {
-        (cfg.lanes / rows_per_tile).max(1)
+    let rows_per_lane = rows_per_tile.div_ceil(key.lanes).max(1);
+    let k_split = if rows_per_tile < key.lanes {
+        (key.lanes / rows_per_tile).max(1)
     } else {
         1
     };
     let k_per_lane = k.div_ceil(k_split).max(1);
-    let acc = cfg.accumulator_bytes() as f64;
+    let acc = key.accumulator_bytes as f64;
     if matches!(layer.kind, LayerKind::Add) {
         // Adds run on the merger path; they only stage one output
         // wavefront.
@@ -502,19 +576,14 @@ fn context_bytes_per_lane(
 }
 
 /// Chooses the `P` and `K` tiling for a group.
-fn tiling_for(
-    net: &Network,
-    cfg: &IsoscelesConfig,
-    occs: &[f64],
-    layers: &[NodeId],
-) -> (usize, usize) {
+fn tiling_for(net: &Network, key: &MapKey, occs: &[f64], layers: &[NodeId]) -> (usize, usize) {
     // P tiling: required when rows exceed lanes, or to shrink contexts.
     let max_p = layers
         .iter()
         .map(|&id| net.layer(id).output.h)
         .max()
         .unwrap_or(1);
-    let mut p_tiles = max_p.div_ceil(cfg.lanes).max(1);
+    let mut p_tiles = max_p.div_ceil(key.lanes).max(1);
     // For single layers, grow P tiling until the context fits (V90-style
     // mid-network tiling), bounded to avoid infinite loops on impossible
     // configs. Multi-layer groups must fit at their natural tiling — the
@@ -523,9 +592,9 @@ fn tiling_for(
         for _ in 0..8 {
             let ctx: f64 = layers
                 .iter()
-                .map(|&id| context_bytes_per_lane(net, cfg, occs[id], id, p_tiles))
+                .map(|&id| context_bytes_per_lane(net, key, occs[id], id, p_tiles))
                 .sum();
-            if ctx <= cfg.context_bytes_per_lane as f64 {
+            if ctx <= key.context_bytes_per_lane as f64 {
                 break;
             }
             p_tiles *= 2;
@@ -533,8 +602,8 @@ fn tiling_for(
     }
     // K tiling: only for single layers whose weights overflow the buffer.
     let k_tiles = if layers.len() == 1 {
-        let occ = cfg.filter_buffer_occupancy(net.layer(layers[0]).weight_csf_bytes());
-        (occ / cfg.filter_buffer_bytes as f64).ceil().max(1.0) as usize
+        let occ = key.filter_buffer_occupancy(net.layer(layers[0]).weight_csf_bytes());
+        (occ / key.filter_buffer_bytes as f64).ceil().max(1.0) as usize
     } else {
         1
     };

@@ -5,7 +5,7 @@
 use isos_nn::graph::Network;
 use isos_nn::layer::LayerKind;
 use isos_nn::models::suite_workload;
-use isosceles::mapping::{map_network, ExecMode, Mapping, MappingError};
+use isosceles::mapping::{map_network, ExecMode, MapKey, Mapping, MappingError};
 use isosceles::IsoscelesConfig;
 use proptest::prelude::*;
 
@@ -68,6 +68,40 @@ fn contiguous_plan_is_valid(net: &Network, cfg: &IsoscelesConfig, parts: &[Vec<u
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn equal_map_keys_give_equal_mappings(
+        idx in 0usize..11,
+        m in 0usize..2,
+        seed in 0u64..1000,
+        knobs in 0u64..u64::MAX,
+    ) {
+        // Two machines sized alike (lanes, buffers, contexts) but with
+        // random bandwidth, merger radix, MACs per lane, PE efficiency and
+        // scheduler interval: the fields sweeps vary that the key omits.
+        let net = suite_net(idx, seed);
+        let mut rng = XorShift::new(knobs);
+        let sized = IsoscelesConfig {
+            lanes: [16, 32, 64, 128][rng.below(4)],
+            filter_buffer_bytes: [256u64, 1024, 4096][rng.below(3)] << 10,
+            max_contexts: [1, 2, 4, 16][rng.below(4)],
+            ..IsoscelesConfig::default()
+        };
+        let mut varied = || IsoscelesConfig {
+            dram_bytes_per_cycle: [32.0, 64.0, 128.0, 512.0][rng.below(4)],
+            merger_radix: [64, 128, 256][rng.below(3)],
+            macs_per_lane: [16, 64, 128][rng.below(3)],
+            pe_efficiency: 0.5 + 0.5 * (rng.below(1000) as f64 / 1000.0),
+            scheduler_interval: [50, 100, 400][rng.below(3)],
+            ..sized
+        };
+        let (a, b) = (varied(), varied());
+        prop_assert_eq!(MapKey::of(&a, mode(m)), MapKey::of(&b, mode(m)));
+        prop_assert_eq!(map_network(&net, &a, mode(m)), map_network(&net, &b, mode(m)));
+        // A field the key lists does separate the keys.
+        let other = IsoscelesConfig { lanes: a.lanes * 2, ..a };
+        prop_assert_ne!(MapKey::of(&a, mode(m)), MapKey::of(&other, mode(m)));
+    }
 
     #[test]
     fn greedy_mapping_covers_each_layer_exactly_once_in_order(

@@ -128,4 +128,21 @@ else
     || { echo "perfbench suite smoke: $SUITE_RESULT" >&2; exit 1; }
 fi
 
+echo "==> perfbench dse-arch smoke (screened survivors' anchor checked against a direct simulation)"
+# Untraced sweeps run search_arch, traced ones screen_arch step by step;
+# --trace 1 alternates them, so both screening paths are checked.
+DSE_RESULT="$(bash perfbench/run.sh --workload dse-arch --seed 1 --seconds 2 --trace 1 2>/dev/null | tail -n 1)"
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$DSE_RESULT" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+assert r["correct"] is True, f"perfbench dse-arch smoke incorrect: {r}"
+assert r["failed"] == 0, f"perfbench dse-arch smoke failed operations: {r}"
+PY
+else
+  printf '%s\n' "$DSE_RESULT" | grep -q '"correct":true' \
+    && printf '%s\n' "$DSE_RESULT" | grep -q '"failed":0,' \
+    || { echo "perfbench dse-arch smoke: $DSE_RESULT" >&2; exit 1; }
+fi
+
 echo "All checks passed."
