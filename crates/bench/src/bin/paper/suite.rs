@@ -282,7 +282,7 @@ pub fn write_stall_summary(rows: &[SuiteRow]) -> std::io::Result<String> {
     let mut md = String::from(
         "# Suite stall attribution\n\n\
          Cycle-weighted occupancy over every traced unit of every suite\n\
-         workload, per model (from `suite_summary --trace`).\n\n\
+         workload, per model (from `paper summary --trace`).\n\n\
          | model | unit-cycles | busy |",
     );
     for kind in StallKind::ALL {

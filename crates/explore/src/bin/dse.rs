@@ -2,26 +2,27 @@
 //!
 //! Screens a design space analytically, simulates the top-K survivors
 //! through the parallel cached suite engine, and writes the (cycles,
-//! mm², mJ) Pareto frontier as JSON + CSV + markdown.
+//! mm², mJ) Pareto frontier as JSON + CSV + markdown to
+//! `dse-<net>.*`. With `--stream` each survivor instead streams
+//! requests at several batch sizes, and the (p99, cycles/img, mm²)
+//! frontier goes to `dse-stream-<net>.*`.
 //!
-//! Three spaces are available: the default [`IsoscelesConfig`] sweep,
-//! an explicit set of declarative architecture descriptions
-//! (`--arch FILE|DIR`), or the built-in described-architecture family
-//! space spanning IS-OS, output-stationary, and fused-tile machines
-//! (`--arch-space`, 10,800 points).
+//! Every space is a list of declarative descriptions: by default the
+//! 240-point IS-OS slice around the paper's machine
+//! ([`ArchSpace::is_os`]), or an explicit set of descriptions
+//! (`--arch FILE|DIR`), or the built-in family space spanning IS-OS,
+//! output-stationary, and fused-tile machines (`--arch-space`, 10,800
+//! points). Each evaluated point's `desc` in the JSON output is a
+//! description `isos-client --arch` accepts.
 //!
 //! ```text
 //! cargo run --release -p isos-explore --bin dse -- [flags]   # flags: dse --help
 //! ```
-//!
-//! [`IsoscelesConfig`]: isosceles::IsoscelesConfig
 
 use isos_explore::arch::{load_dir, load_path};
-use isos_explore::report::{
-    arch_to_markdown, stream_to_markdown, to_markdown, write_all, write_all_arch, write_all_stream,
-};
-use isos_explore::search::{search, search_arch, search_stream, SearchOptions};
-use isos_explore::space::{ArchPoint, ArchSpace, DesignSpace};
+use isos_explore::report::{stream_to_markdown, to_markdown, write_all, write_all_stream};
+use isos_explore::search::{search_arch, search_stream, SearchOptions};
+use isos_explore::space::{ArchPoint, ArchSpace};
 use isos_nn::models::{try_suite_workload, SUITE_IDS};
 use isos_stream::StreamConfig;
 use isosceles_bench::engine::{EngineOptions, SuiteEngine};
@@ -49,7 +50,8 @@ fn usage(error: &str) -> ! {
          --requests N    requests per streamed scenario (default 64)\n\
          --top-k N       survivors to simulate cycle-level, >= 1 (default 8)\n\
          --budget-mm2 F  discard screened points above F mm\u{b2} at 45 nm (F > 0)\n\
-         --smoke         tiny space for CI (arch mode: default net G58)\n\
+         --smoke         tiny space for CI (with --arch/--arch-space:\n\
+         \u{20}               default net G58)\n\
          --out DIR       output directory (default results/dse)\n\
          --seed N        simulation seed (default {SEED})\n\
          --threads N     engine worker threads, one simulation each\n\
@@ -151,10 +153,6 @@ fn main() {
     if arch_path.is_some() && arch_space {
         usage("--arch and --arch-space are mutually exclusive");
     }
-    if stream && (arch_path.is_some() || arch_space) {
-        usage("--stream explores the config space; it cannot combine with --arch/--arch-space");
-    }
-
     let arch_mode = arch_path.is_some() || arch_space;
     // In arch mode the smoke gate favors the fastest suite workload so
     // the CI check stays quick; otherwise R96 is the paper's headline.
@@ -170,102 +168,50 @@ fn main() {
     };
 
     let engine = SuiteEngine::new(engine_opts);
+    let points = match &arch_path {
+        Some(path) => arch_points_from(path),
+        None if arch_space && smoke => ArchSpace::smoke().enumerate(),
+        None if arch_space => ArchSpace::default().enumerate(),
+        None if smoke => ArchSpace::is_os_smoke().enumerate(),
+        None => ArchSpace::is_os().enumerate(),
+    };
+    let budget = opts
+        .budget_mm2
+        .map(|b| format!(", budget {b} mm\u{b2}"))
+        .unwrap_or_default();
 
-    if stream {
-        let space = if smoke {
+    let (markdown, written) = if stream {
+        if smoke {
             requests = requests.min(4);
             batches.truncate(2);
-            DesignSpace::smoke()
-        } else {
-            DesignSpace::default()
-        };
+        }
         let base = StreamConfig {
             requests,
             ..StreamConfig::default()
         };
         eprintln!(
-            "dse: streaming {} requests over {} points x batches {:?} (top-{} simulated{})",
+            "dse: streaming {} requests over {} points x batches {:?} (top-{} simulated{budget})",
             requests,
-            space.len(),
+            points.len(),
             batches,
             opts.top_k,
-            opts.budget_mm2
-                .map(|b| format!(", budget {b} mm\u{b2}"))
-                .unwrap_or_default()
         );
-        let result = search_stream(&engine, &workload, &space, &opts, &batches, &base, seed);
-        println!("{}", stream_to_markdown(&result));
-        match write_all_stream(&result, &out) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("dse: wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("dse: failed to write reports under {}: {e}", out.display());
-                exit(1);
-            }
-        }
-        return;
-    }
-
-    if arch_mode {
-        let points = match &arch_path {
-            Some(path) => arch_points_from(path),
-            None => {
-                if smoke {
-                    ArchSpace::smoke().enumerate()
-                } else {
-                    ArchSpace::default().enumerate()
-                }
-            }
-        };
+        let result = search_stream(&engine, &workload, &points, &opts, &batches, &base, seed)
+            .unwrap_or_else(|e| usage(&format!("{e}")));
+        (stream_to_markdown(&result), write_all_stream(&result, &out))
+    } else {
         eprintln!(
-            "dse: exploring {} over {} described architectures (top-{} simulated{})",
+            "dse: exploring {} over {} described points (top-{} simulated{budget})",
             workload.id,
             points.len(),
             opts.top_k,
-            opts.budget_mm2
-                .map(|b| format!(", budget {b} mm\u{b2}"))
-                .unwrap_or_default()
         );
-        let result = match search_arch(&engine, &workload, &points, &opts, seed) {
-            Ok(r) => r,
-            Err(e) => usage(&format!("{e}")),
-        };
-        println!("{}", arch_to_markdown(&result));
-        match write_all_arch(&result, &out) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("dse: wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("dse: failed to write reports under {}: {e}", out.display());
-                exit(1);
-            }
-        }
-        return;
-    }
-
-    let space = if smoke {
-        DesignSpace::smoke()
-    } else {
-        DesignSpace::default()
+        let result = search_arch(&engine, &workload, &points, &opts, seed)
+            .unwrap_or_else(|e| usage(&format!("{e}")));
+        (to_markdown(&result), write_all(&result, &out))
     };
-    eprintln!(
-        "dse: exploring {} over {} points (top-{} simulated{})",
-        workload.id,
-        space.len(),
-        opts.top_k,
-        opts.budget_mm2
-            .map(|b| format!(", budget {b} mm\u{b2}"))
-            .unwrap_or_default()
-    );
-
-    let result = search(&engine, &workload, &space, &opts, seed);
-    println!("{}", to_markdown(&result));
-    match write_all(&result, &out) {
+    println!("{markdown}");
+    match written {
         Ok(paths) => {
             for p in paths {
                 eprintln!("dse: wrote {}", p.display());

@@ -8,18 +8,18 @@
 //!   energy, and area for any [`IsoscelesConfig`](isosceles::IsoscelesConfig)
 //!   and workload — no simulation, validated within 25% of the
 //!   cycle-level model on the paper's 11-CNN suite;
-//! - [`space`] + [`mod@search`]: an enumerator over lane count, filter-buffer
-//!   capacity, merger radix, and pipeline partitioning, with a driver
-//!   that screens every point analytically and dispatches the top-K
-//!   survivors to the cycle-level simulator through the parallel, cached
-//!   suite engine;
+//! - [`space`] + [`mod@search`]: an enumerator over described machines
+//!   (lanes, buffer capacity, bandwidth, merger radix, pipeline depth,
+//!   tiles), with a driver that screens every point analytically and
+//!   dispatches the top-K survivors to the cycle-level simulator through
+//!   the parallel, cached suite engine;
 //! - [`pareto`] + [`report`]: non-dominated frontier extraction over
 //!   (cycles, mm², mJ) and JSON/CSV/markdown export;
 //! - [`arch`]: declarative accelerator descriptions — architectures
 //!   specified as TOML/JSON data (buffer hierarchy, sparsity features,
 //!   dataflow) and lowered onto the shared sim substrate, so whole
-//!   architecture *families* enumerate through the same screen-then-
-//!   simulate flow.
+//!   architecture *families* enumerate through one screen-then-simulate
+//!   flow; the paper's configuration sweep is the IS-OS slice of it.
 //!
 //! The `dse` binary wires these together:
 //! `cargo run --release -p isos-explore --bin dse -- --net R96 --top-k 8`.
@@ -47,5 +47,5 @@ pub mod space;
 pub use arch::{ArchAccel, ArchDesc, ArchError};
 pub use model::{area_mm2, estimate_mapping, estimate_network, NetworkEstimate};
 pub use pareto::pareto_indices;
-pub use search::{search, search_arch, ArchSearchResult, SearchOptions, SearchResult};
-pub use space::{ArchPoint, ArchSpace, DesignPoint, DesignSpace};
+pub use search::{search_arch, ArchSearchResult, SearchOptions};
+pub use space::{ArchPoint, ArchSpace};

@@ -1,17 +1,18 @@
 //! Exporting search results: JSON for tooling, markdown + CSV tables for
-//! humans, via the bench crate's [`CsvTable`]. Config-sweep results
-//! ([`SearchResult`]) and described-architecture results
-//! ([`ArchSearchResult`]) get parallel exporters.
+//! humans, via the bench crate's [`CsvTable`]. Every per-image search
+//! ([`ArchSearchResult`]) writes `dse-<workload>.*`, every streaming
+//! search ([`StreamSearchResult`]) `dse-stream-<workload>.*`.
 
-use crate::search::{ArchSearchResult, SearchResult, StreamSearchResult};
+use crate::search::{ArchSearchResult, StreamSearchResult};
 use isosceles_bench::report::CsvTable;
 use std::path::{Path, PathBuf};
 
-/// Builds the per-point results table (one row per simulated point,
-/// frontier membership marked).
-pub fn result_table(result: &SearchResult) -> CsvTable {
+/// Builds the per-point results table (one row per simulated
+/// description, dataflow family and frontier membership marked).
+pub fn result_table(result: &ArchSearchResult) -> CsvTable {
     let mut t = CsvTable::new(&[
         "label",
+        "dataflow",
         "cycles",
         "speedup_vs_default",
         "area_mm2",
@@ -23,6 +24,7 @@ pub fn result_table(result: &SearchResult) -> CsvTable {
     for (i, e) in result.evaluated.iter().enumerate() {
         t.push_row(vec![
             e.label.clone(),
+            e.desc.dataflow.style.label().to_string(),
             e.cycles.to_string(),
             format!("{:.3}", e.speedup_vs_default),
             format!("{:.3}", e.area_mm2),
@@ -41,12 +43,13 @@ pub fn result_table(result: &SearchResult) -> CsvTable {
 }
 
 /// Renders the full markdown report: summary paragraph plus the table.
-pub fn to_markdown(result: &SearchResult) -> String {
+pub fn to_markdown(result: &ArchSearchResult) -> String {
     format!(
-        "# Design-space exploration: {}\n\n\
-         Screened {} points analytically ({} over the area budget), \
-         simulated {} cycle-level; {} on the (cycles, mm\u{b2}, mJ) Pareto \
-         frontier. Simulation batch: {:.0} ms, cache {}.\n\n{}",
+        "# Architecture-space exploration: {}\n\n\
+         Screened {} described points analytically ({} over the area \
+         budget), simulated {} through the engine; {} on the (cycles, \
+         mm\u{b2}, mJ) Pareto frontier. Simulation batch: {:.0} ms, \
+         cache {}.\n\n{}",
         result.workload,
         result.screened,
         result.over_budget,
@@ -63,7 +66,7 @@ pub fn to_markdown(result: &SearchResult) -> String {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_all(result: &SearchResult, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub fn write_all(result: &ArchSearchResult, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let stem = format!("dse-{}", result.workload);
     let json = dir.join(format!("{stem}.json"));
@@ -146,130 +149,20 @@ pub fn write_all_stream(result: &StreamSearchResult, dir: &Path) -> std::io::Res
     Ok(vec![json, csv, md])
 }
 
-/// Builds the per-point table of a described-architecture search (one
-/// row per simulated description, dataflow family and frontier
-/// membership marked).
-pub fn arch_result_table(result: &ArchSearchResult) -> CsvTable {
-    let mut t = CsvTable::new(&[
-        "label",
-        "dataflow",
-        "cycles",
-        "speedup_vs_default",
-        "area_mm2",
-        "energy_mj",
-        "est_cycles",
-        "model_error",
-        "pareto",
-    ]);
-    for (i, e) in result.evaluated.iter().enumerate() {
-        t.push_row(vec![
-            e.label.clone(),
-            e.desc.dataflow.style.label().to_string(),
-            e.cycles.to_string(),
-            format!("{:.3}", e.speedup_vs_default),
-            format!("{:.3}", e.area_mm2),
-            format!("{:.4}", e.energy_mj),
-            format!("{:.0}", e.est_cycles),
-            format!("{:.1}%", e.model_error() * 100.0),
-            if result.frontier.contains(&i) {
-                "*"
-            } else {
-                ""
-            }
-            .to_string(),
-        ]);
-    }
-    t
-}
-
-/// Renders the described-architecture markdown report.
-pub fn arch_to_markdown(result: &ArchSearchResult) -> String {
-    format!(
-        "# Architecture-space exploration: {}\n\n\
-         Screened {} described points analytically ({} over the area \
-         budget), simulated {} through the engine; {} on the (cycles, \
-         mm\u{b2}, mJ) Pareto frontier. Simulation batch: {:.0} ms, \
-         cache {}.\n\n{}",
-        result.workload,
-        result.screened,
-        result.over_budget,
-        result.evaluated.len(),
-        result.frontier.len(),
-        result.sim_wall_millis,
-        result.cache,
-        arch_result_table(result).to_markdown()
-    )
-}
-
-/// Writes `dse-arch-<workload>.{json,csv,md}` under `dir`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_all_arch(result: &ArchSearchResult, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let stem = format!("dse-arch-{}", result.workload);
-    let json = dir.join(format!("{stem}.json"));
-    std::fs::write(&json, serde::json::to_string(result))?;
-    let csv = arch_result_table(result).write(dir, &stem)?;
-    let md = dir.join(format!("{stem}.md"));
-    std::fs::write(&md, arch_to_markdown(result))?;
-    Ok(vec![json, csv, md])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::EvaluatedPoint;
-    use isosceles::IsoscelesConfig;
+    use crate::search::{ArchEvaluatedPoint, StreamEvaluatedPoint};
     use isosceles_bench::engine::CacheStats;
 
-    fn tiny_result() -> SearchResult {
-        let mk = |label: &str, cycles: u64, area: f64| EvaluatedPoint {
+    fn tiny_result() -> ArchSearchResult {
+        let mk = |label: &str, cycles: u64, area: f64| ArchEvaluatedPoint {
             label: label.into(),
-            config: IsoscelesConfig::default(),
+            desc: crate::arch::reference::sparten(),
             cycles,
             est_cycles: cycles as f64 * 1.1,
             area_mm2: area,
             energy_mj: 0.5,
-            speedup_vs_default: 100.0 / cycles as f64,
-        };
-        SearchResult {
-            workload: "G58".into(),
-            screened: 4,
-            over_budget: 1,
-            evaluated: vec![mk("fast", 100, 30.0), mk("small", 200, 10.0)],
-            frontier: vec![0, 1],
-            cache: CacheStats { hits: 1, misses: 1 },
-            sim_wall_millis: 12.0,
-        }
-    }
-
-    #[test]
-    fn table_marks_frontier_rows() {
-        let t = result_table(&tiny_result());
-        let csv = t.to_csv();
-        assert!(csv.starts_with("label,cycles,"));
-        assert!(csv.contains("fast,100,1.000,30.000,0.5000,110,10.0%,*"));
-    }
-
-    #[test]
-    fn markdown_summarizes_counts() {
-        let md = to_markdown(&tiny_result());
-        assert!(md.contains("Screened 4 points"));
-        assert!(md.contains("1 over the area budget"));
-        assert!(md.contains("| label |"));
-        assert!(md.contains("1 hits / 1 misses"));
-    }
-
-    fn tiny_arch_result() -> ArchSearchResult {
-        let mk = |label: &str, cycles: u64, area: f64| crate::search::ArchEvaluatedPoint {
-            label: label.into(),
-            desc: crate::arch::reference::sparten(),
-            cycles,
-            est_cycles: cycles as f64,
-            area_mm2: area,
-            energy_mj: 0.4,
             speedup_vs_default: 100.0 / cycles as f64,
         };
         ArchSearchResult {
@@ -278,47 +171,56 @@ mod tests {
             over_budget: 2,
             evaluated: vec![mk("os-fast", 100, 20.0), mk("os-small", 150, 12.0)],
             frontier: vec![0, 1],
-            cache: CacheStats { hits: 2, misses: 0 },
+            cache: CacheStats { hits: 1, misses: 1 },
             sim_wall_millis: 3.0,
         }
     }
 
     #[test]
-    fn arch_table_includes_dataflow_family() {
-        let t = arch_result_table(&tiny_arch_result());
-        let csv = t.to_csv();
+    fn table_marks_dataflow_and_frontier_rows() {
+        let csv = result_table(&tiny_result()).to_csv();
         assert!(csv.starts_with("label,dataflow,cycles,"));
-        assert!(csv.contains("os-fast,output-stationary,100,"));
+        assert!(csv.contains("os-fast,output-stationary,100,1.000,20.000,0.5000,110,10.0%,*"));
     }
 
     #[test]
-    fn arch_markdown_and_files_round_trip() {
-        let md = arch_to_markdown(&tiny_arch_result());
+    fn markdown_summarizes_counts() {
+        let md = to_markdown(&tiny_result());
         assert!(md.contains("Screened 12 described points"));
-        let dir = std::env::temp_dir().join(format!("isos-dse-arch-report-{}", std::process::id()));
+        assert!(md.contains("2 over the area budget"));
+        assert!(md.contains("| label |"));
+        assert!(md.contains("1 hits / 1 misses"));
+    }
+
+    #[test]
+    fn write_all_emits_three_files_that_round_trip() {
+        let dir = std::env::temp_dir().join(format!("isos-dse-report-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let paths = write_all_arch(&tiny_arch_result(), &dir).unwrap();
-        assert_eq!(paths.len(), 3);
+        let paths = write_all(&tiny_result(), &dir).unwrap();
+        let names: Vec<_> = paths.iter().map(|p| p.file_name().unwrap()).collect();
+        assert_eq!(names, ["dse-G58.json", "dse-G58.csv", "dse-G58.md"]);
+        for p in &paths {
+            assert!(p.exists(), "{p:?} missing");
+        }
         let text = std::fs::read_to_string(&paths[0]).unwrap();
         let back: ArchSearchResult = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, tiny_arch_result());
+        assert_eq!(back, tiny_result());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn tiny_stream_result() -> StreamSearchResult {
-        let mk =
-            |label: &str, batch: u64, cycles: u64, p99: u64| crate::search::StreamEvaluatedPoint {
-                label: label.into(),
-                config: IsoscelesConfig::default(),
-                batch,
-                cycles,
-                p50_cycles: p99 / 2,
-                p95_cycles: p99 - 10,
-                p99_cycles: p99,
-                throughput_imgs_per_sec: 8.0 * 1e9 / cycles as f64,
-                area_mm2: 20.0,
-                energy_mj: 0.6,
-            };
+        let mk = |label: &str, batch: u64, cycles: u64, p99: u64| StreamEvaluatedPoint {
+            label: label.into(),
+            desc: crate::arch::reference::isosceles(),
+            batch,
+            cycles,
+            p50_cycles: p99 / 2,
+            p95_cycles: p99 - 10,
+            p99_cycles: p99,
+            throughput_imgs_per_sec: 8.0 * 1e9 / cycles as f64,
+            area_mm2: 20.0,
+            energy_mj: 0.6,
+        };
         StreamSearchResult {
             workload: "G58".into(),
             requests: 8,
@@ -349,26 +251,18 @@ mod tests {
             std::env::temp_dir().join(format!("isos-dse-stream-report-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let paths = write_all_stream(&tiny_stream_result(), &dir).unwrap();
-        assert_eq!(paths.len(), 3);
+        let names: Vec<_> = paths.iter().map(|p| p.file_name().unwrap()).collect();
+        assert_eq!(
+            names,
+            [
+                "dse-stream-G58.json",
+                "dse-stream-G58.csv",
+                "dse-stream-G58.md"
+            ]
+        );
         let text = std::fs::read_to_string(&paths[0]).unwrap();
         let back: StreamSearchResult = serde::json::from_str(&text).unwrap();
         assert_eq!(back, tiny_stream_result());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn write_all_emits_three_files() {
-        let dir = std::env::temp_dir().join(format!("isos-dse-report-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = write_all(&tiny_result(), &dir).unwrap();
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            assert!(p.exists(), "{p:?} missing");
-        }
-        // JSON round-trips.
-        let text = std::fs::read_to_string(&paths[0]).unwrap();
-        let back: SearchResult = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, tiny_result());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

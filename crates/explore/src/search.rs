@@ -1,29 +1,29 @@
-//! The search driver: analytically screen every enumerated design point,
-//! then dispatch the survivors to the cycle-level simulator through the
-//! parallel, cached suite engine.
+//! The search driver: analytically screen every enumerated described
+//! point, then dispatch the survivors to the cycle-level simulator
+//! through the parallel, cached suite engine.
 //!
-//! Two parallel flows share the pattern. [`search`] sweeps
-//! [`IsoscelesConfig`] points ([`DesignSpace`]); [`search_arch`] sweeps
-//! declarative [`ArchPoint`]s — descriptions of whole architecture
-//! families — screening each to the totals its interpreter's
-//! [`ArchAccel::estimate`] gives and simulating survivors through the
-//! same cached engine (described points cache under their description
-//! hash).
+//! Every sweep is a list of declarative [`ArchPoint`]s: the plain `dse`
+//! sweep is the IS-OS slice of [`ArchSpace`](crate::space::ArchSpace),
+//! `--arch-space` the whole family space, `--arch` a set of files.
+//! Screening gives each point the totals its interpreter's
+//! [`ArchAccel::estimate`] gives. [`search_arch`] simulates one image
+//! per survivor and [`search_stream`] streams each survivor at several
+//! batch sizes; both pick the survivors the same way, and described
+//! points cache under their description hash.
 //!
 //! Screening does the work that depends only on the workload once per
 //! sweep (layer facts, one mapping per distinct key, fused groups per
 //! buffer size) and a closed form per point, keeps totals only, and
 //! ranks point indices, so only the survivors are cloned.
 
-use crate::arch::{desc_area_mm2, reference, ArchAccel, ArchError, ArchScreen};
-use crate::model::{area_mm2, EstimateTotals, IsOsScreen};
+use crate::arch::{desc_area_mm2, reference, ArchAccel, ArchDesc, ArchError, ArchScreen};
+use crate::model::EstimateTotals;
 use crate::pareto::pareto_indices;
-use crate::space::{ArchPoint, DesignPoint, DesignSpace};
+use crate::space::ArchPoint;
 use isos_nn::models::Workload;
 use isos_sim::energy::{energy_of, EnergyParams};
 use isos_stream::StreamConfig;
 use isosceles::accel::Accelerator;
-use isosceles::mapping::ExecMode;
 use isosceles::IsoscelesConfig;
 use isosceles_bench::engine::{CacheStats, SuiteEngine};
 use isosceles_bench::stream::run_stream_cached;
@@ -38,23 +38,8 @@ struct Score {
     energy_mj: f64,
 }
 
-/// Scores configurations on the greedy mapper's pipelined plan.
-fn score_configs(screen: &mut IsOsScreen, points: &[DesignPoint]) -> Vec<Score> {
-    points
-        .iter()
-        .map(|p| {
-            let estimate = screen.totals(&p.config, ExecMode::Pipelined);
-            Score {
-                estimate,
-                area_mm2: area_mm2(&p.config),
-                energy_mj: estimate.energy_mj(&p.config),
-            }
-        })
-        .collect()
-}
-
 /// Scores described points.
-fn score_arch(screen: &mut ArchScreen, points: &[ArchPoint]) -> Result<Vec<Score>, ArchError> {
+fn score(screen: &mut ArchScreen, points: &[ArchPoint]) -> Result<Vec<Score>, ArchError> {
     points
         .iter()
         .map(|p| {
@@ -86,71 +71,61 @@ fn rank(scores: &[Score]) -> Vec<usize> {
     order
 }
 
-/// The indices of the best-estimated `top_k` points within the area
-/// budget, best first, and the number of points over the budget.
-fn select(scores: &[Score], opts: &SearchOptions) -> (Vec<usize>, usize) {
-    let within: Vec<usize> = rank(scores)
+/// Whether two descriptions denote the same machine, names aside.
+fn same_machine(a: &ArchDesc, b: &ArchDesc) -> bool {
+    let unnamed = |d: &ArchDesc| ArchDesc {
+        name: String::new(),
+        ..d.clone()
+    };
+    unnamed(a) == unnamed(b)
+}
+
+/// Screens `points` and picks the ones to simulate: the best-estimated
+/// `top_k` within the area budget, best first, plus the paper's
+/// ISOSceles description ([`reference::isosceles`]) as the anchor every
+/// speedup is measured against. A survivor that is the paper's machine
+/// under another name is replaced by the anchor rather than simulated
+/// twice. Returns the survivors and the number of points over the
+/// budget.
+fn pick_survivors(
+    screen: &mut ArchScreen,
+    points: &[ArchPoint],
+    opts: &SearchOptions,
+) -> Result<(Vec<ArchPoint>, usize), ArchError> {
+    let scores = score(screen, points)?;
+    let within: Vec<usize> = rank(&scores)
         .into_iter()
         .filter(|&i| opts.budget_mm2.is_none_or(|b| scores[i].area_mm2 <= b))
         .collect();
     let over_budget = scores.len() - within.len();
-    (
-        within.into_iter().take(opts.top_k.max(1)).collect(),
-        over_budget,
-    )
-}
-
-/// One analytically screened design point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ScreenedPoint {
-    /// The candidate.
-    pub point: DesignPoint,
-    /// Analytical estimate for the workload, totals only.
-    pub estimate: EstimateTotals,
-    /// Total area in mm² at 45 nm.
-    pub area_mm2: f64,
-    /// Estimated energy per inference in millijoules.
-    pub energy_mj: f64,
-}
-
-/// Screens every point of `space` against `workload` analytically —
-/// thousands of points cost milliseconds, no simulation — sorted by
-/// estimated cycles ascending.
-pub fn screen(workload: &Workload, space: &DesignSpace) -> Vec<ScreenedPoint> {
-    let points = space.enumerate();
-    let scores = score_configs(&mut IsOsScreen::new(&workload.network), &points);
-    rank(&scores)
+    let mut picked: Vec<ArchPoint> = within
         .into_iter()
-        .map(|i| ScreenedPoint {
-            point: points[i].clone(),
-            estimate: scores[i].estimate,
-            area_mm2: scores[i].area_mm2,
-            energy_mj: scores[i].energy_mj,
+        .take(opts.top_k.max(1))
+        .map(|i| points[i].clone())
+        .collect();
+    let anchor = ArchPoint {
+        label: "paper-default".into(),
+        desc: reference::isosceles(),
+    };
+    match picked
+        .iter()
+        .position(|p| same_machine(&p.desc, &anchor.desc))
+    {
+        Some(i) if picked[i].desc == anchor.desc => {}
+        Some(i) => picked[i] = anchor,
+        None => picked.push(anchor),
+    }
+    Ok((picked, over_budget))
+}
+
+/// Builds the survivors' accelerators.
+fn accels_of(survivors: &[ArchPoint]) -> Vec<ArchAccel> {
+    survivors
+        .iter()
+        .map(|p| {
+            ArchAccel::new(p.desc.clone()).expect("survivors already validated during screening")
         })
         .collect()
-}
-
-/// Screens `space` and picks the points to simulate: the best-estimated
-/// `top_k` within the area budget, plus the paper default as the anchor
-/// every speedup is measured against. Returns them with the number of
-/// points screened and the number over the budget.
-fn config_survivors(
-    is_os: &mut IsOsScreen,
-    space: &DesignSpace,
-    opts: &SearchOptions,
-) -> (Vec<DesignPoint>, usize, usize) {
-    let points = space.enumerate();
-    let scores = score_configs(is_os, &points);
-    let (picked, over_budget) = select(&scores, opts);
-    let mut survivors: Vec<DesignPoint> = picked.iter().map(|&i| points[i].clone()).collect();
-    let default_cfg = IsoscelesConfig::default();
-    if !survivors.iter().any(|p| p.config == default_cfg) {
-        survivors.push(DesignPoint {
-            label: "paper-default".into(),
-            config: default_cfg,
-        });
-    }
-    (survivors, points.len(), over_budget)
 }
 
 /// Search parameters.
@@ -173,133 +148,13 @@ impl Default for SearchOptions {
     }
 }
 
-/// One cycle-level-simulated design point.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EvaluatedPoint {
-    /// Label from the design space (`paper-default` for the anchor).
-    pub label: String,
-    /// The full configuration.
-    pub config: IsoscelesConfig,
-    /// Cycle-level simulated cycles.
-    pub cycles: u64,
-    /// Analytical estimate, for model-error reporting.
-    pub est_cycles: f64,
-    /// Total area in mm² at 45 nm.
-    pub area_mm2: f64,
-    /// Simulated energy per inference in millijoules.
-    pub energy_mj: f64,
-    /// Speedup over the paper-default configuration (>1 = faster).
-    pub speedup_vs_default: f64,
-}
-
-impl EvaluatedPoint {
-    /// Relative error of the analytical estimate vs the simulation.
-    pub fn model_error(&self) -> f64 {
-        (self.est_cycles - self.cycles as f64).abs() / self.cycles as f64
-    }
-}
-
-/// A finished search.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SearchResult {
-    /// Workload id (`"R96"`, ...).
-    pub workload: String,
-    /// Points analytically screened.
-    pub screened: usize,
-    /// Points discarded by the area budget.
-    pub over_budget: usize,
-    /// Simulated points, sorted by simulated cycles ascending.
-    pub evaluated: Vec<EvaluatedPoint>,
-    /// Indices into `evaluated` of the (cycles, area, energy) Pareto
-    /// frontier, minimizing all three.
-    pub frontier: Vec<usize>,
-    /// Engine cache counters for the simulation batch.
-    pub cache: CacheStats,
-    /// Wall time of the simulation batch in milliseconds.
-    pub sim_wall_millis: f64,
-}
-
-impl SearchResult {
-    /// The frontier as evaluated points.
-    pub fn frontier_points(&self) -> Vec<&EvaluatedPoint> {
-        self.frontier.iter().map(|&i| &self.evaluated[i]).collect()
-    }
-}
-
-/// Runs the full screen-then-simulate search for one workload.
-///
-/// The analytical model ranks every point in `space`; the area budget
-/// (if any) and the top-K cut pick the survivors; the suite engine
-/// simulates them — in parallel, memoized across repeated searches — and
-/// the Pareto frontier is extracted from the simulated (cycles, mm², mJ).
-pub fn search(
-    engine: &SuiteEngine,
-    workload: &Workload,
-    space: &DesignSpace,
-    opts: &SearchOptions,
-    seed: u64,
-) -> SearchResult {
-    let mut is_os = IsOsScreen::new(&workload.network);
-    let (survivors, total, over_budget) = config_survivors(&mut is_os, space, opts);
-    let default_cfg = IsoscelesConfig::default();
-
-    let accels: Vec<&dyn Accelerator> = survivors
-        .iter()
-        .map(|p| &p.config as &dyn Accelerator)
-        .collect();
-    let (grid, stats) = engine.run_matrix(std::slice::from_ref(workload), &accels, seed);
-    let metrics = &grid[0];
-
-    let default_cycles = survivors
-        .iter()
-        .zip(metrics)
-        .find(|(p, _)| p.config == default_cfg)
-        .map(|(_, m)| m.total.cycles)
-        .expect("default anchor always simulated");
-
-    let mut evaluated: Vec<EvaluatedPoint> = survivors
-        .iter()
-        .zip(metrics)
-        .map(|(p, m)| {
-            let est = is_os.totals(&p.config, ExecMode::Pipelined);
-            let energy = energy_of(&m.total.activity, &EnergyParams::default());
-            EvaluatedPoint {
-                label: p.label.clone(),
-                config: p.config,
-                cycles: m.total.cycles,
-                est_cycles: est.cycles,
-                area_mm2: area_mm2(&p.config),
-                energy_mj: energy.total_mj(),
-                speedup_vs_default: default_cycles as f64 / m.total.cycles as f64,
-            }
-        })
-        .collect();
-    evaluated.sort_by_key(|e| e.cycles);
-
-    let objectives: Vec<Vec<f64>> = evaluated
-        .iter()
-        .map(|e| vec![e.cycles as f64, e.area_mm2, e.energy_mj])
-        .collect();
-    let frontier = pareto_indices(&objectives);
-
-    SearchResult {
-        workload: workload.id.to_string(),
-        screened: total,
-        over_budget,
-        evaluated,
-        frontier,
-        cache: stats.cache(),
-        sim_wall_millis: stats.wall_millis,
-    }
-}
-
 /// One simulated `(design point, batch size)` streaming scenario.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StreamEvaluatedPoint {
-    /// Label from the design space (`paper-default` for the anchor).
+    /// Label from the space (`paper-default` for the anchor).
     pub label: String,
-    /// The full configuration.
-    pub config: IsoscelesConfig,
+    /// The full description.
+    pub desc: ArchDesc,
     /// Batch size of this scenario.
     pub batch: u64,
     /// Stream makespan in cycles.
@@ -355,47 +210,53 @@ impl StreamSearchResult {
 /// Runs the screen-then-simulate search under a streaming scenario,
 /// adding the batch size as an explicit design axis.
 ///
-/// Screening and survivor selection are identical to [`search`] (the
-/// arrival process does not change the per-image analytical ranking);
-/// each survivor then streams `base.requests` requests at every batch
-/// size in `batches`, and the Pareto frontier is extracted from
-/// (p99 latency, cycles-per-image, area) — batching trades tail
+/// Screening and survivor selection are identical to [`search_arch`]
+/// (the arrival process does not change the per-image analytical
+/// ranking); each survivor then streams `base.requests` requests at
+/// every batch size in `batches`, and the Pareto frontier is extracted
+/// from (p99 latency, cycles-per-image, area) — batching trades tail
 /// latency against amortized weight traffic, so both must be
 /// objectives for the trade to be visible.
+///
+/// # Errors
+///
+/// Propagates [`screen_arch`]'s validation failures.
 pub fn search_stream(
     engine: &SuiteEngine,
     workload: &Workload,
-    space: &DesignSpace,
+    points: &[ArchPoint],
     opts: &SearchOptions,
     batches: &[u64],
     base: &StreamConfig,
     seed: u64,
-) -> StreamSearchResult {
+) -> Result<StreamSearchResult, ArchError> {
     let batches: Vec<u64> = if batches.is_empty() {
         vec![base.batch]
     } else {
         batches.to_vec()
     };
-    let (survivors, total, over_budget) =
-        config_survivors(&mut IsOsScreen::new(&workload.network), space, opts);
+    let (survivors, over_budget) =
+        pick_survivors(&mut ArchScreen::new(&workload.network), points, opts)?;
+    let accels = accels_of(&survivors);
 
     let mut evaluated: Vec<StreamEvaluatedPoint> = survivors
         .iter()
-        .flat_map(|p| {
-            batches.iter().map(|&batch| {
+        .zip(&accels)
+        .flat_map(|(p, accel)| {
+            batches.iter().map(move |&batch| {
                 let cfg = StreamConfig { batch, ..*base };
-                let (s, _) = run_stream_cached(engine, &p.config, workload.id, seed, &cfg);
+                let (s, _) = run_stream_cached(engine, accel, workload.id, seed, &cfg);
                 let energy = energy_of(&s.total.activity, &EnergyParams::default());
                 StreamEvaluatedPoint {
                     label: p.label.clone(),
-                    config: p.config,
+                    desc: p.desc.clone(),
                     batch,
                     cycles: s.total.cycles,
                     p50_cycles: s.p50(),
                     p95_cycles: s.p95(),
                     p99_cycles: s.p99(),
                     throughput_imgs_per_sec: s.throughput_imgs_per_sec(cfg.clock_ghz),
-                    area_mm2: area_mm2(&p.config),
+                    area_mm2: accel.area_mm2(),
                     energy_mj: energy.total_mj(),
                 }
             })
@@ -415,15 +276,15 @@ pub fn search_stream(
         .collect();
     let frontier = pareto_indices(&objectives);
 
-    StreamSearchResult {
+    Ok(StreamSearchResult {
         workload: workload.id.to_string(),
         requests: base.requests,
         batches,
-        screened: total,
+        screened: points.len(),
         over_budget,
         evaluated,
         frontier,
-    }
+    })
 }
 
 /// One analytically screened described point.
@@ -452,7 +313,7 @@ pub fn screen_arch(
     workload: &Workload,
     points: &[ArchPoint],
 ) -> Result<Vec<ArchScreenedPoint>, ArchError> {
-    let scores = score_arch(&mut ArchScreen::new(&workload.network), points)?;
+    let scores = score(&mut ArchScreen::new(&workload.network), points)?;
     Ok(rank(&scores)
         .into_iter()
         .map(|i| ArchScreenedPoint {
@@ -470,7 +331,7 @@ pub struct ArchEvaluatedPoint {
     /// Label from the space (`paper-default` for the anchor).
     pub label: String,
     /// The full description.
-    pub desc: crate::arch::ArchDesc,
+    pub desc: ArchDesc,
     /// Simulated cycles (cycle-level for IS-OS machines, the exact
     /// closed form for the analytic families).
     pub cycles: u64,
@@ -519,11 +380,13 @@ impl ArchSearchResult {
 
 /// Runs the screen-then-simulate search over described architectures.
 ///
-/// Same shape as [`search`]: analytic ranking, optional area budget,
-/// top-K cut, engine simulation (parallel + cached: described points
-/// key the cache by their description hash), Pareto extraction. The
+/// The analytical model ranks every point; the area budget (if any)
+/// and the top-K cut pick the survivors; the suite engine simulates
+/// them — in parallel, memoized across repeated searches (described
+/// points key the cache by their description hash) — and the Pareto
+/// frontier is extracted from the simulated (cycles, mm², mJ). The
 /// anchor every speedup is measured against is the paper's ISOSceles
-/// description ([`reference::isosceles`]).
+/// description ([`reference::isosceles`]), simulated once.
 ///
 /// # Errors
 ///
@@ -536,24 +399,10 @@ pub fn search_arch(
     seed: u64,
 ) -> Result<ArchSearchResult, ArchError> {
     let mut screen = ArchScreen::new(&workload.network);
-    let scores = score_arch(&mut screen, points)?;
-    let (picked, over_budget) = select(&scores, opts);
-    let total = scores.len();
-    let mut survivors: Vec<ArchPoint> = picked.iter().map(|&i| points[i].clone()).collect();
+    let (survivors, over_budget) = pick_survivors(&mut screen, points, opts)?;
     let anchor_desc = reference::isosceles();
-    if !survivors.iter().any(|p| p.desc == anchor_desc) {
-        survivors.push(ArchPoint {
-            label: "paper-default".into(),
-            desc: anchor_desc.clone(),
-        });
-    }
 
-    let accels: Vec<ArchAccel> = survivors
-        .iter()
-        .map(|p| {
-            ArchAccel::new(p.desc.clone()).expect("survivors already validated during screening")
-        })
-        .collect();
+    let accels = accels_of(&survivors);
     let dyn_accels: Vec<&dyn Accelerator> = accels.iter().map(|a| a as &dyn Accelerator).collect();
     let (grid, stats) = engine.run_matrix(std::slice::from_ref(workload), &dyn_accels, seed);
     let metrics = &grid[0];
@@ -595,7 +444,7 @@ pub fn search_arch(
 
     Ok(ArchSearchResult {
         workload: workload.id.to_string(),
-        screened: total,
+        screened: points.len(),
         over_budget,
         evaluated,
         frontier,
@@ -607,25 +456,13 @@ pub fn search_arch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::ArchSpace;
     use isos_nn::models::suite_workload;
-
-    #[test]
-    fn screen_orders_by_estimated_cycles_and_keeps_every_point() {
-        let w = suite_workload("G58", 1);
-        let space = DesignSpace::smoke();
-        let screened = screen(&w, &space);
-        assert_eq!(screened.len(), space.len());
-        assert!(screened
-            .windows(2)
-            .all(|p| p[0].estimate.cycles <= p[1].estimate.cycles));
-        assert!(screened.iter().all(|s| s.area_mm2 > 0.0));
-        assert!(screened.iter().all(|s| s.energy_mj > 0.0));
-    }
 
     #[test]
     fn arch_screen_covers_families_and_orders_by_cycles() {
         let w = suite_workload("G58", 1);
-        let points = crate::space::ArchSpace::smoke().enumerate();
+        let points = ArchSpace::smoke().enumerate();
         let screened = screen_arch(&w, &points).unwrap();
         assert_eq!(screened.len(), points.len());
         assert!(screened
@@ -638,9 +475,9 @@ mod tests {
     #[test]
     fn arch_screen_reports_invalid_points_by_label() {
         let w = suite_workload("G58", 1);
-        let mut bad = crate::space::ArchPoint {
+        let mut bad = ArchPoint {
             label: "broken".into(),
-            desc: crate::arch::reference::sparten(),
+            desc: reference::sparten(),
         };
         bad.desc.levels[0].bytes = 0;
         let err = screen_arch(&w, &[bad]).unwrap_err();
@@ -653,7 +490,7 @@ mod tests {
         use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 
         let w = suite_workload("G58", 1);
-        let space = DesignSpace::smoke();
+        let points = ArchSpace::is_os_smoke().enumerate();
         let engine = SuiteEngine::new(EngineOptions {
             threads: 2,
             use_cache: false,
@@ -668,11 +505,12 @@ mod tests {
             requests: 4,
             ..StreamConfig::default()
         };
-        let result = search_stream(&engine, &w, &space, &opts, &[1, 2], &base, 1);
+        let result = search_stream(&engine, &w, &points, &opts, &[1, 2], &base, 1).unwrap();
 
         // Every survivor (top-2 + the paper-default anchor) ran at both
         // batch sizes.
         assert_eq!(result.batches, vec![1, 2]);
+        assert_eq!(result.screened, 4);
         assert_eq!(result.evaluated.len() % 2, 0);
         assert!(result.evaluated.len() >= 4);
         assert!(!result.frontier.is_empty());
@@ -681,21 +519,21 @@ mod tests {
         assert!(result
             .evaluated
             .iter()
-            .any(|e| e.config == IsoscelesConfig::default()));
+            .any(|e| e.desc == reference::isosceles()));
 
         for e in &result.evaluated {
             assert!(e.p50_cycles <= e.p95_cycles && e.p95_cycles <= e.p99_cycles);
             assert!(e.throughput_imgs_per_sec > 0.0);
             assert!(e.area_mm2 > 0.0 && e.energy_mj > 0.0);
         }
-        // Batching amortizes weight traffic: for any fixed config, the
+        // Batching amortizes weight traffic: for any fixed machine, the
         // batch-2 stream never has a longer makespan than batch-1.
         for e in &result.evaluated {
             if e.batch == 2 {
                 let b1 = result
                     .evaluated
                     .iter()
-                    .find(|o| o.batch == 1 && o.config == e.config)
+                    .find(|o| o.batch == 1 && o.desc == e.desc)
                     .expect("batch-1 twin");
                 assert!(
                     e.cycles <= b1.cycles,
@@ -705,18 +543,5 @@ mod tests {
                 assert!(e.throughput_imgs_per_sec >= b1.throughput_imgs_per_sec);
             }
         }
-    }
-
-    #[test]
-    fn budget_filter_discards_large_points() {
-        let w = suite_workload("G58", 1);
-        let space = DesignSpace::smoke();
-        let screened = screen(&w, &space);
-        let min_area = screened
-            .iter()
-            .map(|s| s.area_mm2)
-            .fold(f64::INFINITY, f64::min);
-        let max_area = screened.iter().map(|s| s.area_mm2).fold(0.0, f64::max);
-        assert!(min_area < max_area, "smoke space should span areas");
     }
 }

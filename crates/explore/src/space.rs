@@ -1,112 +1,14 @@
-//! Design-point enumeration: the swept architectural axes and the
-//! alternative pipeline-group partitions.
+//! Design-point enumeration: the swept architectural axes.
 //!
-//! Two enumerators live here. [`DesignSpace`] sweeps the hand-written
-//! ISOSceles configuration ([`IsoscelesConfig`]) directly.
-//! [`ArchSpace`] generalizes that to whole architecture *families*
-//! described as data: it stamps out declarative [`ArchDesc`] points
-//! across three dataflow templates (IS-OS, output-stationary,
-//! fused-tile), so a single sweep covers machines as different as
-//! ISOSceles, SparTen-likes, and Fused-Layer-likes — all screened by
-//! the same analytic flow and simulated through the same engine.
+//! [`ArchSpace`] stamps out declarative [`ArchDesc`] points across three
+//! dataflow templates (IS-OS, output-stationary, fused-tile), so a
+//! single sweep covers machines as different as ISOSceles,
+//! SparTen-likes, and Fused-Layer-likes — all screened by the same
+//! analytic flow and simulated through the same engine. The plain `dse`
+//! sweep is the IS-OS slice of it ([`ArchSpace::is_os`]).
 
 use crate::arch::{reference, ArchDesc};
-use isos_nn::graph::Network;
-use isosceles::mapping::{map_network, ExecMode, Mapping};
-use isosceles::IsoscelesConfig;
 use serde::{Deserialize, Serialize};
-
-/// One candidate accelerator configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DesignPoint {
-    /// Short label encoding the swept values, e.g. `l64-fb1024-r256-c16`.
-    pub label: String,
-    /// The full configuration (unswept fields at their defaults).
-    pub config: IsoscelesConfig,
-}
-
-/// The swept axes. Every combination is one [`DesignPoint`]; unlisted
-/// [`IsoscelesConfig`] fields stay at their defaults.
-///
-/// `max_contexts` is the partitioning axis: it bounds how many layers the
-/// greedy mapper may pipeline per group, so sweeping it explores the
-/// `map_network` alternatives from layer-by-layer (1) to the paper's
-/// deepest pipelines (16). [`enumerate_partitions`] additionally yields
-/// explicit sub-partitions of one configuration's plan for analytical
-/// comparison.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DesignSpace {
-    /// Lane counts (64 MACs each at default `macs_per_lane`).
-    pub lanes: Vec<usize>,
-    /// Shared filter-buffer capacities in KB.
-    pub filter_buffer_kb: Vec<u64>,
-    /// Merger radices (area axis; Sec. IV-A).
-    pub merger_radix: Vec<usize>,
-    /// Context counts: the pipeline-partitioning axis.
-    pub max_contexts: Vec<usize>,
-}
-
-impl Default for DesignSpace {
-    fn default() -> Self {
-        Self {
-            lanes: vec![16, 32, 64, 128],
-            filter_buffer_kb: vec![256, 512, 1024, 2048],
-            merger_radix: vec![64, 128, 256],
-            max_contexts: vec![1, 2, 4, 8, 16],
-        }
-    }
-}
-
-impl DesignSpace {
-    /// A four-point space for CI smoke runs: the paper's design plus one
-    /// step along each major axis.
-    pub fn smoke() -> Self {
-        Self {
-            lanes: vec![32, 64],
-            filter_buffer_kb: vec![1024],
-            merger_radix: vec![256],
-            max_contexts: vec![1, 16],
-        }
-    }
-
-    /// Number of points [`enumerate`](Self::enumerate) will yield.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-            * self.filter_buffer_kb.len()
-            * self.merger_radix.len()
-            * self.max_contexts.len()
-    }
-
-    /// Whether the space is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materializes every combination as a labeled [`DesignPoint`].
-    pub fn enumerate(&self) -> Vec<DesignPoint> {
-        let mut points = Vec::with_capacity(self.len());
-        for &lanes in &self.lanes {
-            for &fb_kb in &self.filter_buffer_kb {
-                for &radix in &self.merger_radix {
-                    for &contexts in &self.max_contexts {
-                        let config = IsoscelesConfig {
-                            lanes,
-                            filter_buffer_bytes: fb_kb * 1024,
-                            merger_radix: radix,
-                            max_contexts: contexts,
-                            ..IsoscelesConfig::default()
-                        };
-                        points.push(DesignPoint {
-                            label: format!("l{lanes}-fb{fb_kb}-r{radix}-c{contexts}"),
-                            config,
-                        });
-                    }
-                }
-            }
-        }
-        points
-    }
-}
 
 /// One candidate *described* architecture: a label plus the full
 /// declarative description it denotes.
@@ -141,7 +43,7 @@ pub struct ArchSpace {
     /// Context counts (IS-OS family only).
     pub contexts: Vec<usize>,
     /// Tile bounds: the K tile of output-stationary points, the P/Q
-    /// tile of fused-tile points.
+    /// tile of fused-tile points. Empty leaves only the IS-OS family.
     pub tiles: Vec<u64>,
 }
 
@@ -159,6 +61,36 @@ impl Default for ArchSpace {
 }
 
 impl ArchSpace {
+    /// The 240-point IS-OS slice `dse` sweeps by default: lanes,
+    /// filter-buffer size, merger radix and contexts around the paper's
+    /// machine at its 128 B/cycle, enumerated lanes → KB → radix →
+    /// contexts. The contexts axis bounds how many layers the greedy
+    /// mapper may pipeline per group, from layer-by-layer (1) to the
+    /// paper's deepest pipelines (16).
+    pub fn is_os() -> Self {
+        Self {
+            lanes: vec![16, 32, 64, 128],
+            shared_kb: vec![256, 512, 1024, 2048],
+            dram_bytes_per_cycle: vec![128.0],
+            merger_radix: vec![64, 128, 256],
+            contexts: vec![1, 2, 4, 8, 16],
+            tiles: vec![],
+        }
+    }
+
+    /// A four-point IS-OS slice for CI smoke runs: the paper's machine
+    /// plus one step along the lane and context axes.
+    pub fn is_os_smoke() -> Self {
+        Self {
+            lanes: vec![32, 64],
+            shared_kb: vec![1024],
+            dram_bytes_per_cycle: vec![128.0],
+            merger_radix: vec![256],
+            contexts: vec![1, 16],
+            tiles: vec![],
+        }
+    }
+
     /// A ten-point space for CI smoke runs: the paper's sizing plus one
     /// step along the lane and tile axes in each family.
     pub fn smoke() -> Self {
@@ -244,74 +176,47 @@ impl ArchSpace {
     }
 }
 
-/// Enumerates alternative pipeline partitions of `net` under one
-/// configuration: the greedy plan itself, the fully layer-by-layer plan,
-/// and every plan obtained by splitting one pipelined group in half.
-///
-/// All returned mappings are validated by
-/// [`Mapping::from_partitions`], so each covers every layer exactly once
-/// in topological order.
-pub fn enumerate_partitions(net: &Network, cfg: &IsoscelesConfig) -> Vec<Mapping> {
-    let greedy = map_network(net, cfg, ExecMode::Pipelined);
-    let base = greedy.partitions();
-    let mut plans = vec![greedy];
-
-    // Layer-by-layer: split every part into singletons. (Adds fused into
-    // their conv by the single-layer mapper stay fused here too: a bare
-    // singleton Add is pipeline-legal, so full decomposition is simplest.)
-    let singles: Vec<Vec<usize>> = base.iter().flatten().map(|&id| vec![id]).collect();
-    if singles.len() != base.len() {
-        plans.push(
-            Mapping::from_partitions(net, cfg, &singles)
-                .expect("singleton partition of a valid plan is valid"),
-        );
-    }
-
-    // Halve each pipelined group in turn.
-    for (gi, part) in base.iter().enumerate() {
-        if part.len() < 2 {
-            continue;
-        }
-        let mut split = base.clone();
-        let tail = split[gi].split_off(part.len() / 2);
-        split.insert(gi + 1, tail);
-        plans.push(
-            Mapping::from_partitions(net, cfg, &split)
-                .expect("splitting a valid group keeps the plan valid"),
-        );
-    }
-    plans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isos_nn::models::suite_workload;
+    use crate::arch::{lower, Lowered};
+    use isosceles::mapping::ExecMode;
+    use isosceles::IsoscelesConfig;
+
+    /// The configuration an IS-OS point lowers to.
+    fn lowered_config(p: &ArchPoint) -> IsoscelesConfig {
+        match lower(&p.desc).unwrap() {
+            Lowered::IsOs { cfg, mode } => {
+                assert_eq!(mode, ExecMode::Pipelined, "{}", p.label);
+                cfg
+            }
+            other => panic!("{}: not IS-OS: {other:?}", p.label),
+        }
+    }
 
     #[test]
-    fn default_space_size_and_labels() {
-        let space = DesignSpace::default();
+    fn is_os_slice_size_and_labels() {
+        let space = ArchSpace::is_os();
         let points = space.enumerate();
         assert_eq!(points.len(), space.len());
-        assert_eq!(points.len(), 4 * 4 * 3 * 5);
-        // Labels are unique.
+        assert_eq!(space.family_sizes(), (4 * 4 * 3 * 5, 0, 0));
         let mut labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), points.len());
-        // The paper's configuration is in the space.
+        // The paper's machine is in the slice.
         assert!(points
             .iter()
-            .any(|p| p.config == IsoscelesConfig::default()));
+            .any(|p| lowered_config(p) == IsoscelesConfig::default()));
     }
 
     #[test]
-    fn smoke_space_is_small_and_contains_default() {
-        let points = DesignSpace::smoke().enumerate();
+    fn is_os_smoke_slice_is_small_and_contains_default() {
+        let points = ArchSpace::is_os_smoke().enumerate();
         assert_eq!(points.len(), 4);
         assert!(points
             .iter()
-            .any(|p| p.config == IsoscelesConfig::default()));
+            .any(|p| lowered_config(p) == IsoscelesConfig::default()));
     }
 
     #[test]
@@ -342,30 +247,6 @@ mod tests {
         // Validity by construction, asserted over the whole 10,800.
         for p in ArchSpace::default().enumerate() {
             assert!(p.desc.validate().is_ok(), "{}", p.label);
-        }
-    }
-
-    #[test]
-    fn partitions_cover_every_layer_exactly_once() {
-        let net = suite_workload("R96", 1).network;
-        let cfg = IsoscelesConfig::default();
-        let plans = enumerate_partitions(&net, &cfg);
-        assert!(plans.len() >= 3, "greedy + singles + >=1 split");
-        for plan in &plans {
-            let flat: Vec<usize> = plan.groups.iter().flat_map(|g| g.layers.clone()).collect();
-            assert_eq!(flat.len(), net.len());
-            assert!(flat.windows(2).all(|w| w[0] < w[1]), "topological order");
-        }
-    }
-
-    #[test]
-    fn split_plans_have_more_groups_than_greedy() {
-        let net = suite_workload("R99", 1).network;
-        let cfg = IsoscelesConfig::default();
-        let plans = enumerate_partitions(&net, &cfg);
-        let greedy_groups = plans[0].groups.len();
-        for plan in &plans[1..] {
-            assert!(plan.groups.len() > greedy_groups);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Command-line surface of the `dse` binary: bad flag values are usage
-//! errors (exit 2, usage on stderr, nothing on stdout), and the
-//! described-architecture smoke sweep runs end to end.
+//! errors (exit 2, usage on stderr, nothing on stdout), and the smoke
+//! sweeps run end to end.
 
 use std::process::{Command, Output};
 
@@ -57,7 +57,37 @@ fn arch_space_smoke_sweep_succeeds() {
     assert!(out.status.success(), "{err}");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("Screened 10 described points"), "{text}");
-    for f in ["dse-arch-G58.json", "dse-arch-G58.csv", "dse-arch-G58.md"] {
+    for f in ["dse-G58.json", "dse-G58.csv", "dse-G58.md"] {
+        assert!(dir.join(f).is_file(), "{f} not written");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn stream_combines_with_described_architectures() {
+    let dir = std::env::temp_dir().join(format!("isos-dse-cli-stream-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let arch = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs/arch");
+    let out = dse(&[
+        "--stream",
+        "--arch",
+        arch,
+        "--smoke",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("Streaming design-space exploration: G58"),
+        "{text}"
+    );
+    for f in [
+        "dse-stream-G58.json",
+        "dse-stream-G58.csv",
+        "dse-stream-G58.md",
+    ] {
         assert!(dir.join(f).is_file(), "{f} not written");
     }
     let _ = std::fs::remove_dir_all(dir);

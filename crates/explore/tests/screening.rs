@@ -5,11 +5,12 @@
 
 use std::collections::HashSet;
 
-use isos_explore::arch::ArchAccel;
+use isos_explore::arch::{lower, ArchAccel, Lowered};
 use isos_explore::model::{area_mm2, estimate_network};
-use isos_explore::search::{screen, screen_arch, ArchScreenedPoint};
-use isos_explore::space::{ArchPoint, ArchSpace, DesignSpace};
+use isos_explore::search::{screen_arch, ArchScreenedPoint};
+use isos_explore::space::{ArchPoint, ArchSpace};
 use isos_nn::models::suite_workload;
+use isosceles::mapping::ExecMode;
 use isosceles::IsoscelesConfig;
 
 const SEED: u64 = 20230225;
@@ -87,15 +88,50 @@ fn every_tenth_default_point_equals_the_estimate_on_r96() {
     assert_eq!(checked, sampled.len());
 }
 
+/// The plain `dse` sweep is the IS-OS slice of `ArchSpace`: every point
+/// lowers to the hand-written configuration the sweep stands for, and
+/// screens to what the hand-written analytical model gives for it.
 #[test]
-fn config_screen_totals_equal_estimate_network() {
+fn is_os_slice_screens_to_estimate_network_on_its_configs() {
     let w = suite_workload("R96", SEED);
-    let screened = screen(&w, &DesignSpace::default());
-    assert_eq!(screened.len(), DesignSpace::default().len());
+    let space = ArchSpace::is_os();
+    let mut wanted = Vec::new();
+    for &lanes in &space.lanes {
+        for &kb in &space.shared_kb {
+            for &merger_radix in &space.merger_radix {
+                for &max_contexts in &space.contexts {
+                    wanted.push(IsoscelesConfig {
+                        lanes,
+                        filter_buffer_bytes: kb * 1024,
+                        merger_radix,
+                        max_contexts,
+                        ..IsoscelesConfig::default()
+                    });
+                }
+            }
+        }
+    }
+    let points = space.enumerate();
+    assert_eq!(points.len(), 240);
+    let configs: Vec<IsoscelesConfig> = points
+        .iter()
+        .map(|p| match lower(&p.desc).unwrap() {
+            Lowered::IsOs { cfg, mode } => {
+                assert_eq!(mode, ExecMode::Pipelined, "{}", p.label);
+                cfg
+            }
+            other => panic!("{}: not IS-OS: {other:?}", p.label),
+        })
+        .collect();
+    assert_eq!(configs, wanted, "enumeration order or lowering changed");
+
+    let screened = screen_arch(&w, &points).unwrap();
+    assert_eq!(screened.len(), points.len());
     for s in &screened {
-        let cfg = &s.point.config;
-        let est = estimate_network(&w.network, cfg);
         let label = &s.point.label;
+        let i = points.iter().position(|p| &p.label == label).unwrap();
+        let cfg = &configs[i];
+        let est = estimate_network(&w.network, cfg);
         assert_eq!(s.estimate, est.totals(), "{label}");
         assert_eq!(s.estimate.cycles.to_bits(), est.cycles.to_bits(), "{label}");
         assert_eq!(s.area_mm2.to_bits(), area_mm2(cfg).to_bits(), "{label}");

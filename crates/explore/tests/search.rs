@@ -1,8 +1,10 @@
-//! End-to-end search tests: Pareto frontier on ResNet-50 through the
-//! parallel cached engine, and cache reuse across repeated searches.
+//! End-to-end search tests on the IS-OS slice `dse` sweeps by default:
+//! Pareto frontier on ResNet-50 through the parallel cached engine, and
+//! the area budget.
 
-use isos_explore::search::{search, SearchOptions};
-use isos_explore::space::DesignSpace;
+use isos_explore::arch::reference;
+use isos_explore::search::{search_arch, SearchOptions};
+use isos_explore::space::ArchSpace;
 use isos_nn::models::suite_workload;
 use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use std::path::PathBuf;
@@ -31,13 +33,14 @@ fn resnet50_search_finds_three_nondominated_points_quickly() {
     let (engine, dir) = scratch_engine("r96");
     let workload = suite_workload("R96", SEED);
     let started = Instant::now();
-    let result = search(
+    let result = search_arch(
         &engine,
         &workload,
-        &DesignSpace::default(),
+        &ArchSpace::is_os().enumerate(),
         &SearchOptions::default(),
         SEED,
-    );
+    )
+    .unwrap();
     assert!(
         started.elapsed().as_secs() < 60,
         "search took {:?}",
@@ -63,37 +66,9 @@ fn resnet50_search_finds_three_nondominated_points_quickly() {
     let anchor = result
         .evaluated
         .iter()
-        .find(|e| e.config == isosceles::IsoscelesConfig::default())
+        .find(|e| e.desc == reference::isosceles())
         .expect("paper default simulated");
     assert!((anchor.speedup_vs_default - 1.0).abs() < 1e-12);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn repeated_search_is_served_from_the_cache() {
-    let (engine, dir) = scratch_engine("cache");
-    let workload = suite_workload("G58", SEED);
-    let space = DesignSpace::smoke();
-    let opts = SearchOptions {
-        top_k: 3,
-        budget_mm2: None,
-    };
-
-    let first = search(&engine, &workload, &space, &opts, SEED);
-    assert_eq!(first.cache.hits, 0);
-    assert!(first.cache.misses > 0);
-
-    // Same search again on the same engine: every job is memoized.
-    let second = search(&engine, &workload, &space, &opts, SEED);
-    assert_eq!(second.cache.misses, 0);
-    assert_eq!(second.cache.hits, first.cache.misses);
-    assert_eq!(second.evaluated, first.evaluated);
-    assert_eq!(second.frontier, first.frontier);
-
-    // Lifetime counters accumulate across both searches.
-    let lifetime = engine.lifetime_cache();
-    assert_eq!(lifetime.misses, first.cache.misses);
-    assert_eq!(lifetime.hits, second.cache.hits);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -104,16 +79,17 @@ fn area_budget_bounds_every_simulated_point() {
     // 20 mm² excludes the two 64-lane smoke points (25.932 mm²), so the
     // paper default re-enters only as the explicitly labeled anchor.
     let budget = 20.0;
-    let result = search(
+    let result = search_arch(
         &engine,
         &workload,
-        &DesignSpace::smoke(),
+        &ArchSpace::is_os_smoke().enumerate(),
         &SearchOptions {
             top_k: 4,
             budget_mm2: Some(budget),
         },
         SEED,
-    );
+    )
+    .unwrap();
     assert_eq!(result.over_budget, 2);
     let anchor = result
         .evaluated

@@ -18,15 +18,17 @@
 //! if any response is an `error`, 2 on usage or connection problems.
 //!
 //! `--config FILE` sends the file's JSON as an inline configuration: a
-//! bare `IsoscelesConfig` object or a labeled DSE design point
-//! (`{"label":...,"config":{...}}`), exactly what `isos-explore`
-//! emits for frontier points.
+//! bare `IsoscelesConfig` object or a labeled one
+//! (`{"label":...,"config":{...}}`).
 //!
 //! `--arch FILE` sends a declarative architecture description inline
 //! (the `configs/arch/*.toml` schema; `.toml` or JSON, picked by
 //! extension). The server validates and lowers it; schema violations
 //! come back as structured `error` lines rather than a dropped
-//! connection.
+//! connection. Every point `dse` evaluates carries such a description
+//! as its `desc`, so a frontier point re-runs with
+//! `jq '.evaluated[0].desc' dse-R96.json > point.json` and
+//! `--arch point.json`.
 //!
 //! `--stream` turns each scenario into a batched streaming-inference
 //! run: rows report throughput and p50/p95/p99 tail latency. With

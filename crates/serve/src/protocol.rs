@@ -13,7 +13,7 @@
 //! - `{"type":"run","workload":"R96","model":"isosceles","seed":...,"trace":false}`
 //!   — one job. `"model"` names a default-configured suite model;
 //!   `"config"` instead carries an inline [`IsoscelesConfig`] object or
-//!   a full DSE [`DesignPoint`] (`{"label":...,"config":{...}}`);
+//!   a [`LabeledConfig`] (`{"label":...,"config":{...}}`);
 //!   `"arch"` instead carries a declarative [`ArchDesc`] object, which
 //!   the server lowers onto the sim substrate before running. Schema
 //!   violations come back as structured `error` lines naming the bad
@@ -37,11 +37,10 @@
 //! - `{"type":"ping"}` / `{"type":"shutdown"}`.
 
 use isos_explore::arch::ArchDesc;
-use isos_explore::space::DesignPoint;
 use isos_stream::{Arrival, BatchPolicy, StreamConfig};
 use isosceles::IsoscelesConfig;
 use serde::json::Value;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
 /// Default request seed: the paper suite seed.
 pub const DEFAULT_SEED: u64 = isosceles_bench::suite::SEED;
@@ -52,8 +51,8 @@ pub enum ModelSpec {
     /// A default-configured suite model, by name (`"isosceles"`,
     /// `"sparten"`, ...).
     Named(String),
-    /// An inline DSE configuration point.
-    Inline(DesignPoint),
+    /// An inline configuration.
+    Inline(LabeledConfig),
     /// A declarative architecture description, lowered server-side.
     Arch(Box<ArchDesc>),
 }
@@ -67,6 +66,16 @@ impl ModelSpec {
             ModelSpec::Arch(desc) => &desc.name,
         }
     }
+}
+
+/// An inline configuration with the label its rows report: the wire
+/// form `{"label":...,"config":{...}}`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct LabeledConfig {
+    /// Label reported back in `row` responses.
+    pub label: String,
+    /// The configuration to simulate.
+    pub config: IsoscelesConfig,
 }
 
 /// One simulation job as requested on the wire.
@@ -233,7 +242,7 @@ fn parse_batch(value: &Value) -> Result<Request, String> {
 
 /// Resolves a job's accelerator: a `"model"` name, an inline `"config"`
 /// object (either a bare [`IsoscelesConfig`] or a labeled
-/// [`DesignPoint`]), or a declarative `"arch"` description.
+/// [`LabeledConfig`]), or a declarative `"arch"` description.
 fn parse_model(value: &Value) -> Result<ModelSpec, String> {
     if let Ok(arch) = value.field("arch") {
         return parse_arch(arch);
@@ -260,16 +269,16 @@ fn parse_arch(arch: &Value) -> Result<ModelSpec, String> {
 }
 
 fn parse_inline(config: &Value) -> Result<ModelSpec, String> {
-    // A labeled DSE point ({"label":...,"config":{...}}) or a bare
+    // A labeled config ({"label":...,"config":{...}}) or a bare
     // IsoscelesConfig object.
     if config.field("label").is_ok() {
         let point =
-            DesignPoint::from_value(config).map_err(|e| format!("bad design point: {e}"))?;
+            LabeledConfig::from_value(config).map_err(|e| format!("bad design point: {e}"))?;
         return Ok(ModelSpec::Inline(point));
     }
     let config = IsoscelesConfig::from_value(config)
         .map_err(|e| format!("bad inline config (all IsoscelesConfig fields required): {e}"))?;
-    Ok(ModelSpec::Inline(DesignPoint {
+    Ok(ModelSpec::Inline(LabeledConfig {
         label: "inline".to_string(),
         config,
     }))
@@ -479,7 +488,7 @@ mod tests {
 
     #[test]
     fn run_request_with_labeled_design_point() {
-        let point = DesignPoint {
+        let point = LabeledConfig {
             label: "l32".into(),
             config: IsoscelesConfig {
                 lanes: 32,

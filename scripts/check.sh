@@ -31,6 +31,12 @@ echo "==> dse --smoke (design-space exploration fast path)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
   --smoke --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse" >/dev/null
 
+echo "==> dse --stream --smoke (streaming search over the batch axis)"
+ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
+  --stream --smoke --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse-stream" >/dev/null
+[ -s "${TMPDIR:-/tmp}/isos-check-dse-stream/dse-stream-G58.csv" ] \
+  || { echo "dse stream smoke: dse-stream-G58.csv missing or empty" >&2; exit 1; }
+
 echo "==> dse --arch configs/arch --smoke (declarative descriptions)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
   --arch configs/arch --smoke --out "${TMPDIR:-/tmp}/isos-check-dse-arch" >/dev/null
