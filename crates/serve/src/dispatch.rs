@@ -74,6 +74,8 @@ pub struct WorkerStats {
 /// channels, inspect per-worker utilization.
 pub struct WorkerPool {
     submit: Mutex<Option<Sender<Job>>>,
+    /// Jobs submitted that no worker has picked up yet.
+    queued: Arc<AtomicU64>,
     counters: Vec<Arc<WorkerCounters>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -84,6 +86,7 @@ impl WorkerPool {
     pub fn new(engine: SuiteEngine, workers: usize) -> Self {
         let workers = workers.max(1);
         let (tx, rx) = unbounded::<Job>();
+        let queued = Arc::new(AtomicU64::new(0));
         let counters: Vec<Arc<WorkerCounters>> = (0..workers)
             .map(|_| Arc::new(WorkerCounters::default()))
             .collect();
@@ -93,8 +96,10 @@ impl WorkerPool {
                 let rx = rx.clone();
                 let engine = engine.clone();
                 let counters = Arc::clone(counters);
+                let queued = Arc::clone(&queued);
                 std::thread::spawn(move || {
                     for job in rx.iter() {
+                        queued.fetch_sub(1, Ordering::Relaxed);
                         let started = Instant::now();
                         let result = catch_unwind(AssertUnwindSafe(|| run_job(&engine, &job.spec)))
                             .unwrap_or_else(|panic| {
@@ -114,6 +119,7 @@ impl WorkerPool {
             .collect();
         Self {
             submit: Mutex::new(Some(tx)),
+            queued,
             counters,
             handles: Mutex::new(handles),
         }
@@ -125,11 +131,17 @@ impl WorkerPool {
         let guard = self.submit.lock().expect("pool submit lock");
         match guard.as_ref() {
             Some(tx) => {
+                self.queued.fetch_add(1, Ordering::Relaxed);
                 tx.send(Job { index, spec, reply });
                 true
             }
             None => false,
         }
+    }
+
+    /// Jobs submitted that no worker has picked up yet.
+    pub fn queued(&self) -> u64 {
+        self.queued.load(Ordering::Relaxed)
     }
 
     /// Per-worker lifetime activity snapshots.

@@ -12,12 +12,13 @@
 //! table. `N` concurrent identical requests cost exactly one
 //! simulation, no matter how many clients sent them.
 //!
-//! The server is deliberately plain: blocking sockets with short read
-//! timeouts, one thread per connection, no async runtime. The heavy
-//! lifting (scheduling, dedup, caching) lives in `isosceles-bench`;
-//! this crate is the wire format and the lifecycle (graceful drain on
-//! shutdown, idle-timeout for abandoned connections, structured errors
-//! for malformed requests).
+//! The server is deliberately plain: a blocking `accept` loop (woken on
+//! stop by a connection to itself), blocking connection sockets with
+//! short read timeouts, one thread per connection, no async runtime.
+//! The heavy lifting (scheduling, dedup, caching) lives in
+//! `isosceles-bench`; this crate is the wire format and the lifecycle
+//! (graceful drain on shutdown, idle-timeout for abandoned connections,
+//! structured errors for malformed requests).
 //!
 //! Binaries: `serve` (the daemon, plus a self-checking `--smoke` mode
 //! used by `scripts/check.sh`) and `isos-client` (one-shot queries,
@@ -29,8 +30,8 @@ pub mod dispatch;
 pub mod protocol;
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,9 +75,41 @@ struct Shared {
     engine: SuiteEngine,
     pool: WorkerPool,
     stop: AtomicBool,
+    /// Where a connection reaches the listener, for the stop wake-up.
+    wake_addr: SocketAddr,
     idle_timeout: Duration,
     started: Instant,
-    connections: std::sync::atomic::AtomicU64,
+    connections: AtomicU64,
+    /// Connection threads currently running.
+    open_connections: AtomicU64,
+}
+
+impl Shared {
+    /// Sets the stop flag, then wakes the accept loop, which is blocked
+    /// in `accept`, with a throwaway connection. Errors are ignored: a
+    /// failed connect means the listener is gone or its backlog is full,
+    /// and a full backlog wakes the loop anyway.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
+}
+
+/// Decrements `open_connections` when a connection thread ends, however
+/// it ends.
+struct OpenConnection<'a>(&'a AtomicU64);
+
+impl<'a> OpenConnection<'a> {
+    fn new(open: &'a AtomicU64) -> Self {
+        open.fetch_add(1, Ordering::Relaxed);
+        Self(open)
+    }
+}
+
+impl Drop for OpenConnection<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// The server: bind, then [`run`](Server::run) until a shutdown request
@@ -87,9 +120,27 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
-/// Granularity of the accept loop's stop-flag checks and of connection
-/// read timeouts.
+/// Read timeout of connection sockets: how often an idle connection
+/// checks the stop flag and its idle deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Longest [`Shared::request_stop`] waits to connect to the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent error
+/// does not spin the accept loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The address a connection to a listener bound on `addr` should use:
+/// loopback of the same family when the bound IP is unspecified.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
 
 impl Server {
     /// Binds the listen socket and spawns the worker pool.
@@ -100,7 +151,6 @@ impl Server {
     pub fn bind(opts: ServerOptions) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&opts.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let engine = SuiteEngine::new(opts.engine);
         let pool = WorkerPool::new(engine.clone(), opts.workers);
         Ok(Self {
@@ -110,9 +160,11 @@ impl Server {
                 engine,
                 pool,
                 stop: AtomicBool::new(false),
+                wake_addr: wake_addr(local_addr),
                 idle_timeout: opts.idle_timeout,
                 started: Instant::now(),
-                connections: std::sync::atomic::AtomicU64::new(0),
+                connections: AtomicU64::new(0),
+                open_connections: AtomicU64::new(0),
             }),
         })
     }
@@ -123,11 +175,13 @@ impl Server {
     }
 
     /// A handle that makes [`run`](Server::run) drain and return when
-    /// set — wire it to a signal handler for graceful SIGTERM/ctrl-c
-    /// shutdown.
+    /// called, also before `run` starts — wire it to a signal handler
+    /// for graceful SIGTERM/ctrl-c shutdown. Calling it wakes the
+    /// blocked accept loop with a connection to the server's own
+    /// address.
     pub fn stop_flag(&self) -> Arc<dyn Fn() + Send + Sync> {
         let shared = Arc::clone(&self.shared);
-        Arc::new(move || shared.stop.store(true, Ordering::SeqCst))
+        Arc::new(move || shared.request_stop())
     }
 
     /// The engine every connection shares (for smoke checks and tests).
@@ -142,7 +196,13 @@ impl Server {
     pub fn run(self) {
         let mut handles = Vec::new();
         while !self.shared.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+            let accepted = self.listener.accept();
+            // A connection accepted once stop is set, the wake-up
+            // included, is dropped unserved.
+            if self.shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     reap_finished(&mut handles);
                     let shared = Arc::clone(&self.shared);
@@ -151,10 +211,7 @@ impl Server {
                         handle_connection(stream, &shared)
                     }));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(_) => std::thread::sleep(POLL_INTERVAL),
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
         // Drain: connections observe the stop flag at their next read
@@ -213,6 +270,7 @@ fn send_line(stream: &mut TcpStream, line: &str) -> bool {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
+    let _open = OpenConnection::new(&shared.open_connections);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
@@ -249,7 +307,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         }
                     }
                     Ok(Request::Shutdown) => {
-                        shared.stop.store(true, Ordering::SeqCst);
+                        shared.request_stop();
                         let _ = send_line(&mut writer, &Response::bye("shutdown"));
                         return;
                     }
@@ -378,6 +436,11 @@ fn stats_line(shared: &Shared) -> String {
             Value::U64(shared.engine.lifetime_computes() as u64),
         ),
         ("in_flight", Value::U64(shared.engine.inflight_len() as u64)),
+        (
+            "open_connections",
+            Value::U64(shared.open_connections.load(Ordering::Relaxed)),
+        ),
+        ("queued_jobs", Value::U64(shared.pool.queued())),
     ];
     if let Some(store) = shared.engine.cache_store() {
         let usage = store.usage();

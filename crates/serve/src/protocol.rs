@@ -33,7 +33,8 @@
 //!   its own `"type"`, default `run`) submitted as one request;
 //!   identical concurrent jobs are deduplicated through the engine's
 //!   single-flight table, so duplicates cost one simulation.
-//! - `{"type":"stats"}` — lifetime engine, store, and worker counters.
+//! - `{"type":"stats"}` — lifetime engine, store, and worker counters,
+//!   plus the open connections and the jobs queued for a worker.
 //! - `{"type":"ping"}` / `{"type":"shutdown"}`.
 
 use isos_explore::arch::ArchDesc;

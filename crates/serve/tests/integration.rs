@@ -1,13 +1,14 @@
 //! End-to-end tests of the simulation service over real TCP sockets:
 //! single-flight dedup across concurrent clients, matrix streaming,
 //! inline-config equivalence, malformed-request recovery, idle
-//! timeouts, and graceful SIGTERM drain of the `serve` binary.
+//! timeouts, prompt accepts and stops, and graceful SIGTERM drain of
+//! the `serve` binary.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use isos_serve::{Server, ServerOptions};
 use isosceles_bench::engine::EngineOptions;
@@ -24,8 +25,16 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// A bound server on an ephemeral port with a scratch cache.
 fn test_server(tag: &str, workers: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    let server = Server::bind(ServerOptions {
-        addr: "127.0.0.1:0".to_string(),
+    let server = bind_server(tag, "127.0.0.1:0", workers);
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    (addr, handle)
+}
+
+/// A server bound on `addr` with a scratch cache, not yet running.
+fn bind_server(tag: &str, addr: &str, workers: usize) -> Server {
+    Server::bind(ServerOptions {
+        addr: addr.to_string(),
         workers,
         idle_timeout: Duration::from_secs(60),
         engine: EngineOptions {
@@ -36,10 +45,17 @@ fn test_server(tag: &str, workers: usize) -> (std::net::SocketAddr, std::thread:
             ..EngineOptions::default()
         },
     })
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run());
-    (addr, handle)
+    .expect("bind")
+}
+
+/// Asserts that the server thread `handle` returns within 2 s.
+fn returns_promptly(handle: std::thread::JoinHandle<()>) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !handle.is_finished() {
+        assert!(Instant::now() < deadline, "run() did not return within 2 s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("server thread");
 }
 
 struct Client {
@@ -101,11 +117,40 @@ fn u64_field(v: &Value, name: &str) -> u64 {
         .unwrap_or_else(|e| panic!("field {name}: {e}"))
 }
 
+/// Polls `stats` on `client` until the burst's connections have closed,
+/// so the asking connection is the only one open; returns that reply.
+fn settled_stats(client: &mut Client) -> Value {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let stats = client
+            .roundtrip(r#"{"type":"stats"}"#, &["stats"])
+            .remove(0);
+        if u64_field(&stats, "open_connections") == 1 || Instant::now() >= deadline {
+            return stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn eight_concurrent_cold_clients_cost_exactly_one_simulation() {
     let (addr, handle) = test_server("dedup", 8);
     const CLIENTS: usize = 8;
     let request = r#"{"type":"run","workload":"G58","model":"isosceles","seed":99}"#;
+
+    // A quiet server: the stats connection is the only one open and no
+    // job waits for a worker.
+    let mut client = Client::connect(addr);
+    let stats = client
+        .roundtrip(r#"{"type":"stats"}"#, &["stats"])
+        .remove(0);
+    assert_eq!(
+        u64_field(&stats, "open_connections"),
+        1,
+        "{}",
+        stats.render()
+    );
+    assert_eq!(u64_field(&stats, "queued_jobs"), 0, "{}", stats.render());
 
     let barrier = std::sync::Barrier::new(CLIENTS);
     let rows: Vec<Value> = crossbeam::thread::scope(|s| {
@@ -141,11 +186,16 @@ fn eight_concurrent_cold_clients_cost_exactly_one_simulation() {
     }
 
     // Exactly one simulation happened; the other seven clients were
-    // deduped against it or hit the cache it populated.
-    let mut client = Client::connect(addr);
-    let stats = client
-        .roundtrip(r#"{"type":"stats"}"#, &["stats"])
-        .remove(0);
+    // deduped against it or hit the cache it populated. Their
+    // connections are closed and their jobs all left the queue.
+    let stats = settled_stats(&mut client);
+    assert_eq!(
+        u64_field(&stats, "open_connections"),
+        1,
+        "{}",
+        stats.render()
+    );
+    assert_eq!(u64_field(&stats, "queued_jobs"), 0, "{}", stats.render());
     assert_eq!(u64_field(&stats, "computes"), 1, "{}", stats.render());
     assert_eq!(
         u64_field(&stats, "hits") + u64_field(&stats, "deduped") + u64_field(&stats, "misses"),
@@ -163,6 +213,54 @@ fn eight_concurrent_cold_clients_cost_exactly_one_simulation() {
 
     client.roundtrip(r#"{"type":"shutdown"}"#, &["bye"]);
     handle.join().expect("server thread");
+}
+
+#[test]
+fn new_connections_do_not_wait_for_an_accept_poll() {
+    let (addr, handle) = test_server("accept", 1);
+    let started = Instant::now();
+    for _ in 0..40 {
+        let mut client = Client::connect(addr);
+        let pong = client.roundtrip(r#"{"type":"ping"}"#, &["pong"]).remove(0);
+        assert_eq!(kind_of(&pong), "pong");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "40 pings on new connections took {elapsed:?}"
+    );
+
+    let mut client = Client::connect(addr);
+    client.roundtrip(r#"{"type":"shutdown"}"#, &["bye"]);
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn stop_flag_before_run_returns_promptly() {
+    let server = bind_server("stop-early", "127.0.0.1:0", 1);
+    (server.stop_flag())();
+    returns_promptly(std::thread::spawn(move || server.run()));
+}
+
+#[test]
+fn stop_flag_wakes_a_server_bound_on_the_unspecified_address() {
+    let server = bind_server("stop-any", "0.0.0.0:0", 1);
+    let stop = server.stop_flag();
+    let handle = std::thread::spawn(move || server.run());
+    // Give run() time to block in accept (the stop must land either
+    // way); no client ever connects.
+    std::thread::sleep(Duration::from_millis(50));
+    stop();
+    returns_promptly(handle);
+}
+
+#[test]
+fn shutdown_request_returns_promptly() {
+    let (addr, handle) = test_server("shutdown", 1);
+    let mut client = Client::connect(addr);
+    client.roundtrip(r#"{"type":"shutdown"}"#, &["bye"]);
+    drop(client);
+    returns_promptly(handle);
 }
 
 #[test]

@@ -151,4 +151,19 @@ else
     || { echo "perfbench dse-arch smoke: $DSE_RESULT" >&2; exit 1; }
 fi
 
+echo "==> perfbench serve smoke (every row over the wire checked against a direct simulation)"
+SERVE_RESULT="$(bash perfbench/run.sh --workload serve --seed 1 --seconds 2 --trace 1 2>/dev/null | tail -n 1)"
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$SERVE_RESULT" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+assert r["correct"] is True, f"perfbench serve smoke incorrect: {r}"
+assert r["failed"] == 0, f"perfbench serve smoke failed operations: {r}"
+PY
+else
+  printf '%s\n' "$SERVE_RESULT" | grep -q '"correct":true' \
+    && printf '%s\n' "$SERVE_RESULT" | grep -q '"failed":0,' \
+    || { echo "perfbench serve smoke: $SERVE_RESULT" >&2; exit 1; }
+fi
+
 echo "All checks passed."
