@@ -12,7 +12,7 @@
 
 use isos_nn::graph::{Network, NodeId};
 
-use isos_sim::harness::{MemClient, MemHarness};
+use isos_sim::harness::{Grants, MemClient, MemHarness};
 use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};
 use isosceles::accel::{stable_key, Accelerator};
@@ -97,12 +97,12 @@ pub fn group_metrics(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) ->
     simulate_group_traced(net, group, cfg, 0, &mut NullSink)
 }
 
-/// The totals of [`group_metrics`] without its per-layer breakdown: the
-/// same arithmetic and the same memory-harness path, so the result equals
-/// `group_metrics(..).metrics` bit for bit. Design-space screening calls
-/// this.
+/// The totals of [`group_metrics`] without its per-layer breakdown:
+/// [`FusedGroupFacts::totals`] on the group's facts, the arithmetic
+/// `group_metrics` runs, so the result equals `group_metrics(..).metrics`
+/// bit for bit.
 pub fn group_totals(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> RunMetrics {
-    group_totals_traced(net, group, cfg, &[], 0, &mut NullSink, None).metrics
+    group_facts(net, group).totals(cfg, &mut FusedScratch::default())
 }
 
 /// Internal alias kept for the model's own call sites.
@@ -110,112 +110,172 @@ fn simulate_group(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> Fu
     group_metrics(net, group, cfg)
 }
 
-/// A fused group's totals plus the byte and cycle terms its per-layer
-/// breakdown and trace are built from.
-struct GroupTotals {
-    metrics: RunMetrics,
+/// What a fused group moves and computes before the machine is chosen:
+/// its dense input, output and weight bytes, each layer's dense MACs, and
+/// the halo ring each layer must recompute for the layers after it. They
+/// depend on the network and the group alone, so sweeps memoize them per
+/// filter-buffer size (which fixes the groups) and pay only
+/// [`totals`](Self::totals) per point. The tile edge enters there,
+/// through the halo factors.
+#[derive(Debug)]
+pub struct FusedGroupFacts {
+    /// The group input, dense, before its halo.
     input_bytes: f64,
+    /// The input halo ring: `R - 1` summed over the group's layers.
+    ext: usize,
+    /// The group output.
     output_bytes: f64,
-    compute_cycles: f64,
+    /// The fused layers' dense weight bytes, summed.
+    weight_bytes: f64,
+    /// Per fused layer, in group order.
+    layers: Vec<LayerFacts>,
 }
 
-/// The group totals, posting the memory streams under `units` (one per
-/// fused layer; empty when not tracing) at start cycle `t0`. Each layer's
-/// halo-inflated MACs are pushed onto `layer_macs` when given.
-fn group_totals_traced(
-    net: &Network,
-    group: &[NodeId],
-    cfg: &FusedLayerConfig,
-    units: &[UnitId],
-    t0: u64,
-    sink: &mut dyn TraceSink,
-    mut layer_macs: Option<&mut Vec<f64>>,
-) -> GroupTotals {
-    let mut m = RunMetrics::default();
-    let mut mem = MemHarness::new(cfg.dram_bytes_per_cycle);
-    let first = net.layer(group[0]);
-    let last = net.layer(*group.last().unwrap());
+/// One fused layer's part of its [`FusedGroupFacts`].
+#[derive(Debug)]
+struct LayerFacts {
+    weight_bytes: f64,
+    dense_macs: f64,
+    /// The halo ring the layers after it need: their `R - 1`, summed.
+    ext: usize,
+}
 
-    // Dense traffic: group input once per tile (including the input halo
-    // ring each tile re-fetches, which grows with fusion depth — the
-    // central cost of Fig. 2), group output once, dense weights of every
-    // fused layer once.
-    let tile = cfg.tile as f64;
-    let group_ext: usize = group
-        .iter()
-        .map(|&j| net.layer(j).kind.kernel().0.saturating_sub(1))
-        .sum();
-    let input_halo_factor = ((tile + group_ext as f64) / tile).powi(2);
-    let input_bytes = first.in_act_dense_bytes() * input_halo_factor;
-    let output_bytes = last.out_act_dense_bytes();
-    let weight_bytes: f64 = group
-        .iter()
-        .map(|&id| net.layer(id).weight_dense_bytes())
-        .sum();
+/// The memory-step buffers [`FusedGroupFacts::totals`] recycles, so a
+/// caller that keeps one across groups and points never allocates.
+#[derive(Debug, Default)]
+pub struct FusedScratch {
+    clients: Vec<MemClient>,
+    grants: Grants,
+}
 
-    // Dense compute with halo recomputation: a layer at depth d in the
-    // group recomputes the halo ring needed by the layers after it. The
-    // ring grows by (R-1) per remaining downstream layer (paper Fig. 2).
-    let mut macs = 0.0;
-    for (pos, &id) in group.iter().enumerate() {
-        let ext: usize = group[pos + 1..]
-            .iter()
+/// The [`FusedGroupFacts`] of `group`.
+pub fn group_facts(net: &Network, group: &[NodeId]) -> FusedGroupFacts {
+    let ring = |ids: &[NodeId]| -> usize {
+        ids.iter()
             .map(|&j| net.layer(j).kind.kernel().0.saturating_sub(1))
-            .sum();
-        let halo_factor = ((tile + ext as f64) / tile).powi(2);
-        let macs_here = net.layer(id).dense_macs() * halo_factor;
-        macs += macs_here;
-        if let Some(out) = layer_macs.as_deref_mut() {
-            out.push(macs_here);
-        }
-    }
-    m.effectual_macs = macs;
-
-    let compute_cycles = macs / (cfg.total_macs as f64 * cfg.compute_efficiency);
-    let memory_cycles = (weight_bytes + (input_bytes + output_bytes)) / cfg.dram_bytes_per_cycle;
-    m.cycles = compute_cycles.max(memory_cycles).ceil().max(1.0) as u64;
-    m.mac_util.add(
-        (macs / cfg.total_macs as f64).min(m.cycles as f64),
-        m.cycles,
-    );
-    // One weight stream per fused layer (each layer's filters are its
-    // own), the group input entering at the first layer, the group output
-    // leaving at the last. `cycles` covers the memory time, so every
-    // stream is granted in full and the totals match the posted bytes —
-    // splitting the weight stream only refines trace attribution.
-    let unit = |pos: usize| units.get(pos).copied().unwrap_or(UnitId::NONE);
-    let clients: Vec<MemClient> = group
+            .sum()
+    };
+    let layers: Vec<LayerFacts> = group
         .iter()
         .enumerate()
-        .map(|(pos, &id)| MemClient::weight(net.layer(id).weight_dense_bytes()).for_unit(unit(pos)))
-        .chain(std::iter::once(
-            MemClient::activation(input_bytes).for_unit(unit(0)),
-        ))
+        .map(|(pos, &id)| LayerFacts {
+            weight_bytes: net.layer(id).weight_dense_bytes(),
+            dense_macs: net.layer(id).dense_macs(),
+            ext: ring(&group[pos + 1..]),
+        })
         .collect();
-    mem.step_traced(
-        &clients,
-        &[output_bytes],
-        &units[units.len().saturating_sub(1)..],
-        m.cycles,
-        t0,
-        sink,
-    );
-    mem.finish(&mut m);
-    // 4 local bytes per MAC: a 16-bit partial read-modify-write.
-    m.charge_compute_activity(macs, 4.0);
-    GroupTotals {
-        metrics: m,
-        input_bytes,
-        output_bytes,
-        compute_cycles,
+    FusedGroupFacts {
+        input_bytes: net.layer(group[0]).in_act_dense_bytes(),
+        ext: ring(group),
+        output_bytes: net.layer(*group.last().unwrap()).out_act_dense_bytes(),
+        weight_bytes: layers.iter().map(|l| l.weight_bytes).sum(),
+        layers,
     }
 }
 
-/// [`simulate_group`] with trace emission, built on the group totals.
-/// Every fused layer is one unit spanning the whole group run (the layers
-/// execute concurrently in the tile pipeline): its busy time is its ideal
-/// MAC share, the dense-array efficiency loss lands on `MergeBound`,
-/// waiting for the *other* fused layers' tile wavefronts on
+/// How much a halo ring of `ext` inflates a `tile` × `tile` output tile's
+/// area.
+fn halo_factor(tile: usize, ext: usize) -> f64 {
+    let tile = tile as f64;
+    ((tile + ext as f64) / tile).powi(2)
+}
+
+impl FusedGroupFacts {
+    /// The group input at tile edge `tile`: each tile re-fetches its input
+    /// halo ring, which grows with fusion depth (the central cost of
+    /// Fig. 2).
+    fn input_bytes(&self, tile: usize) -> f64 {
+        self.input_bytes * halo_factor(tile, self.ext)
+    }
+
+    /// Each fused layer's MACs at tile edge `tile`, in group order: a
+    /// layer at depth d recomputes the halo ring needed by the layers
+    /// after it, which grows by (R-1) per remaining downstream layer
+    /// (paper Fig. 2).
+    fn layer_macs(&self, tile: usize) -> impl Iterator<Item = f64> + '_ {
+        self.layers
+            .iter()
+            .map(move |l| l.dense_macs * halo_factor(tile, l.ext))
+    }
+
+    /// The group totals on `cfg`: cycles, MAC utilization, the memory
+    /// step and its accounting, and the compute activity. Reads
+    /// `total_macs`, `dram_bytes_per_cycle`, `tile` and
+    /// `compute_efficiency` only; `scratch` holds the memory-step buffers
+    /// between calls.
+    pub fn totals(&self, cfg: &FusedLayerConfig, scratch: &mut FusedScratch) -> RunMetrics {
+        self.totals_traced(cfg, &[], 0, &mut NullSink, scratch).0
+    }
+
+    /// [`totals`](Self::totals), posting the memory streams under `units`
+    /// (one per fused layer; empty when not tracing) at start cycle `t0`.
+    /// Also returns the group's compute time, which the trace is built
+    /// from.
+    fn totals_traced(
+        &self,
+        cfg: &FusedLayerConfig,
+        units: &[UnitId],
+        t0: u64,
+        sink: &mut dyn TraceSink,
+        scratch: &mut FusedScratch,
+    ) -> (RunMetrics, f64) {
+        let mut m = RunMetrics::default();
+        let mut mem = MemHarness::new(cfg.dram_bytes_per_cycle);
+        // Dense traffic: group input once per tile with its halo, group
+        // output once, dense weights of every fused layer once. Dense
+        // compute with halo recomputation.
+        let input_bytes = self.input_bytes(cfg.tile);
+        let mut macs = 0.0;
+        for layer_macs in self.layer_macs(cfg.tile) {
+            macs += layer_macs;
+        }
+        m.effectual_macs = macs;
+
+        let compute_cycles = macs / (cfg.total_macs as f64 * cfg.compute_efficiency);
+        let memory_cycles =
+            (self.weight_bytes + (input_bytes + self.output_bytes)) / cfg.dram_bytes_per_cycle;
+        m.cycles = compute_cycles.max(memory_cycles).ceil().max(1.0) as u64;
+        m.mac_util.add(
+            (macs / cfg.total_macs as f64).min(m.cycles as f64),
+            m.cycles,
+        );
+        // One weight stream per fused layer (each layer's filters are its
+        // own), the group input entering at the first layer, the group
+        // output leaving at the last. `cycles` covers the memory time, so
+        // every stream is granted in full and the totals match the posted
+        // bytes — splitting the weight stream only refines trace
+        // attribution.
+        let unit = |pos: usize| units.get(pos).copied().unwrap_or(UnitId::NONE);
+        let FusedScratch { clients, grants } = scratch;
+        clients.clear();
+        clients.extend(
+            self.layers
+                .iter()
+                .enumerate()
+                .map(|(pos, l)| MemClient::weight(l.weight_bytes).for_unit(unit(pos))),
+        );
+        clients.push(MemClient::activation(input_bytes).for_unit(unit(0)));
+        mem.step_traced_into(
+            clients,
+            &[self.output_bytes],
+            &units[units.len().saturating_sub(1)..],
+            m.cycles,
+            t0,
+            sink,
+            grants,
+        );
+        mem.finish(&mut m);
+        // 4 local bytes per MAC: a 16-bit partial read-modify-write.
+        m.charge_compute_activity(macs, 4.0);
+        (m, compute_cycles)
+    }
+}
+
+/// [`simulate_group`] with trace emission, built on the group's facts and
+/// totals. Every fused layer is one unit spanning the whole group run (the
+/// layers execute concurrently in the tile pipeline): its busy time is its
+/// ideal MAC share, the dense-array efficiency loss lands on
+/// `MergeBound`, waiting for the *other* fused layers' tile wavefronts on
 /// `InputStarved`, and whatever the memory bound stretches the group
 /// beyond its compute time on `DramThrottled`.
 fn simulate_group_traced(
@@ -229,21 +289,12 @@ fn simulate_group_traced(
         .iter()
         .map(|&id| sink.unit(&net.layer(id).name, UnitKind::Layer))
         .collect();
-    let mut macs_per_layer: Vec<f64> = Vec::with_capacity(group.len());
-    let GroupTotals {
-        metrics: m,
-        input_bytes,
-        output_bytes,
-        compute_cycles,
-    } = group_totals_traced(
-        net,
-        group,
-        cfg,
-        &unit_ids,
-        t0,
-        sink,
-        Some(&mut macs_per_layer),
-    );
+    let facts = group_facts(net, group);
+    let (m, compute_cycles) =
+        facts.totals_traced(cfg, &unit_ids, t0, sink, &mut FusedScratch::default());
+    let input_bytes = facts.input_bytes(cfg.tile);
+    let output_bytes = facts.output_bytes;
+    let macs_per_layer: Vec<f64> = facts.layer_macs(cfg.tile).collect();
 
     if sink.enabled() {
         let t_f = m.cycles as f64;
@@ -275,11 +326,12 @@ fn simulate_group_traced(
     // totals.
     let layer_cycles = apportion_cycles(m.cycles, &macs_per_layer);
     let caps: Vec<f64> = layer_cycles.iter().map(|&c| c as f64).collect();
-    let traffic_per_layer: Vec<f64> = group
+    let traffic_per_layer: Vec<f64> = facts
+        .layers
         .iter()
         .enumerate()
-        .map(|(pos, &id)| {
-            let mut t = net.layer(id).weight_dense_bytes();
+        .map(|(pos, l)| {
+            let mut t = l.weight_bytes;
             if pos == 0 {
                 t += input_bytes;
             }
@@ -300,7 +352,7 @@ fn simulate_group_traced(
             let layer = net.layer(id);
             let mut lm = RunMetrics {
                 cycles,
-                weight_traffic: layer.weight_dense_bytes(),
+                weight_traffic: facts.layers[pos].weight_bytes,
                 act_traffic: 0.0,
                 effectual_macs: layer_macs,
                 ..Default::default()
@@ -372,7 +424,7 @@ pub fn fused_groups(net: &Network, cfg: &FusedLayerConfig) -> Vec<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isos_nn::models::{resnet50, vgg16};
+    use isos_nn::models::{resnet50, suite_workload, vgg16, SUITE_IDS};
 
     #[test]
     fn fused_layer_is_compute_bound_on_dense_nets() {
@@ -464,5 +516,46 @@ mod tests {
         assert!(rel(sum.weight_traffic, run.metrics.weight_traffic) < 1e-6);
         assert!(rel(sum.act_traffic, run.metrics.act_traffic) < 1e-6);
         assert!(rel(sum.effectual_macs, run.metrics.effectual_macs) < 1e-6);
+    }
+
+    /// The facts hold everything but `total_macs`, the bandwidth, the tile
+    /// and the efficiency, so totals from memoized facts must equal both
+    /// public paths on every group of the suite: at each filter-buffer
+    /// size and tile of the design-space default
+    /// (`isos_explore::ArchSpace`), at 64 and 512 B/cycle, with 8 and 256
+    /// lanes of 64 MACs.
+    #[test]
+    fn totals_from_facts_equal_both_group_paths() {
+        let mut scratch = FusedScratch::default();
+        for id in SUITE_IDS {
+            let net = suite_workload(id, 1).network;
+            for kb in [128u64, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096] {
+                for group in &fuse_groups(&net, kb * 1024) {
+                    let facts = group_facts(&net, group);
+                    for tile in [8, 16, 32, 64, 128, 256] {
+                        for bw in [64.0, 512.0] {
+                            for lanes in [8, 256] {
+                                let cfg = FusedLayerConfig {
+                                    total_macs: lanes * 64,
+                                    filter_buffer_bytes: kb * 1024,
+                                    dram_bytes_per_cycle: bw,
+                                    tile,
+                                    ..FusedLayerConfig::default()
+                                };
+                                let totals = facts.totals(&cfg, &mut scratch);
+                                let at = || format!("{id} group at {}: {cfg:?}", group[0]);
+                                assert_eq!(totals, group_totals(&net, group, &cfg), "{}", at());
+                                assert_eq!(
+                                    totals,
+                                    group_metrics(&net, group, &cfg).metrics,
+                                    "{}",
+                                    at()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

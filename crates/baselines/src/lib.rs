@@ -42,6 +42,7 @@ pub use sparten::SpartenConfig;
 // Description-referenceable closed forms: the declarative-architecture
 // interpreter in `isos-explore` lowers onto these exact functions.
 pub use fused_layer::{
-    group_metrics as fused_group_metrics, group_totals as fused_group_totals, FusedGroupRun,
+    group_facts as fused_group_facts, group_metrics as fused_group_metrics,
+    group_totals as fused_group_totals, FusedGroupFacts, FusedGroupRun, FusedScratch,
 };
-pub use sparten::layer_metrics as sparten_layer_metrics;
+pub use sparten::{layer_metrics as sparten_layer_metrics, OsKey};

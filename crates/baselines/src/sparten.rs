@@ -70,6 +70,39 @@ impl SpartenConfig {
     }
 }
 
+/// Every [`SpartenConfig`] field [`layer_metrics`] reads: the cluster
+/// array, the bandwidth, the pass width, the efficiency and GoSPA
+/// filtering. The two buffer sizes are left out because the closed form
+/// never reads them, so two configurations with equal keys give
+/// bit-identical metrics on every layer. Design-space sweeps memoize a
+/// network's totals on this key, as they memoize IS-OS mappings on
+/// `isosceles::mapping::MapKey`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct OsKey {
+    clusters: usize,
+    macs_per_cluster: usize,
+    /// By bit pattern, so `Eq` is reflexive.
+    dram_bytes_per_cycle: u64,
+    k_per_pass: usize,
+    /// By bit pattern, likewise.
+    compute_efficiency: u64,
+    gospa_filtering: bool,
+}
+
+impl OsKey {
+    /// The key of `cfg`.
+    pub fn of(cfg: &SpartenConfig) -> Self {
+        Self {
+            clusters: cfg.clusters,
+            macs_per_cluster: cfg.macs_per_cluster,
+            dram_bytes_per_cycle: cfg.dram_bytes_per_cycle.to_bits(),
+            k_per_pass: cfg.k_per_pass,
+            compute_efficiency: cfg.compute_efficiency.to_bits(),
+            gospa_filtering: cfg.gospa_filtering,
+        }
+    }
+}
+
 /// Bytes of a bitmask-compressed activation tensor: one mask bit per
 /// element plus one byte per nonzero (SparTen's format).
 ///
@@ -264,7 +297,7 @@ impl Accelerator for SpartenConfig {
 mod tests {
     use super::*;
     use isos_nn::layer::ActShape;
-    use isos_nn::models::resnet50;
+    use isos_nn::models::{resnet50, suite_workload, SUITE_IDS};
 
     #[test]
     fn table3_summary() {
@@ -348,5 +381,50 @@ mod tests {
         let sum: u64 = r.groups.iter().map(|(_, m)| m.cycles).sum();
         assert_eq!(sum, r.total.cycles);
         assert_eq!(r.layer_sum().cycles, r.total.cycles);
+    }
+
+    /// [`OsKey`] leaves the two buffer sizes out; that is only sound while
+    /// the closed form never reads them. A change to either one alone
+    /// must leave every layer of the suite bit-identical.
+    #[test]
+    fn buffer_sizes_never_change_layer_metrics() {
+        let bases = [
+            SpartenConfig::default(),
+            SpartenConfig {
+                clusters: 8,
+                dram_bytes_per_cycle: 64.0,
+                k_per_pass: 16,
+                gospa_filtering: false,
+                ..SpartenConfig::default()
+            },
+        ];
+        for id in SUITE_IDS {
+            let net = suite_workload(id, 1).network;
+            for base in &bases {
+                let variants = [0, 1 << 10, 1 << 30].into_iter().flat_map(|bytes| {
+                    [
+                        SpartenConfig {
+                            filter_buffer_bytes: bytes,
+                            ..*base
+                        },
+                        SpartenConfig {
+                            cluster_buffer_bytes: bytes,
+                            ..*base
+                        },
+                    ]
+                });
+                for cfg in variants {
+                    assert_eq!(OsKey::of(&cfg), OsKey::of(base));
+                    for node in net.nodes() {
+                        assert_eq!(
+                            layer_metrics(&node.layer, &cfg),
+                            layer_metrics(&node.layer, base),
+                            "{id} {}: {cfg:?}",
+                            node.layer.name
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -26,10 +26,10 @@ use crate::model::{
     estimate_mapping, EstimateTotals, GroupEstimate, IsOsScreen, LayerEstimate, NetworkEstimate,
 };
 use isos_baselines::{
-    fused_group_metrics, fused_group_totals, fused_groups, sparten_layer_metrics, FusedLayerConfig,
-    SpartenConfig,
+    fused_group_facts, fused_group_metrics, fused_groups, sparten_layer_metrics, FusedGroupFacts,
+    FusedLayerConfig, FusedScratch, OsKey, SpartenConfig,
 };
-use isos_nn::graph::{Network, NodeId};
+use isos_nn::graph::Network;
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::metrics::{NetworkMetrics, RunMetrics};
 use isos_trace::TraceSink;
@@ -270,9 +270,11 @@ pub(crate) fn desc_area_mm2(desc: &ArchDesc) -> f64 {
 ///   [`MapKey`](isosceles::mapping::MapKey), its group work summed once,
 ///   then `group_cycles` per group;
 /// - output-stationary points sum `sparten_layer_metrics` over the
-///   layers;
-/// - fused-tile points reuse `fused_groups` per filter-buffer size (the
-///   only field fusion reads) and sum `fused_group_totals`.
+///   layers once per distinct [`OsKey`] (the fields the closed form
+///   reads; the buffer sizes are not among them) and reuse the totals;
+/// - fused-tile points reuse the [`FusedGroupFacts`] of every group per
+///   filter-buffer size (the only field fusion reads; the facts read no
+///   field at all) and sum [`FusedGroupFacts::totals`].
 ///
 /// Every family accumulates the same per-group functions
 /// [`ArchAccel::estimate`] runs through [`EstimateTotals::add_group`], so
@@ -281,7 +283,9 @@ pub(crate) fn desc_area_mm2(desc: &ArchDesc) -> f64 {
 pub(crate) struct ArchScreen<'a> {
     net: &'a Network,
     is_os: IsOsScreen<'a>,
-    fused: HashMap<u64, Vec<Vec<NodeId>>>,
+    os: HashMap<OsKey, EstimateTotals>,
+    fused: HashMap<u64, Vec<FusedGroupFacts>>,
+    scratch: FusedScratch,
 }
 
 impl<'a> ArchScreen<'a> {
@@ -290,7 +294,9 @@ impl<'a> ArchScreen<'a> {
         Self {
             net,
             is_os: IsOsScreen::new(net),
+            os: HashMap::new(),
             fused: HashMap::new(),
+            scratch: FusedScratch::default(),
         }
     }
 
@@ -305,20 +311,27 @@ impl<'a> ArchScreen<'a> {
         Ok(match lower(desc)? {
             Lowered::IsOs { cfg, mode } => self.is_os.totals(&cfg, mode),
             Lowered::OutputStationary(cfg) => {
-                let mut out = EstimateTotals::default();
-                for node in net.nodes() {
-                    add_metrics(&mut out, &sparten_layer_metrics(&node.layer, &cfg));
-                }
-                out
+                *self.os.entry(OsKey::of(&cfg)).or_insert_with(|| {
+                    let mut out = EstimateTotals::default();
+                    for node in net.nodes() {
+                        add_metrics(&mut out, &sparten_layer_metrics(&node.layer, &cfg));
+                    }
+                    out
+                })
             }
             Lowered::FusedTile(cfg) => {
-                let groups = self
+                let facts = self
                     .fused
                     .entry(cfg.filter_buffer_bytes)
-                    .or_insert_with(|| fused_groups(net, &cfg));
+                    .or_insert_with(|| {
+                        fused_groups(net, &cfg)
+                            .iter()
+                            .map(|group| fused_group_facts(net, group))
+                            .collect()
+                    });
                 let mut out = EstimateTotals::default();
-                for group in groups.iter() {
-                    add_metrics(&mut out, &fused_group_totals(net, group, &cfg));
+                for f in facts.iter() {
+                    add_metrics(&mut out, &f.totals(&cfg, &mut self.scratch));
                 }
                 out
             }

@@ -48,13 +48,14 @@ pub fn to_markdown(result: &ArchSearchResult) -> String {
         "# Architecture-space exploration: {}\n\n\
          Screened {} described points analytically ({} over the area \
          budget), simulated {} through the engine; {} on the (cycles, \
-         mm\u{b2}, mJ) Pareto frontier. Simulation batch: {:.0} ms, \
-         cache {}.\n\n{}",
+         mm\u{b2}, mJ) Pareto frontier. Screening: {:.0} ms; simulation \
+         batch: {:.0} ms, cache {}.\n\n{}",
         result.workload,
         result.screened,
         result.over_budget,
         result.evaluated.len(),
         result.frontier.len(),
+        result.screen_wall_millis,
         result.sim_wall_millis,
         result.cache,
         result_table(result).to_markdown()
@@ -172,6 +173,7 @@ mod tests {
             evaluated: vec![mk("os-fast", 100, 20.0), mk("os-small", 150, 12.0)],
             frontier: vec![0, 1],
             cache: CacheStats { hits: 1, misses: 1 },
+            screen_wall_millis: 40.0,
             sim_wall_millis: 3.0,
         }
     }
@@ -190,6 +192,7 @@ mod tests {
         assert!(md.contains("2 over the area budget"));
         assert!(md.contains("| label |"));
         assert!(md.contains("1 hits / 1 misses"));
+        assert!(md.contains("Screening: 40 ms; simulation batch: 3 ms"));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! points cache under their description hash.
 //!
 //! Screening does the work that depends only on the workload once per
-//! sweep (layer facts, one mapping per distinct key, fused groups per
-//! buffer size) and a closed form per point, keeps totals only, and
-//! ranks point indices, so only the survivors are cloned.
+//! sweep (layer facts and one mapping per distinct key for IS-OS,
+//! network totals per distinct key for output-stationary, fused-group
+//! facts per buffer size) and a closed form per point, keeps totals
+//! only, and ranks point indices, so only the survivors are cloned.
 
 use crate::arch::{desc_area_mm2, reference, ArchAccel, ArchDesc, ArchError, ArchScreen};
 use crate::model::EstimateTotals;
@@ -28,6 +29,7 @@ use isosceles::IsoscelesConfig;
 use isosceles_bench::engine::{CacheStats, SuiteEngine};
 use isosceles_bench::stream::run_stream_cached;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// What screening keeps per point: the estimate's totals, area and
 /// energy — no per-group or per-layer breakdown.
@@ -367,6 +369,9 @@ pub struct ArchSearchResult {
     pub frontier: Vec<usize>,
     /// Engine cache counters for the simulation batch.
     pub cache: CacheStats,
+    /// Wall time of screening (scoring every point and picking the
+    /// survivors) in milliseconds.
+    pub screen_wall_millis: f64,
     /// Wall time of the simulation batch in milliseconds.
     pub sim_wall_millis: f64,
 }
@@ -398,8 +403,10 @@ pub fn search_arch(
     opts: &SearchOptions,
     seed: u64,
 ) -> Result<ArchSearchResult, ArchError> {
+    let screen_start = Instant::now();
     let mut screen = ArchScreen::new(&workload.network);
     let (survivors, over_budget) = pick_survivors(&mut screen, points, opts)?;
+    let screen_wall_millis = screen_start.elapsed().as_secs_f64() * 1e3;
     let anchor_desc = reference::isosceles();
 
     let accels = accels_of(&survivors);
@@ -449,6 +456,7 @@ pub fn search_arch(
         evaluated,
         frontier,
         cache: stats.cache(),
+        screen_wall_millis,
         sim_wall_millis: stats.wall_millis,
     })
 }

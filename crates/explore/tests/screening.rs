@@ -142,3 +142,26 @@ fn is_os_slice_screens_to_estimate_network_on_its_configs() {
         );
     }
 }
+
+/// The memoized baseline families, checked point by point: every
+/// output-stationary and fused-tile point of the default space equals
+/// its estimate on ResNet, on MobileNet (depthwise convolutions) and on
+/// VGG (large fully connected layers).
+#[test]
+fn every_default_baseline_point_equals_the_estimate_on_three_networks() {
+    let points: Vec<ArchPoint> = ArchSpace::default()
+        .enumerate()
+        .into_iter()
+        .filter(|p| !p.label.starts_with("isos-"))
+        .collect();
+    assert_eq!(points.len(), 4_800);
+    assert_eq!(families(&points), HashSet::from(["os", "fused"]));
+    for id in ["R96", "M89", "V68"] {
+        let w = suite_workload(id, SEED);
+        let screened = screen_arch(&w, &points).unwrap();
+        assert_eq!(screened.len(), points.len());
+        for s in &screened {
+            assert_matches_estimate(&w.network, s);
+        }
+    }
+}

@@ -119,6 +119,9 @@ echo "==> serve --smoke (simulation service self-check)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-serve-cache" cargo run --release -q -p isos-serve --bin serve -- \
   --smoke
 
+echo "==> perfbench tests (stats and pacer units, a 1 s run of every workload in both trace modes)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> perfbench suite smoke (every warm cache hit checked against a direct simulation)"
 SUITE_RESULT="$(bash perfbench/run.sh --workload suite --seed 1 --seconds 2 --trace 1 2>/dev/null | tail -n 1)"
 if command -v python3 >/dev/null 2>&1; then
