@@ -2,34 +2,38 @@
 //!
 //! Replaces the flat `results/cache/<hash>.json` layout: entries now
 //! live in 16 shard directories keyed by the top nibble of the job
-//! hash, and each shard carries a `manifest.json` tracking entry sizes
-//! and last-access order. The store is the single persistence layer
-//! behind both the CLI [`SuiteEngine`](crate::engine::SuiteEngine) and
-//! the long-running `isos-serve` server, so its guarantees matter:
+//! hash. A shard directory is its own index: its listing holds every
+//! entry's size, and each file's mtime is its last access. The store is
+//! the single persistence layer behind both the CLI
+//! [`SuiteEngine`](crate::engine::SuiteEngine) and the long-running
+//! `isos-serve` server, so its guarantees matter:
 //!
-//! - **Atomic writes**: entries and manifests are written to a temp
-//!   file and renamed into place, so concurrent writers (threads of one
-//!   process, or a server and a CLI run racing on the same directory)
-//!   never expose half-written JSON.
+//! - **Atomic writes**: entries are written to a temp file and renamed
+//!   into place, so concurrent writers (threads of one process, or a
+//!   server and a CLI run racing on the same directory) never expose
+//!   half-written JSON.
 //! - **LRU byte bound**: an optional `--cache-bytes` / `ISOS_CACHE_BYTES`
 //!   budget is split evenly across the 16 shards; a store that pushes a
-//!   shard over its slice evicts least-recently-used entries until it
-//!   fits, so total on-disk bytes never exceed the budget.
+//!   shard over its slice evicts the entries with the oldest mtime until
+//!   it fits, so total on-disk bytes never exceed the budget. Stores and
+//!   hits set the mtime to the current time, so recency persists across
+//!   processes with nothing else to keep in step.
 //! - **Quarantine, not silent overwrite**: corrupt, truncated, or
 //!   unknown-schema entry files are renamed to `*.bad` and recomputed
 //!   once; the store self-heals instead of re-tripping on (or silently
 //!   clobbering) the same poisoned file every run.
-//! - **Migration + adoption**: legacy flat-layout entries found at the
-//!   store root are moved into their shard on open, and valid entry
-//!   files missing from a manifest (e.g. written by a crashed process)
-//!   are adopted on first touch — warm caches stay warm across layouts
-//!   and processes.
+//! - **Migration**: legacy flat-layout entries found at the store root
+//!   are moved into their shard on open, so pre-sharding caches stay
+//!   warm. Any other file in a shard directory (a `manifest.json` left
+//!   by an older layout, `*.bad`, temp files) is ignored.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::SystemTime;
 
 use isos_sim::metrics::NetworkMetrics;
 use serde::json::Value;
@@ -39,9 +43,6 @@ use crate::engine::{WorkloadId, SCHEMA_VERSION};
 
 /// Number of shard directories (`0/` through `f/`, by top hash nibble).
 pub const SHARD_COUNT: usize = 16;
-
-/// Version of the per-shard manifest layout.
-const MANIFEST_SCHEMA: u32 = 1;
 
 /// The key fields an entry must match to count as a hit. Stored inside
 /// every entry file and revalidated on load, so a hash collision or a
@@ -105,21 +106,6 @@ impl EntryFile {
     }
 }
 
-/// One manifest record: `(key, bytes, last_access)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct ManifestEntry {
-    key: String,
-    bytes: u64,
-    last_access: u64,
-}
-
-/// Per-shard manifest as persisted in `<shard>/manifest.json`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct Manifest {
-    schema: u32,
-    entries: Vec<ManifestEntry>,
-}
-
 /// Lifetime operation counters for one store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreCounters {
@@ -131,8 +117,6 @@ pub struct StoreCounters {
     pub writes: u64,
     /// Corrupt/unknown-schema files renamed to `*.bad`.
     pub quarantined: u64,
-    /// Valid files adopted into a manifest that had lost track of them.
-    pub adopted: u64,
     /// Entries evicted to hold the byte bound.
     pub evicted_entries: u64,
     /// Bytes reclaimed by eviction.
@@ -144,7 +128,7 @@ pub struct StoreCounters {
 pub struct StoreUsage {
     /// Live entries across all shards.
     pub entries: usize,
-    /// Bytes those entries occupy (as recorded in the manifests).
+    /// Bytes those entry files occupy.
     pub bytes: u64,
 }
 
@@ -154,9 +138,15 @@ struct AtomicCounters {
     misses: AtomicU64,
     writes: AtomicU64,
     quarantined: AtomicU64,
-    adopted: AtomicU64,
     evicted_entries: AtomicU64,
     evicted_bytes: AtomicU64,
+}
+
+/// One entry file found in a shard listing.
+struct Listed {
+    path: PathBuf,
+    bytes: u64,
+    modified: SystemTime,
 }
 
 /// The sharded, LRU-bounded persistent cache. See the [module docs](self).
@@ -167,10 +157,9 @@ pub struct CacheStore {
     byte_limit: Option<u64>,
     /// Per-shard slice of the budget (`byte_limit / SHARD_COUNT`).
     shard_limit: Option<u64>,
-    /// One lock per shard serializing manifest read-modify-write cycles.
+    /// One lock per shard, so a quarantine or an eviction never races
+    /// a store of the same shard within this process.
     locks: [Mutex<()>; SHARD_COUNT],
-    /// Monotonic logical clock ordering accesses for LRU.
-    clock: AtomicU64,
     counters: AtomicCounters,
 }
 
@@ -186,12 +175,10 @@ impl CacheStore {
             byte_limit,
             shard_limit: byte_limit.map(|b| b / SHARD_COUNT as u64),
             locks: std::array::from_fn(|_| Mutex::new(())),
-            clock: AtomicU64::new(1),
             counters: AtomicCounters::default(),
         };
         let _ = std::fs::create_dir_all(&store.root);
         store.migrate_flat_layout();
-        store.init_clock();
         store
     }
 
@@ -212,7 +199,6 @@ impl CacheStore {
             misses: self.counters.misses.load(Ordering::Relaxed),
             writes: self.counters.writes.load(Ordering::Relaxed),
             quarantined: self.counters.quarantined.load(Ordering::Relaxed),
-            adopted: self.counters.adopted.load(Ordering::Relaxed),
             evicted_entries: self.counters.evicted_entries.load(Ordering::Relaxed),
             evicted_bytes: self.counters.evicted_bytes.load(Ordering::Relaxed),
         }
@@ -234,11 +220,11 @@ impl CacheStore {
     /// Loads the entry for `key`, validating it against `kind` and
     /// `expect` and decoding its payload as `T`.
     ///
-    /// A hit refreshes the entry's last-access stamp. Corrupt or
-    /// unknown-schema files are quarantined (renamed `*.bad`);
-    /// kind/key-field mismatches (hash collision or stale config) and
-    /// undecodable payloads read as a plain miss and are overwritten by
-    /// the subsequent store.
+    /// A hit sets the entry file's mtime to now, which is its LRU
+    /// recency; a miss writes nothing. Corrupt or unknown-schema files
+    /// are quarantined (renamed `*.bad`); kind/key-field mismatches
+    /// (hash collision or stale config) and undecodable payloads read as
+    /// a plain miss and are overwritten by the subsequent store.
     pub fn load_payload<T: Deserialize>(
         &self,
         key: u64,
@@ -247,33 +233,22 @@ impl CacheStore {
     ) -> Option<T> {
         let shard = shard_of(key);
         let _guard = self.locks[shard].lock().expect("shard lock poisoned");
-        let dir = self.shard_dir(shard);
-        let path = dir.join(entry_file_name(key));
-        let mut manifest = self.read_manifest(shard);
-
-        let loaded = self.read_entry(&path, &mut manifest, key);
-        let hit = match loaded {
-            Some(entry)
-                if entry.kind == kind
+        let path = self.entry_path(key);
+        let hit = self
+            .read_entry(&path)
+            .filter(|(_, entry)| {
+                entry.kind == kind
                     && entry.accel == expect.accel
                     && entry.accel_key == expect.accel_key
                     && entry.workload == expect.workload
-                    && entry.seed == expect.seed =>
-            {
-                match T::from_value(&entry.payload) {
-                    Ok(payload) => {
-                        let stamp = self.tick();
-                        if let Some(rec) = manifest_entry_mut(&mut manifest, key) {
-                            rec.last_access = stamp;
-                        }
-                        Some(payload)
-                    }
-                    Err(_) => None,
-                }
-            }
-            _ => None,
-        };
-        self.write_manifest(shard, &manifest);
+                    && entry.seed == expect.seed
+            })
+            .and_then(|(file, entry)| {
+                let payload = T::from_value(&entry.payload).ok()?;
+                // Best effort: a file that refuses the stamp is still a hit.
+                let _ = file.set_modified(SystemTime::now());
+                Some(payload)
+            });
         if hit.is_some() {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -297,50 +272,33 @@ impl CacheStore {
             payload: payload.to_value(),
         };
         let text = entry.into_tree().render();
-        let bytes = text.len() as u64;
 
         let shard = shard_of(key);
         let _guard = self.locks[shard].lock().expect("shard lock poisoned");
         let dir = self.shard_dir(shard);
         let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join(entry_file_name(key));
-        if !atomic_write(&path, text.as_bytes()) {
+        if !atomic_write(&dir.join(entry_file_name(key)), text.as_bytes()) {
             return;
         }
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
-
-        let mut manifest = self.read_manifest(shard);
-        let stamp = self.tick();
-        match manifest_entry_mut(&mut manifest, key) {
-            Some(rec) => {
-                rec.bytes = bytes;
-                rec.last_access = stamp;
-            }
-            None => manifest.entries.push(ManifestEntry {
-                key: format!("{key:016x}"),
-                bytes,
-                last_access: stamp,
-            }),
+        if let Some(limit) = self.shard_limit {
+            self.evict_over_limit(&dir, limit);
         }
-        self.evict_over_limit(&dir, &mut manifest);
-        self.write_manifest(shard, &manifest);
     }
 
-    /// Live entry count and byte total, summed over all shard manifests.
+    /// Live entry count and byte total, summed over all shard listings.
     pub fn usage(&self) -> StoreUsage {
         let mut usage = StoreUsage::default();
         for shard in 0..SHARD_COUNT {
-            let _guard = self.locks[shard].lock().expect("shard lock poisoned");
-            let manifest = self.read_manifest(shard);
-            usage.entries += manifest.entries.len();
-            usage.bytes += manifest.entries.iter().map(|e| e.bytes).sum::<u64>();
+            let shard_usage = self.shard_usage(shard);
+            usage.entries += shard_usage.entries;
+            usage.bytes += shard_usage.bytes;
         }
         usage
     }
 
-    /// Integrity check for tests and tooling: every manifest record must
-    /// point at an existing file of the recorded size, and every bounded
-    /// shard must hold its byte slice.
+    /// Integrity check for tests and tooling: every bounded shard must
+    /// hold its byte slice.
     ///
     /// # Errors
     ///
@@ -348,33 +306,17 @@ impl CacheStore {
     pub fn verify(&self) -> Result<StoreUsage, String> {
         let mut usage = StoreUsage::default();
         for shard in 0..SHARD_COUNT {
-            let _guard = self.locks[shard].lock().expect("shard lock poisoned");
-            let dir = self.shard_dir(shard);
-            let manifest = self.read_manifest(shard);
-            let mut shard_bytes = 0u64;
-            for rec in &manifest.entries {
-                let path = dir.join(format!("{}.json", rec.key));
-                let meta = std::fs::metadata(&path)
-                    .map_err(|_| format!("manifest references missing file {}", path.display()))?;
-                if meta.len() != rec.bytes {
-                    return Err(format!(
-                        "manifest records {} bytes for {} but the file holds {}",
-                        rec.bytes,
-                        path.display(),
-                        meta.len()
-                    ));
-                }
-                shard_bytes += rec.bytes;
-            }
+            let shard_usage = self.shard_usage(shard);
             if let Some(limit) = self.shard_limit {
-                if shard_bytes > limit {
+                if shard_usage.bytes > limit {
                     return Err(format!(
-                        "shard {shard:x} holds {shard_bytes} bytes, over its {limit}-byte slice"
+                        "shard {shard:x} holds {} bytes, over its {limit}-byte slice",
+                        shard_usage.bytes
                     ));
                 }
             }
-            usage.entries += manifest.entries.len();
-            usage.bytes += shard_bytes;
+            usage.entries += shard_usage.entries;
+            usage.bytes += shard_usage.bytes;
         }
         Ok(usage)
     }
@@ -385,38 +327,24 @@ impl CacheStore {
     }
 
     /// Reads and validates the entry file at `path`, quarantining it on
-    /// corruption or schema mismatch, adopting it into `manifest` if it
-    /// was untracked. Returns the parsed entry if structurally valid.
-    fn read_entry(&self, path: &Path, manifest: &mut Manifest, key: u64) -> Option<EntryFile> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => {
-                // File gone (evicted by a peer, or never written): make
-                // sure the manifest does not keep referencing it.
-                manifest_remove(manifest, key);
-                return None;
-            }
-        };
-        let parsed = serde::json::parse(&text).and_then(EntryFile::from_tree);
-        let entry = match parsed {
-            Ok(e) if e.schema == SCHEMA_VERSION => e,
+    /// corruption or schema mismatch. Returns the open file (to stamp a
+    /// hit through) and the parsed entry if structurally valid.
+    fn read_entry(&self, path: &Path) -> Option<(File, EntryFile)> {
+        // A file that is gone (evicted, or never written) or unreadable
+        // is a plain miss.
+        let mut file = File::open(path).ok()?;
+        let size = file.metadata().map_or(0, |m| m.len() as usize);
+        let mut text = String::with_capacity(size);
+        file.read_to_string(&mut text).ok()?;
+        match serde::json::parse(&text).and_then(EntryFile::from_tree) {
+            Ok(entry) if entry.schema == SCHEMA_VERSION => Some((file, entry)),
             // Corrupt, truncated, or from an unknown schema version:
             // quarantine so the next run does not trip on it again.
             _ => {
                 self.quarantine(path);
-                manifest_remove(manifest, key);
-                return None;
+                None
             }
-        };
-        if manifest_entry_mut(manifest, key).is_none() {
-            manifest.entries.push(ManifestEntry {
-                key: format!("{key:016x}"),
-                bytes: text.len() as u64,
-                last_access: 0,
-            });
-            self.counters.adopted.fetch_add(1, Ordering::Relaxed);
         }
-        Some(entry)
     }
 
     /// Renames a poisoned entry to `<name>.bad` (best effort).
@@ -427,97 +355,45 @@ impl CacheStore {
         }
     }
 
-    /// Evicts least-recently-used entries until the shard fits its byte
-    /// slice. The freshly written entry is eligible too: a bound smaller
-    /// than one entry means the store holds nothing, not "a bit over".
-    fn evict_over_limit(&self, dir: &Path, manifest: &mut Manifest) {
-        let Some(limit) = self.shard_limit else {
+    /// Evicts the entries with the oldest mtime until the shard in `dir`
+    /// fits `limit`. The freshly written entry is eligible too: a bound
+    /// smaller than one entry means the store holds nothing, not "a bit
+    /// over".
+    fn evict_over_limit(&self, dir: &Path, limit: u64) {
+        let mut entries = list_entries(dir);
+        let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
+        if total <= limit {
             return;
-        };
-        let mut total: u64 = manifest.entries.iter().map(|e| e.bytes).sum();
-        while total > limit && !manifest.entries.is_empty() {
-            let (idx, _) = manifest
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_access)
-                .expect("non-empty manifest");
-            let victim = manifest.entries.swap_remove(idx);
-            let _ = std::fs::remove_file(dir.join(format!("{}.json", victim.key)));
+        }
+        entries.sort_unstable_by_key(|e| e.modified);
+        for victim in entries {
+            if total <= limit {
+                break;
+            }
             total -= victim.bytes;
-            self.counters
-                .evicted_entries
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .evicted_bytes
-                .fetch_add(victim.bytes, Ordering::Relaxed);
+            if std::fs::remove_file(&victim.path).is_ok() {
+                self.counters
+                    .evicted_entries
+                    .fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .evicted_bytes
+                    .fetch_add(victim.bytes, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Entry count and bytes of one shard, listed under its lock.
+    fn shard_usage(&self, shard: usize) -> StoreUsage {
+        let _guard = self.locks[shard].lock().expect("shard lock poisoned");
+        let entries = list_entries(&self.shard_dir(shard));
+        StoreUsage {
+            entries: entries.len(),
+            bytes: entries.iter().map(|e| e.bytes).sum(),
         }
     }
 
     fn shard_dir(&self, shard: usize) -> PathBuf {
         self.root.join(format!("{shard:x}"))
-    }
-
-    /// Reads a shard manifest; a missing or unreadable manifest rebuilds
-    /// itself from the entry files present in the directory (all marked
-    /// least-recently-used), so a lost manifest degrades to a cold-ish
-    /// shard instead of an unusable one.
-    fn read_manifest(&self, shard: usize) -> Manifest {
-        let dir = self.shard_dir(shard);
-        let path = dir.join("manifest.json");
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(m) = serde::json::from_str::<Manifest>(&text) {
-                if m.schema == MANIFEST_SCHEMA {
-                    return m;
-                }
-            }
-        }
-        let mut manifest = Manifest {
-            schema: MANIFEST_SCHEMA,
-            entries: Vec::new(),
-        };
-        if let Ok(dir_iter) = std::fs::read_dir(&dir) {
-            for file in dir_iter.flatten() {
-                let name = file.file_name();
-                let Some(key) = entry_key_of(&name.to_string_lossy()) else {
-                    continue;
-                };
-                let Ok(meta) = file.metadata() else { continue };
-                manifest.entries.push(ManifestEntry {
-                    key: format!("{key:016x}"),
-                    bytes: meta.len(),
-                    last_access: 0,
-                });
-            }
-        }
-        manifest
-    }
-
-    fn write_manifest(&self, shard: usize, manifest: &Manifest) {
-        let dir = self.shard_dir(shard);
-        let _ = std::fs::create_dir_all(&dir);
-        atomic_write(
-            &dir.join("manifest.json"),
-            serde::json::to_string(manifest).as_bytes(),
-        );
-    }
-
-    /// Next logical-clock stamp.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Starts the logical clock past every stamp already on disk, so
-    /// fresh accesses sort after entries from previous processes.
-    fn init_clock(&self) {
-        let mut max = 0;
-        for shard in 0..SHARD_COUNT {
-            let manifest = self.read_manifest(shard);
-            for rec in &manifest.entries {
-                max = max.max(rec.last_access);
-            }
-        }
-        self.clock.store(max + 1, Ordering::Relaxed);
     }
 
     /// Moves legacy flat-layout entries (`<root>/<hash>.json`) into
@@ -526,38 +402,16 @@ impl CacheStore {
         let Ok(dir_iter) = std::fs::read_dir(&self.root) else {
             return;
         };
-        let mut moved: HashMap<usize, Vec<(u64, u64)>> = HashMap::new();
         for file in dir_iter.flatten() {
             if !file.file_type().map(|t| t.is_file()).unwrap_or(false) {
                 continue;
             }
-            let name = file.file_name();
-            let Some(key) = entry_key_of(&name.to_string_lossy()) else {
+            let Some(key) = entry_key_of(&file.file_name().to_string_lossy()) else {
                 continue;
             };
-            let shard = shard_of(key);
-            let dest_dir = self.shard_dir(shard);
+            let dest_dir = self.shard_dir(shard_of(key));
             let _ = std::fs::create_dir_all(&dest_dir);
-            let dest = dest_dir.join(entry_file_name(key));
-            if let Ok(meta) = file.metadata() {
-                if std::fs::rename(file.path(), &dest).is_ok() {
-                    moved.entry(shard).or_default().push((key, meta.len()));
-                }
-            }
-        }
-        for (shard, entries) in moved {
-            let _guard = self.locks[shard].lock().expect("shard lock poisoned");
-            let mut manifest = self.read_manifest(shard);
-            for (key, bytes) in entries {
-                if manifest_entry_mut(&mut manifest, key).is_none() {
-                    manifest.entries.push(ManifestEntry {
-                        key: format!("{key:016x}"),
-                        bytes,
-                        last_access: 0,
-                    });
-                }
-            }
-            self.write_manifest(shard, &manifest);
+            let _ = std::fs::rename(file.path(), dest_dir.join(entry_file_name(key)));
         }
     }
 }
@@ -583,7 +437,7 @@ fn entry_file_name(key: u64) -> String {
 }
 
 /// Parses `<016x>.json` back into its key; `None` for anything else
-/// (manifests, quarantined files, temp files).
+/// (old manifests, quarantined files, temp files).
 fn entry_key_of(name: &str) -> Option<u64> {
     let hex = name.strip_suffix(".json")?;
     if hex.len() != 16 {
@@ -592,27 +446,40 @@ fn entry_key_of(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-fn manifest_entry_mut(manifest: &mut Manifest, key: u64) -> Option<&mut ManifestEntry> {
-    let hex = format!("{key:016x}");
-    manifest.entries.iter_mut().find(|e| e.key == hex)
-}
-
-fn manifest_remove(manifest: &mut Manifest, key: u64) {
-    let hex = format!("{key:016x}");
-    manifest.entries.retain(|e| e.key != hex);
+/// The entry files in a shard directory, with their sizes and mtimes.
+/// Files that vanish mid-listing (a peer's eviction) are skipped.
+fn list_entries(dir: &Path) -> Vec<Listed> {
+    let Ok(dir_iter) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    dir_iter
+        .flatten()
+        .filter(|file| entry_key_of(&file.file_name().to_string_lossy()).is_some())
+        .filter_map(|file| {
+            let meta = file.metadata().ok()?;
+            Some(Listed {
+                path: file.path(),
+                bytes: meta.len(),
+                modified: meta.modified().ok()?,
+            })
+        })
+        .collect()
 }
 
 /// Writes `bytes` to `path` via a uniquely named temp file and an atomic
-/// rename; returns whether the write landed.
+/// rename; returns whether the write landed. The temp file's mtime is set
+/// to now before the rename: kernel timestamps are only as fine as the
+/// timer tick, so stores in quick succession would otherwise tie in LRU
+/// order.
 fn atomic_write(path: &Path, bytes: &[u8]) -> bool {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{}", std::process::id(), seq));
-    if std::fs::write(&tmp, bytes).is_err() {
-        let _ = std::fs::remove_file(&tmp);
-        return false;
-    }
-    if std::fs::rename(&tmp, path).is_err() {
+    let written = File::create(&tmp).and_then(|mut file| {
+        file.write_all(bytes)?;
+        file.set_modified(SystemTime::now())
+    });
+    if written.is_err() || std::fs::rename(&tmp, path).is_err() {
         let _ = std::fs::remove_file(&tmp);
         return false;
     }
@@ -717,7 +584,6 @@ mod tests {
         }
         for shard in 0..SHARD_COUNT {
             let dir = root.join(format!("{shard:x}"));
-            assert!(dir.join("manifest.json").is_file(), "shard {shard:x}");
             let entries = std::fs::read_dir(&dir)
                 .unwrap()
                 .filter(|f| {
@@ -829,18 +695,76 @@ mod tests {
     }
 
     #[test]
-    fn untracked_valid_file_is_adopted() {
-        let root = scratch_root("adopt");
-        let store = CacheStore::open(&root, None);
+    fn entries_are_shared_across_store_instances() {
+        let root = scratch_root("shared");
+        let writer = CacheStore::open(&root, None);
         let key = 0x42;
-        store.store(key, &meta(1), &metrics(5));
-        // Simulate a peer process that wrote the entry but whose
-        // manifest update was lost.
-        let manifest = root.join("0").join("manifest.json");
-        std::fs::write(&manifest, "{\"schema\":1,\"entries\":[]}").unwrap();
-        assert_eq!(store.load(key, &meta(1)), Some(metrics(5)));
-        assert_eq!(store.counters().adopted, 1);
-        store.verify().expect("adopted entry is tracked");
+        writer.store(key, &meta(1), &metrics(5));
+        let bytes = std::fs::metadata(writer.entry_path(key)).unwrap().len();
+
+        // A second store on the same root (another process, say) knows
+        // nothing of the first: the shard listing is the whole index.
+        let reader = CacheStore::open(&root, None);
+        assert_eq!(reader.load(key, &meta(1)), Some(metrics(5)));
+        assert_eq!(reader.usage(), StoreUsage { entries: 1, bytes });
+    }
+
+    /// Names, sizes and mtimes of every file in a shard directory.
+    fn shard_listing(dir: &Path) -> Vec<(String, u64, SystemTime)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|f| {
+                let f = f.unwrap();
+                let meta = f.metadata().unwrap();
+                let name = f.file_name().to_string_lossy().into_owned();
+                (name, meta.len(), meta.modified().unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_miss_writes_nothing() {
+        let store = CacheStore::open(scratch_root("misswrite"), Some(64 * 1024));
+        let key = (9u64 << 60) | 1;
+        store.store(key, &meta(1), &metrics(3));
+        let dir = store.entry_path(key).parent().unwrap().to_path_buf();
+        let before = shard_listing(&dir);
+
+        // Same shard, no such key.
+        assert_eq!(store.load((9u64 << 60) | 2, &meta(2)), None);
+        // The right key under another workload: a key-field mismatch.
+        assert_eq!(store.load(key, &meta(2)), None);
+
+        assert_eq!(store.counters().misses, 2);
+        assert_eq!(shard_listing(&dir), before);
+    }
+
+    #[test]
+    fn recency_crosses_store_instances() {
+        // 4 KiB per shard; fill it with as many entries as fit.
+        let root = scratch_root("crossrecency");
+        let a = CacheStore::open(&root, Some(64 * 1024));
+        let keyed = |i: u64| (6u64 << 60) | i;
+        a.store(keyed(0), &meta(0), &metrics(0));
+        let bytes = std::fs::metadata(a.entry_path(keyed(0))).unwrap().len();
+        let fill = 4096 / (bytes + 16);
+        for i in 1..fill {
+            a.store(keyed(i), &meta(i), &metrics(i));
+        }
+        assert_eq!(a.counters().evicted_entries, 0, "the shard just fits");
+
+        // Another instance hits key 0; the first keeps storing and has
+        // to evict.
+        let b = CacheStore::open(&root, None);
+        assert!(b.load(keyed(0), &meta(0)).is_some());
+        for i in fill..fill + 4 {
+            a.store(keyed(i), &meta(i), &metrics(i));
+        }
+        assert!(a.counters().evicted_entries > 0);
+        assert!(a.load(keyed(0), &meta(0)).is_some(), "refreshed by b");
+        assert!(a.load(keyed(1), &meta(1)).is_none(), "LRU victim");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use isosceles_bench::trace::{accel_by_name, trace_workload};
 use serde::json::Value;
 use serde::Serialize;
 
-use crate::protocol::{JobSpec, ModelSpec};
+use crate::protocol::{JobSpec, ModelSpec, Response};
 
 /// One job as queued to the pool: the spec, its position in the
 /// request, and where to send the outcome.
@@ -33,25 +33,58 @@ pub struct JobOutcome {
     /// The job's index within its request.
     pub index: usize,
     /// The finished row, or a message describing why it failed.
-    pub result: Result<JobDone, String>,
+    pub result: Result<Row, String>,
 }
 
-/// A finished simulation, ready to serialize as a `row` response.
-pub struct JobDone {
-    /// Canonical model name ([`Accelerator::name`]) the job ran on.
-    ///
-    /// [`Accelerator::name`]: isosceles::accel::Accelerator::name
-    pub model: String,
+/// A finished job's `row` response line. The worker renders it, so the
+/// short-lived connection thread that sends it allocates no copy of the
+/// metrics: each new connection thread may get a fresh malloc arena,
+/// which would keep that copy's high-water mark.
+pub struct Row {
     /// Whether the result came from the persistent cache.
     pub cache_hit: bool,
     /// Whether the result came from an identical in-flight job.
     pub deduped: bool,
+    /// The serialized line ([`Response::row`]), without its newline.
+    pub line: String,
+}
+
+/// A finished simulation, ready to serialize as a `row` response.
+struct JobDone {
+    /// Canonical model name ([`Accelerator::name`]) the job ran on.
+    ///
+    /// [`Accelerator::name`]: isosceles::accel::Accelerator::name
+    model: String,
+    /// Whether the result came from the persistent cache.
+    cache_hit: bool,
+    /// Whether the result came from an identical in-flight job.
+    deduped: bool,
     /// Wall time of the job in milliseconds.
-    pub millis: f64,
+    millis: f64,
     /// The metrics, pre-serialized to a JSON tree.
-    pub metrics: Value,
+    metrics: Value,
     /// Per-unit stall breakdowns, for traced jobs.
-    pub stalls: Option<Vec<StallBreakdown>>,
+    stalls: Option<Vec<StallBreakdown>>,
+}
+
+impl JobDone {
+    fn row(&self, index: usize, spec: &JobSpec) -> Row {
+        let line = Response::row(
+            index,
+            spec,
+            &self.model,
+            self.cache_hit,
+            self.deduped,
+            self.millis,
+            &self.metrics,
+            self.stalls.as_deref().map(stalls_value),
+        );
+        Row {
+            cache_hit: self.cache_hit,
+            deduped: self.deduped,
+            line,
+        }
+    }
 }
 
 /// Lifetime counters for one worker thread.
@@ -101,7 +134,7 @@ impl WorkerPool {
                     for job in rx.iter() {
                         queued.fetch_sub(1, Ordering::Relaxed);
                         let started = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| run_job(&engine, &job.spec)))
+                        let done = catch_unwind(AssertUnwindSafe(|| run_job(&engine, &job.spec)))
                             .unwrap_or_else(|panic| {
                                 Err(format!("job panicked: {}", panic_message(&panic)))
                             });
@@ -109,10 +142,16 @@ impl WorkerPool {
                         counters
                             .busy_micros
                             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+                        let result = match &done {
+                            Ok(done) => Ok(done.row(job.index, &job.spec)),
+                            Err(message) => Err(message.clone()),
+                        };
                         job.reply.send(JobOutcome {
                             index: job.index,
                             result,
                         });
+                        // `done` and its metrics tree are freed only now,
+                        // once the reply is on its way.
                     }
                 })
             })
@@ -309,7 +348,7 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> &str {
 }
 
 /// Serializes stall breakdowns for a `row` response.
-pub fn stalls_value(stalls: &[StallBreakdown]) -> Value {
+fn stalls_value(stalls: &[StallBreakdown]) -> Value {
     Value::Arr(
         stalls
             .iter()

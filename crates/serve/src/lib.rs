@@ -40,7 +40,7 @@ use crossbeam::channel::unbounded;
 use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use serde::json::Value;
 
-use dispatch::{stalls_value, JobOutcome, WorkerPool};
+use dispatch::{JobOutcome, WorkerPool};
 use protocol::{parse_request, JobSpec, Request, Response};
 
 /// How the server is configured.
@@ -368,24 +368,15 @@ fn serve_jobs(writer: &mut TcpStream, shared: &Shared, jobs: Vec<JobSpec>) -> bo
         // one outcome, even on worker panic.
         let Ok(outcome) = reply_rx.recv() else { break };
         let line = match outcome.result {
-            Ok(done) => {
-                if done.cache_hit {
+            Ok(row) => {
+                if row.cache_hit {
                     hits += 1;
-                } else if done.deduped {
+                } else if row.deduped {
                     deduped += 1;
                 } else {
                     misses += 1;
                 }
-                Response::row(
-                    outcome.index,
-                    &specs[outcome.index],
-                    &done.model,
-                    done.cache_hit,
-                    done.deduped,
-                    done.millis,
-                    &done.metrics,
-                    done.stalls.as_deref().map(stalls_value),
-                )
+                row.line
             }
             Err(message) => {
                 errors += 1;

@@ -34,7 +34,10 @@
 //!   identical concurrent jobs are deduplicated through the engine's
 //!   single-flight table, so duplicates cost one simulation.
 //! - `{"type":"stats"}` — lifetime engine, store, and worker counters,
-//!   plus the open connections and the jobs queued for a worker.
+//!   plus the open connections and the jobs queued for a worker. The
+//!   `store` object holds the cache root, `byte_limit`, the live
+//!   `entries` and `bytes`, and `counters` (`hits`, `misses`, `writes`,
+//!   `quarantined`, `evicted_entries`, `evicted_bytes`).
 //! - `{"type":"ping"}` / `{"type":"shutdown"}`.
 
 use isos_explore::arch::ArchDesc;
@@ -394,6 +397,9 @@ impl Response {
     }
 
     /// One finished job. `stalls` rows are attached for traced jobs.
+    ///
+    /// The borrowed `metrics` tree, most of a row's bytes, is rendered
+    /// straight into the line after the head fields, never cloned.
     #[allow(clippy::too_many_arguments)]
     pub fn row(
         index: usize,
@@ -405,7 +411,7 @@ impl Response {
         metrics: &Value,
         stalls: Option<Value>,
     ) -> String {
-        let mut pairs = vec![
+        let mut out = obj(vec![
             ("type", str_value("row")),
             ("index", Value::U64(index as u64)),
             ("workload", str_value(&spec.workload)),
@@ -415,12 +421,18 @@ impl Response {
             ("cache_hit", Value::Bool(cache_hit)),
             ("deduped", Value::Bool(deduped)),
             ("millis", Value::F64(millis)),
-            ("metrics", metrics.clone()),
-        ];
+        ])
+        .render();
+        // Reopen the head object and append the remaining fields.
+        out.pop();
+        out.push_str(",\"metrics\":");
+        metrics.render_into(&mut out);
         if let Some(stalls) = stalls {
-            pairs.push(("stalls", stalls));
+            out.push_str(",\"stalls\":");
+            stalls.render_into(&mut out);
         }
-        obj(pairs).render()
+        out.push('}');
+        out
     }
 
     /// End-of-request summary after all rows of a `run`/`matrix`.
@@ -681,6 +693,41 @@ mod tests {
             assert!(!line.contains('\n'));
             let v = serde::json::parse(&line).unwrap();
             assert!(v.field("type").unwrap().as_str().is_some(), "{line}");
+        }
+    }
+
+    #[test]
+    fn row_renders_as_the_object_it_describes() {
+        let spec = JobSpec {
+            workload: "R81 \"é\"".into(),
+            model: ModelSpec::Named("isosceles".into()),
+            seed: 7,
+            trace: false,
+            stream: None,
+        };
+        let metrics = serde::json::parse(
+            r#"{"total":{"cycles":12,"energy":0.5,"layers":[["c\n1",{"x":-3}]]},"ok":null}"#,
+        )
+        .unwrap();
+        let stalls = serde::json::parse(r#"[{"unit":"pe0","busy":1.25}]"#).unwrap();
+        for stalls in [None, Some(stalls)] {
+            let mut pairs = vec![
+                ("type", str_value("row")),
+                ("index", Value::U64(3)),
+                ("workload", str_value(&spec.workload)),
+                ("model", str_value("isosceles")),
+                ("label", str_value("isosceles")),
+                ("seed", Value::U64(7)),
+                ("cache_hit", Value::Bool(true)),
+                ("deduped", Value::Bool(false)),
+                ("millis", Value::F64(0.25)),
+                ("metrics", metrics.clone()),
+            ];
+            if let Some(stalls) = &stalls {
+                pairs.push(("stalls", stalls.clone()));
+            }
+            let row = Response::row(3, &spec, "isosceles", true, false, 0.25, &metrics, stalls);
+            assert_eq!(row, obj(pairs).render());
         }
     }
 }

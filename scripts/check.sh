@@ -16,14 +16,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> paper all (every table and figure, one suite run, nine export files)"
+echo "==> paper all, cold then warm (nine export files; recall must equal recompute)"
 ROOT="$(pwd)"
 PAPER_DIR="$(mktemp -d "${TMPDIR:-/tmp}/isos-check-paper.XXXXXX")"
-(cd "$PAPER_DIR" && ISOS_CACHE_DIR="$PAPER_DIR/cache" cargo run --release -q \
-  --manifest-path "$ROOT/Cargo.toml" -p isosceles-bench --bin paper -- all >/dev/null)
+# The first run fills the cache; the second, in its own directory, reads
+# every suite row back from it.
+mkdir "$PAPER_DIR/cold" "$PAPER_DIR/warm"
+for run in cold warm; do
+  (cd "$PAPER_DIR/$run" && ISOS_CACHE_DIR="$PAPER_DIR/cache" cargo run --release -q \
+    --manifest-path "$ROOT/Cargo.toml" -p isosceles-bench --bin paper -- all >/dev/null)
+done
 for f in fig14a_speedup.csv fig14b_cycles.csv fig14c_traffic.csv fig15_bandwidth.csv \
   fig16_mac_util.csv fig17_energy.csv layer_traffic.csv layer_traffic.md suite_summary.csv; do
-  [ -s "$PAPER_DIR/results/$f" ] || { echo "paper smoke: results/$f missing or empty" >&2; exit 1; }
+  [ -s "$PAPER_DIR/cold/results/$f" ] || { echo "paper smoke: results/$f missing or empty" >&2; exit 1; }
+  cmp "$PAPER_DIR/cold/results/$f" "$PAPER_DIR/warm/results/$f" \
+    || { echo "paper smoke: warm results/$f differs from the cold run" >&2; exit 1; }
 done
 rm -rf "$PAPER_DIR"
 
