@@ -1,8 +1,7 @@
 //! The sharded, LRU-bounded persistent result store.
 //!
-//! Replaces the flat `results/cache/<hash>.json` layout: entries now
-//! live in 16 shard directories keyed by the top nibble of the job
-//! hash. A shard directory is its own index: its listing holds every
+//! Entries live in 16 shard directories keyed by the top nibble of the
+//! job hash. A shard directory is its own index: its listing holds every
 //! entry's size, and each file's mtime is its last access. The store is
 //! the single persistence layer behind both the CLI
 //! [`SuiteEngine`](crate::engine::SuiteEngine) and the long-running
@@ -21,11 +20,9 @@
 //! - **Quarantine, not silent overwrite**: corrupt, truncated, or
 //!   unknown-schema entry files are renamed to `*.bad` and recomputed
 //!   once; the store self-heals instead of re-tripping on (or silently
-//!   clobbering) the same poisoned file every run.
-//! - **Migration**: legacy flat-layout entries found at the store root
-//!   are moved into their shard on open, so pre-sharding caches stay
-//!   warm. Any other file in a shard directory (a `manifest.json` left
-//!   by an older layout, `*.bad`, temp files) is ignored.
+//!   clobbering) the same poisoned file every run. Any other file in a
+//!   shard directory (a `manifest.json` left by an older layout,
+//!   `*.bad`, temp files) is ignored.
 
 use std::fmt;
 use std::fs::File;
@@ -165,9 +162,7 @@ pub struct CacheStore {
 
 impl CacheStore {
     /// Opens (creating if needed) a store rooted at `root`, bounded to
-    /// `byte_limit` total bytes (`None` = unbounded). Legacy flat-layout
-    /// entry files found directly under `root` are migrated into their
-    /// shards.
+    /// `byte_limit` total bytes (`None` = unbounded).
     pub fn open(root: impl Into<PathBuf>, byte_limit: Option<u64>) -> Self {
         let root = root.into();
         let store = Self {
@@ -178,7 +173,6 @@ impl CacheStore {
             counters: AtomicCounters::default(),
         };
         let _ = std::fs::create_dir_all(&store.root);
-        store.migrate_flat_layout();
         store
     }
 
@@ -217,6 +211,13 @@ impl CacheStore {
         self.store_payload(key, "metrics", meta, metrics);
     }
 
+    /// Re-checks `key` right after [`load`](Self::load) missed it (say,
+    /// once the caller has claimed the right to compute it). A hit
+    /// counts as usual; a miss is not counted a second time.
+    pub(crate) fn reload(&self, key: u64, expect: &EntryMeta) -> Option<NetworkMetrics> {
+        self.lookup(key, "metrics", expect)
+    }
+
     /// Loads the entry for `key`, validating it against `kind` and
     /// `expect` and decoding its payload as `T`.
     ///
@@ -231,6 +232,15 @@ impl CacheStore {
         kind: &str,
         expect: &EntryMeta,
     ) -> Option<T> {
+        let hit = self.lookup(key, kind, expect);
+        if hit.is_none() {
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// [`load_payload`](Self::load_payload) without counting a miss.
+    fn lookup<T: Deserialize>(&self, key: u64, kind: &str, expect: &EntryMeta) -> Option<T> {
         let shard = shard_of(key);
         let _guard = self.locks[shard].lock().expect("shard lock poisoned");
         let path = self.entry_path(key);
@@ -251,8 +261,6 @@ impl CacheStore {
             });
         if hit.is_some() {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
@@ -394,25 +402,6 @@ impl CacheStore {
 
     fn shard_dir(&self, shard: usize) -> PathBuf {
         self.root.join(format!("{shard:x}"))
-    }
-
-    /// Moves legacy flat-layout entries (`<root>/<hash>.json`) into
-    /// their shard directories so pre-sharding caches stay warm.
-    fn migrate_flat_layout(&self) {
-        let Ok(dir_iter) = std::fs::read_dir(&self.root) else {
-            return;
-        };
-        for file in dir_iter.flatten() {
-            if !file.file_type().map(|t| t.is_file()).unwrap_or(false) {
-                continue;
-            }
-            let Some(key) = entry_key_of(&file.file_name().to_string_lossy()) else {
-                continue;
-            };
-            let dest_dir = self.shard_dir(shard_of(key));
-            let _ = std::fs::create_dir_all(&dest_dir);
-            let _ = std::fs::rename(file.path(), dest_dir.join(entry_file_name(key)));
-        }
     }
 }
 
@@ -611,9 +600,7 @@ mod tests {
             "poisoned entry preserved as *.bad"
         );
         assert_eq!(store.counters().quarantined, 1);
-        store
-            .verify()
-            .expect("manifest consistent after quarantine");
+        store.verify().expect("store consistent after quarantine");
 
         // Recompute-once: a single store heals the slot for good.
         store.store(key, &meta(1), &metrics(9));
@@ -649,7 +636,9 @@ mod tests {
         for (i, &key) in shard_keys.iter().enumerate() {
             store.store(key, &meta(i as u64), &metrics(i as u64));
         }
-        let usage = store.verify().expect("bound + manifest invariants hold");
+        let usage = store
+            .verify()
+            .expect("byte bound and store invariants hold");
         assert!(usage.bytes <= 16 * 1024);
         assert!(store.counters().evicted_entries > 0, "evictions happened");
         // The most recently written key survived; the oldest did not.
@@ -673,25 +662,6 @@ mod tests {
         }
         assert!(store.load(keyed(0), &meta(0)).is_some());
         assert!(store.load(keyed(1), &meta(1)).is_none(), "LRU victim");
-    }
-
-    #[test]
-    fn flat_layout_entries_migrate_on_open() {
-        let root = scratch_root("migrate");
-        // Write through one store, then flatten its file back to the
-        // legacy location and reopen.
-        let store = CacheStore::open(&root, None);
-        let key = 0xfeed_beef_dead_c0de;
-        store.store(key, &meta(1), &metrics(77));
-        let sharded = store.entry_path(key);
-        let flat = root.join(entry_file_name(key));
-        std::fs::rename(&sharded, &flat).unwrap();
-        drop(store);
-
-        let reopened = CacheStore::open(&root, None);
-        assert!(!flat.exists(), "flat file moved into its shard");
-        assert_eq!(reopened.load(key, &meta(1)), Some(metrics(77)));
-        reopened.verify().expect("migrated store is consistent");
     }
 
     #[test]

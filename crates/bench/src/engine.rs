@@ -737,9 +737,10 @@ impl SuiteEngine {
                 // Double-check the cache under leadership: a previous
                 // leader may have stored the entry between our miss and
                 // our claim, and a hit here keeps "identical concurrent
-                // requests cost exactly one simulation" airtight.
+                // requests cost exactly one simulation" airtight. The
+                // miss was counted above, so a second one is not.
                 if let Some(store) = &store {
-                    if let Some(metrics) = store.load(key, &meta) {
+                    if let Some(metrics) = store.reload(key, &meta) {
                         token.complete(metrics.clone());
                         lifetime.hits.fetch_add(1, Ordering::Relaxed);
                         return (metrics, record(true, false, job_started));
@@ -808,6 +809,26 @@ mod tests {
         let (warm, s2) = eng.run_matrix(&workloads, &accels, SEED);
         assert_eq!((s2.hits, s2.misses), (2, 0));
         assert_eq!(warm, cold);
+    }
+
+    #[test]
+    fn store_counters_agree_with_the_engine() {
+        // A leader miss loads the store twice (before its claim and as
+        // its re-check) but must count one store miss, as the engine does.
+        let dir = scratch_dir("counters");
+        let (workloads, sparten, fused) = small_inputs();
+        let accels: [&dyn Accelerator; 2] = [&sparten, &fused];
+        let eng = quiet_engine(dir, 1, true);
+
+        let (_, cold) = eng.run_matrix(&workloads, &accels, SEED);
+        let store = eng.cache_store().unwrap();
+        assert_eq!(cold.misses, 2);
+        assert_eq!(store.counters().misses, 2);
+
+        let (_, warm) = eng.run_matrix(&workloads, &accels, SEED);
+        assert_eq!(warm.hits, 2);
+        assert_eq!(store.counters().hits, 2);
+        assert_eq!(store.counters().misses, 2);
     }
 
     #[test]

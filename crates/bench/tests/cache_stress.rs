@@ -1,7 +1,8 @@
 //! Concurrency stress tests for the sharded, LRU-bounded cache store:
 //! many threads hammering mixed hit/miss/evict/quarantine traffic on a
-//! tiny byte budget must never leave a manifest referencing a missing
-//! file, and must never let the on-disk footprint exceed the bound.
+//! tiny byte budget must never return a torn or foreign entry or leave
+//! a temp file behind, and must never let the on-disk footprint exceed
+//! the bound.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -46,7 +47,7 @@ fn key(i: u64) -> u64 {
 }
 
 #[test]
-fn concurrent_writers_hold_byte_bound_and_manifest_integrity() {
+fn concurrent_writers_hold_byte_bound_and_store_integrity() {
     const THREADS: u64 = 8;
     const OPS: u64 = 120;
     const KEYS: u64 = 96;
@@ -123,7 +124,7 @@ fn concurrent_writers_hold_byte_bound_and_manifest_integrity() {
 fn concurrent_quarantine_and_recompute_self_heals() {
     // Poison a subset of entries, then race readers and writers over
     // them: every poisoned slot must be quarantined exactly once and
-    // healed by the next store, with the manifests staying consistent.
+    // healed by the next store, with the store staying consistent.
     let store = CacheStore::open(scratch_root("poison"), None);
     const KEYS: u64 = 24;
     for i in 0..KEYS {

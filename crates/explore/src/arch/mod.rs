@@ -1,7 +1,7 @@
 //! Declarative accelerator descriptions.
 //!
 //! This module lets an accelerator architecture be specified *as data*
-//! — a TOML or JSON [`ArchDesc`] naming its compute array, buffer
+//! — a JSON [`ArchDesc`] naming its compute array, buffer
 //! hierarchy (with per-level sparsity features), and dataflow — and
 //! lowered onto the workspace's shared simulation substrate. A
 //! description becomes an [`ArchAccel`], a first-class
@@ -11,19 +11,18 @@
 //!
 //! - [`schema`]: the description types, hand-written (de)serialization
 //!   with actionable errors, and semantic validation.
-//! - [`toml`]: the TOML-subset reader/writer descriptions ship in.
 //! - [`mod@lower`]: the interpreter mapping each dataflow family onto the
 //!   exact closed form its hand-written model uses.
 //! - [`mod@reference`]: constructors for the paper's machines, mirrored by
-//!   the TOML files under `configs/arch/`.
+//!   the JSON files under `configs/arch/`.
 //!
 //! # Examples
 //!
 //! ```
 //! use isos_explore::arch::{ArchAccel, ArchDesc, reference};
 //! use isosceles::accel::Accelerator;
-//! let toml = reference::sparten().to_toml();
-//! let desc = ArchDesc::from_config_str(&toml).unwrap();
+//! let json = serde::json::to_string(&reference::sparten());
+//! let desc = ArchDesc::from_config_str(&json).unwrap();
 //! let accel = ArchAccel::new(desc).unwrap();
 //! let net = isos_nn::models::googlenet_inception3a(0.58, 1);
 //! assert!(accel.simulate(&net, 1).total.cycles > 0);
@@ -32,7 +31,6 @@
 pub mod lower;
 pub mod reference;
 pub mod schema;
-pub mod toml;
 
 pub(crate) use lower::{desc_area_mm2, ArchScreen};
 pub use lower::{lower, ArchAccel, Lowered};
@@ -40,11 +38,10 @@ pub use schema::{
     ArchDesc, ArchError, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, LoopDim,
     MemoryDesc, PipelinePolicy, TensorBinding, TensorFormat, TensorKind,
 };
-pub use toml::{toml_to_value, value_to_toml};
 
 use std::path::Path;
 
-/// Loads one description from a `.toml` or `.json` file, validated.
+/// Loads one description from a `.json` file, validated.
 ///
 /// # Errors
 ///
@@ -56,7 +53,7 @@ pub fn load_path(path: &Path) -> Result<ArchDesc, ArchError> {
     ArchDesc::from_config_str(&text).map_err(|e| ArchError::new(format!("{}: {e}", path.display())))
 }
 
-/// Loads every `.toml`/`.json` description in a directory, sorted by
+/// Loads every `.json` description in a directory, sorted by
 /// file name for deterministic ordering.
 ///
 /// # Errors
@@ -68,17 +65,12 @@ pub fn load_dir(dir: &Path) -> Result<Vec<ArchDesc>, ArchError> {
     let mut paths: Vec<_> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("toml") | Some("json")
-            )
-        })
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
         .collect();
     paths.sort();
     if paths.is_empty() {
         return Err(ArchError::new(format!(
-            "no .toml or .json descriptions in {}",
+            "no .json descriptions in {}",
             dir.display()
         )));
     }

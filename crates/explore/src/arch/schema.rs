@@ -4,7 +4,7 @@
 //! style of Sparseloop: a compute array, a buffer hierarchy with
 //! per-level sparse-acceleration features (compression format, compute
 //! skipping, gating), and a dataflow (loop nest + pipelining policy).
-//! Descriptions load from TOML or JSON (see [`super::toml`] and
+//! Descriptions load from JSON (see [`ArchDesc::from_config_str`] and
 //! [`ArchDesc::from_value`]), are checked by [`ArchDesc::validate`], and
 //! lower onto the shared simulation substrate through [`super::lower()`].
 //!
@@ -499,26 +499,17 @@ impl ArchDesc {
         Ok(())
     }
 
-    /// Loads a description from TOML or JSON text, picking the parser by
-    /// whether the trimmed text starts with `{`.
+    /// Loads a description from JSON text and validates it.
     ///
     /// # Errors
     ///
     /// Returns the parser's or schema's actionable message.
     pub fn from_config_str(text: &str) -> Result<Self, ArchError> {
-        let value = if text.trim_start().starts_with('{') {
-            serde::json::parse(text).map_err(|e| ArchError::new(format!("bad JSON: {e}")))?
-        } else {
-            super::toml::toml_to_value(text)?
-        };
+        let value =
+            serde::json::parse(text).map_err(|e| ArchError::new(format!("bad JSON: {e}")))?;
         let desc = ArchDesc::from_value(&value)?;
         desc.validate()?;
         Ok(desc)
-    }
-
-    /// Renders the description as TOML (the inverse of the TOML loader).
-    pub fn to_toml(&self) -> String {
-        super::toml::value_to_toml(&self.to_value())
     }
 }
 

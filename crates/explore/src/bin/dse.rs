@@ -40,7 +40,7 @@ fn usage(error: &str) -> ! {
          \u{20}          [--threads N] [--no-cache] [--cache-bytes N[k|m|g]]\n\
          \n\
          --net ID        workload to explore (default R96); one of {}\n\
-         --arch PATH     explore declarative description(s): a .toml/.json\n\
+         --arch PATH     explore declarative description(s): a .json\n\
          \u{20}               file or a directory of them\n\
          --arch-space    explore the built-in described-architecture family\n\
          \u{20}               space (IS-OS / output-stationary / fused-tile)\n\

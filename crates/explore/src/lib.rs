@@ -16,7 +16,7 @@
 //! - [`pareto`] + [`report`]: non-dominated frontier extraction over
 //!   (cycles, mm², mJ) and JSON/CSV/markdown export;
 //! - [`arch`]: declarative accelerator descriptions — architectures
-//!   specified as TOML/JSON data (buffer hierarchy, sparsity features,
+//!   specified as JSON data (buffer hierarchy, sparsity features,
 //!   dataflow) and lowered onto the shared sim substrate, so whole
 //!   architecture *families* enumerate through one screen-then-simulate
 //!   flow; the paper's configuration sweep is the IS-OS slice of it.

@@ -1,10 +1,12 @@
 //! Property-based tests for the declarative description schema: any
-//! valid description survives a serde round-trip through both wire
-//! formats (JSON and TOML) unchanged, and malformed descriptions are
-//! rejected with messages that name the offending field.
+//! valid description survives a JSON round-trip unchanged, and
+//! malformed descriptions are rejected with messages that name the
+//! offending field.
 
-use isos_explore::arch::{reference, ArchDesc};
+use isos_explore::arch::{load_path, reference, ArchDesc};
 use proptest::prelude::*;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A valid description: one of the four references with its tunable
 /// knobs perturbed across their legal ranges. The structural skeleton
@@ -66,38 +68,32 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("reparse: {e}")))?;
         prop_assert_eq!(back, desc);
     }
-
-    #[test]
-    fn toml_round_trip_preserves_every_description(desc in arb_desc()) {
-        let toml = desc.to_toml();
-        // The same entry point `load_path` uses for .toml files,
-        // including validation.
-        let back = ArchDesc::from_config_str(&toml)
-            .map_err(|e| TestCaseError::fail(format!("reparse: {e}\n{toml}")))?;
-        prop_assert_eq!(back, desc);
-    }
-
-    #[test]
-    fn toml_and_json_parses_agree(desc in arb_desc()) {
-        let from_toml = ArchDesc::from_config_str(&desc.to_toml()).unwrap();
-        let from_json = ArchDesc::from_config_str(&serde::json::to_string(&desc)).unwrap();
-        prop_assert_eq!(from_toml, from_json);
-    }
 }
 
-/// Mutates the shipped TOML text itself, so the rejection path is the
-/// one a user editing a config file actually hits.
+/// Mutates the text of the shipped `configs/arch/sparten.json` and
+/// reloads it through `load_path`, so the rejection path is the one a
+/// user editing a config file actually hits.
 fn parse_mutated(replace: &str, with: &str) -> String {
-    let toml = reference::sparten().to_toml();
-    assert!(toml.contains(replace), "fixture drifted: {replace}\n{toml}");
-    ArchDesc::from_config_str(&toml.replace(replace, with))
+    static NONCE: AtomicUsize = AtomicUsize::new(0);
+    let shipped = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/arch/sparten.json");
+    let text = std::fs::read_to_string(&shipped).expect("read shipped sparten.json");
+    assert!(text.contains(replace), "fixture drifted: {replace}\n{text}");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "mutated-sparten-{}-{}.json",
+        std::process::id(),
+        NONCE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, text.replace(replace, with)).expect("write mutated description");
+    let result = load_path(&path);
+    let _ = std::fs::remove_file(&path);
+    result
         .expect_err("mutated description should be rejected")
         .to_string()
 }
 
 #[test]
 fn rejects_zero_size_buffer_level_naming_the_level() {
-    let msg = parse_mutated("bytes = 1048576", "bytes = 0");
+    let msg = parse_mutated(r#""bytes": 1048576"#, r#""bytes": 0"#);
     assert!(msg.contains("filter-buffer"), "{msg}");
     assert!(msg.contains("zero size"), "{msg}");
 }
@@ -115,16 +111,16 @@ fn rejects_dataflow_rank_mismatch_naming_the_dimension() {
 
 #[test]
 fn rejects_unknown_sparsity_feature_listing_the_choices() {
-    let msg = parse_mutated(r#"format = "bitmask""#, r#"format = "blocked""#);
+    let msg = parse_mutated(r#""format": "bitmask""#, r#""format": "blocked""#);
     assert!(msg.contains("unknown sparsity format `blocked`"), "{msg}");
     assert!(msg.contains("expected dense, bitmask, or csf"), "{msg}");
 
-    let msg = parse_mutated(r#"gating = "gospa""#, r#"gating = "magic""#);
+    let msg = parse_mutated(r#""gating": "gospa""#, r#""gating": "magic""#);
     assert!(msg.contains("unknown gating feature `magic`"), "{msg}");
 }
 
 #[test]
 fn rejects_unknown_fields_naming_the_field() {
-    let msg = parse_mutated("lanes = 64", "lames = 64");
+    let msg = parse_mutated(r#""lanes""#, r#""lames""#);
     assert!(msg.contains("unknown field `lames`"), "{msg}");
 }

@@ -4,7 +4,7 @@
 //!
 //! Three claims, in increasing strictness:
 //!
-//! 1. each shipped `.toml` parses to exactly the in-crate reference
+//! 1. each shipped `.json` parses to exactly the in-crate reference
 //!    constructor (the files are data, not prose — drift is a bug);
 //! 2. each description's analytical estimate tracks the hand-written
 //!    cycle-level model within 14% total cycles on **all 11** suite
@@ -26,9 +26,9 @@ const SEED: u64 = 20230225;
 /// The shipped description files and the constructors they must match.
 fn shipped() -> Vec<(&'static str, isos_explore::ArchDesc)> {
     vec![
-        ("isosceles-single.toml", reference::isosceles_single()),
-        ("sparten.toml", reference::sparten()),
-        ("fused-layer.toml", reference::fused_layer()),
+        ("isosceles-single.json", reference::isosceles_single()),
+        ("sparten.json", reference::sparten()),
+        ("fused-layer.json", reference::fused_layer()),
     ]
 }
 

@@ -92,3 +92,42 @@ fn stream_combines_with_described_architectures() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+#[test]
+fn toml_descriptions_are_usage_errors() {
+    // Descriptions are JSON only: a TOML file is a parse error naming
+    // the file, and a directory of TOML files holds no descriptions.
+    let dir = std::env::temp_dir().join(format!("isos-dse-cli-toml-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("sparten.toml");
+    std::fs::write(&file, "name = \"sparten\"\n\n[compute]\nlanes = 64\n").unwrap();
+    let out_dir = dir.join("out");
+
+    let out = dse(&[
+        "--arch",
+        file.to_str().unwrap(),
+        "--smoke",
+        "--out",
+        out_dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("usage: dse"), "{err}");
+    assert!(err.contains(file.to_str().unwrap()), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    let out = dse(&[
+        "--arch",
+        dir.to_str().unwrap(),
+        "--smoke",
+        "--out",
+        out_dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("no .json descriptions"), "{err}");
+    assert!(err.contains("usage: dse"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_dir_all(dir);
+}

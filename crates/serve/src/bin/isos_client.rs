@@ -7,7 +7,7 @@
 //! isos-client --addr HOST:PORT --net R96[,G58,...] --model isosceles[,sparten,...]
 //!             [--seed N] [--trace]
 //! isos-client --addr HOST:PORT --net R96 --config point.json [--seed N]
-//! isos-client --addr HOST:PORT --net R96 --arch arch.toml [--seed N]
+//! isos-client --addr HOST:PORT --net R96 --arch arch.json [--seed N]
 //! isos-client --addr HOST:PORT --net R81 --model isosceles --stream
 //!             [--requests N] [--batch B] [--arrival burst|periodic:N|poisson:F]
 //!             [--policy greedy|waitfull]
@@ -22,11 +22,10 @@
 //! (`{"label":...,"config":{...}}`).
 //!
 //! `--arch FILE` sends a declarative architecture description inline
-//! (the `configs/arch/*.toml` schema; `.toml` or JSON, picked by
-//! extension). The server validates and lowers it; schema violations
-//! come back as structured `error` lines rather than a dropped
-//! connection. Every point `dse` evaluates carries such a description
-//! as its `desc`, so a frontier point re-runs with
+//! (the `configs/arch/*.json` schema). The server validates and lowers
+//! it; schema violations come back as structured `error` lines rather
+//! than a dropped connection. Every point `dse` evaluates carries such a
+//! description as its `desc`, so a frontier point re-runs with
 //! `jq '.evaluated[0].desc' dse-R96.json > point.json` and
 //! `--arch point.json`.
 //!
@@ -143,6 +142,12 @@ fn parse_args() -> Args {
     args
 }
 
+/// Reads and parses a JSON file named on the command line.
+fn read_json(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde::json::parse(&text).map_err(|e| format!("bad JSON in {path}: {e}"))
+}
+
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
@@ -162,31 +167,9 @@ fn build_request(args: &Args) -> Result<String, String> {
         return Err("nothing to do: pass --net, --ping, --stats, or --shutdown".to_string());
     }
 
-    let inline: Option<Value> = match &args.config {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            Some(serde::json::parse(&text).map_err(|e| format!("bad JSON in {path}: {e}"))?)
-        }
-        None => None,
-    };
-    let arch: Option<Value> = match &args.arch {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            // TOML by extension; anything else is treated as JSON. The
-            // server validates the description either way.
-            if path.ends_with(".toml") {
-                Some(
-                    isos_explore::arch::toml_to_value(&text)
-                        .map_err(|e| format!("bad TOML in {path}: {e}"))?,
-                )
-            } else {
-                Some(serde::json::parse(&text).map_err(|e| format!("bad JSON in {path}: {e}"))?)
-            }
-        }
-        None => None,
-    };
+    // The server validates either document; the client only parses it.
+    let inline = args.config.as_deref().map(read_json).transpose()?;
+    let arch = args.arch.as_deref().map(read_json).transpose()?;
     let exclusive = usize::from(arch.is_some())
         + usize::from(inline.is_some())
         + usize::from(!args.models.is_empty());

@@ -47,6 +47,8 @@ ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p 
 echo "==> dse --arch configs/arch --smoke (declarative descriptions)"
 ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
   --arch configs/arch --smoke --out "${TMPDIR:-/tmp}/isos-check-dse-arch" >/dev/null
+[ -s "${TMPDIR:-/tmp}/isos-check-dse-arch/dse-G58.csv" ] \
+  || { echo "dse arch smoke: dse-G58.csv missing or empty" >&2; exit 1; }
 
 echo "==> trace_run smoke (G58 timeline export)"
 TRACE_OUT="${TMPDIR:-/tmp}/isos-check-traces"
