@@ -5,7 +5,8 @@
 //! `paper --help` lists them) and prints its table to stdout. The suite
 //! commands (`fig14`–`fig17`, `summary`, `export`) share one
 //! [`SuiteEngine::run_suite`] call, which prints its engine summary line
-//! to stderr. Bad input prints usage to stderr and exits with status 2.
+//! to stderr. Arguments follow [`isosceles_bench::cli`]: bad input prints
+//! an error and the usage to stderr and exits with status 2.
 
 mod studies;
 mod suite;
@@ -13,6 +14,7 @@ mod tables;
 
 use std::process::exit;
 
+use isosceles_bench::cli::Args;
 use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use isosceles_bench::suite::{SuiteRow, SEED};
 
@@ -70,45 +72,28 @@ fn usage_text() -> String {
     text
 }
 
-/// Prints the error and usage to stderr and exits with status 2.
-fn usage(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!("{}", usage_text());
-    exit(2);
-}
-
 fn main() {
-    let mut engine_opts = EngineOptions::from_env();
+    let mut args = Args::from_env(usage_text());
+    let mut engine_opts = EngineOptions::from_env().unwrap_or_else(|e| args.fail(&e));
     let mut trace = false;
     let mut commands: Vec<(&str, Run)> = Vec::new();
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match engine_opts.parse_flag(arg, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => usage(&e),
-        }
-        match arg.as_str() {
+    args.each(|args, arg| {
+        match arg {
             "--trace" => trace = true,
-            "--help" | "-h" => {
-                println!("{}", usage_text());
-                return;
-            }
             "all" => commands.extend(COMMANDS.iter().map(|&(name, _, run)| (name, run))),
-            other => match COMMANDS.iter().find(|(name, _, _)| *name == other) {
+            _ if arg.starts_with('-') => return engine_opts.parse_flag(args, arg),
+            _ => match COMMANDS.iter().find(|(name, _, _)| *name == arg) {
                 Some(&(name, _, run)) => commands.push((name, run)),
-                None if other.starts_with('-') => usage(&format!("unknown flag {other}")),
-                None => usage(&format!("unknown command {other}")),
+                None => return Err(format!("unknown command {arg}")),
             },
         }
-    }
+        Ok(true)
+    });
     if commands.is_empty() {
-        usage("no command given");
+        args.fail("no command given");
     }
     if trace && !commands.iter().any(|&(name, _)| name == "summary") {
-        usage("--trace only applies to summary");
+        args.fail("--trace only applies to summary");
     }
 
     let rows = if commands.iter().any(|(_, run)| matches!(run, Run::Suite(_))) {

@@ -1,18 +1,19 @@
 //! Wall-clock performance report over the workload × model matrix.
 //!
 //! ```text
-//! perf_report [--smoke] [--out BENCH_10.json] [--seed N] [--warmup N]
+//! perf_report [--smoke] [--out PATH] [--seed N] [--warmup N]
 //!             [--repeat N] [--baseline BENCH_N.json]
 //!             [--regress-pct P]
 //! ```
 //!
 //! Times every suite workload on every accelerator model and writes the
-//! per-job timings as JSON. Committed at the repo root as
-//! `BENCH_<PR>.json`, these reports form the perf trajectory of the
-//! codebase: compare the same cell across reports to see a kernel
-//! change's effect on end-to-end suite time. Absolute numbers are
-//! machine-dependent; the trajectory (and the within-report ratios
-//! between models) is the signal.
+//! per-job timings as JSON, by default to the gitignored
+//! `results/perf_report.json`. Committed at the repo root as
+//! `BENCH_<PR>.json` (`--out BENCH_<PR>.json`), these reports form the
+//! perf trajectory of the codebase: compare the same cell across reports
+//! to see a kernel change's effect on end-to-end suite time. Absolute
+//! numbers are machine-dependent; the trajectory (and the within-report
+//! ratios between models) is the signal.
 //!
 //! # Timing methodology (schema v3)
 //!
@@ -43,6 +44,7 @@ use std::process::exit;
 use std::time::Instant;
 
 use isos_nn::models::{paper_suite, suite_workload};
+use isosceles_bench::cli::Args;
 use isosceles_bench::suite::SEED;
 use isosceles_bench::trace::{accel_by_name, MODEL_NAMES};
 use serde::{Deserialize, Serialize};
@@ -54,8 +56,9 @@ use serde::{Deserialize, Serialize};
 /// pool they described.
 pub const REPORT_SCHEMA: &str = "isosceles-perf-report/v3";
 
-/// Default output path (repo root, named after this PR's bench file).
-const DEFAULT_OUT: &str = "BENCH_10.json";
+/// Default output path: under the gitignored `results/`, so a run never
+/// overwrites a committed `BENCH_*.json` baseline unless `--out` names it.
+const DEFAULT_OUT: &str = "results/perf_report.json";
 
 /// Untimed simulations per cell before measurement starts.
 const DEFAULT_WARMUP: usize = 1;
@@ -199,10 +202,9 @@ fn compare(report: &Report, baseline: &Baseline, regress_pct: f64) -> Vec<String
     regressed
 }
 
-/// Prints usage to stderr and exits with status 2.
-fn usage(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!(
+/// The usage text.
+fn usage_text() -> String {
+    format!(
         "usage: perf_report [--smoke] [--out PATH] [--seed N] [--warmup N]\n\
          \x20                  [--repeat N] [--baseline PATH] [--regress-pct P]\n\
          \n\
@@ -214,11 +216,11 @@ fn usage(error: &str) -> ! {
          --baseline PATH  compare against a prior report; exit 1 if any\n\
          \x20                `{GATED_MODEL}` row slows down more than --regress-pct\n\
          --regress-pct P  allowed `{GATED_MODEL}` slowdown percent (default {DEFAULT_REGRESS_PCT})"
-    );
-    exit(2);
+    )
 }
 
 fn main() {
+    let mut args = Args::from_env(usage_text());
     let mut smoke = false;
     let mut out = PathBuf::from(DEFAULT_OUT);
     let mut seed = SEED;
@@ -226,45 +228,24 @@ fn main() {
     let mut repeats = DEFAULT_REPEAT;
     let mut baseline_path: Option<PathBuf> = None;
     let mut regress_pct = DEFAULT_REGRESS_PCT;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => usage(&format!("{name} needs a value")),
-        };
-        match arg.as_str() {
+    args.each(|args, flag| {
+        match flag {
             "--smoke" => smoke = true,
-            "--out" => out = PathBuf::from(value("--out")),
-            "--seed" => match value("--seed").parse() {
-                Ok(n) => seed = n,
-                Err(_) => usage("--seed needs an integer"),
-            },
-            "--warmup" => match value("--warmup").parse() {
-                Ok(n) => warmup = n,
-                Err(_) => usage("--warmup needs an integer"),
-            },
-            "--repeat" => match value("--repeat").parse::<usize>() {
-                Ok(n) if n >= 1 => repeats = n,
-                _ => usage("--repeat needs a positive integer"),
-            },
-            "--baseline" => baseline_path = Some(PathBuf::from(value("--baseline"))),
-            "--regress-pct" => match value("--regress-pct").parse::<f64>() {
-                Ok(p) if p >= 0.0 => regress_pct = p,
-                _ => usage("--regress-pct needs a non-negative number"),
-            },
-            "--help" | "-h" => usage("help requested"),
-            other => usage(&format!("unknown flag {other}")),
+            "--out" => out = PathBuf::from(args.value()?),
+            "--seed" => seed = args.parse("an integer", |_| true)?,
+            "--warmup" => warmup = args.parse("an integer", |_| true)?,
+            "--repeat" => repeats = args.parse("an integer >= 1", |&n| n >= 1)?,
+            "--baseline" => baseline_path = Some(PathBuf::from(args.value()?)),
+            "--regress-pct" => {
+                regress_pct = args.parse("a number >= 0", |&p: &f64| p >= 0.0)?;
+            }
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
 
-    let baseline = baseline_path.map(|p| match load_baseline(&p) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("perf_report: baseline {}: {e}", p.display());
-            exit(2);
-        }
+    let baseline = baseline_path.map(|p| {
+        load_baseline(&p).unwrap_or_else(|e| args.fail(&format!("--baseline {}: {e}", p.display())))
     });
 
     let workloads = if smoke {

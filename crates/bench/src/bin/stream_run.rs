@@ -21,6 +21,7 @@ use std::process::exit;
 
 use isos_sim::energy::{energy_of, EnergyParams};
 use isos_stream::{Arrival, BatchPolicy, StreamConfig, StreamMetrics};
+use isosceles_bench::cli::Args;
 use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use isosceles_bench::stream::run_stream_cached;
 use isosceles_bench::suite::SEED;
@@ -93,10 +94,9 @@ struct Report {
     rows: Vec<StreamRowOut>,
 }
 
-/// Prints usage to stderr and exits with status 2.
-fn usage(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!(
+/// The usage text.
+fn usage_text() -> String {
+    format!(
         "usage: stream_run [--smoke] [--net IDS] [--model NAMES] [--requests N] \
          [--batch B]\n\
          \x20                 [--arrival burst|periodic:N|poisson:F] [--policy greedy|waitfull]\n\
@@ -116,61 +116,40 @@ fn usage(error: &str) -> ! {
          \x20                 requests of each stream are simulated N at a time\n\
          --no-cache       disable the result cache (also ISOS_NO_CACHE)\n\
          --cache-bytes N  bound the result cache, e.g. 512m (also ISOS_CACHE_BYTES)"
-    );
-    exit(2);
+    )
 }
 
 fn main() {
+    let mut args = Args::from_env(usage_text());
     let mut smoke = false;
     let mut nets: Vec<String> = Vec::new();
     let mut models: Vec<String> = Vec::new();
     let mut out: Option<PathBuf> = None;
     let mut seed = SEED;
     let mut cfg = StreamConfig::default();
-    let mut engine_opts = EngineOptions::from_env();
+    let mut engine_opts = EngineOptions::from_env().unwrap_or_else(|e| args.fail(&e));
     let list = |v: String| -> Vec<String> { v.split(',').map(|s| s.trim().to_string()).collect() };
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match engine_opts.parse_flag(arg, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => usage(&e),
-        }
-        let mut value = |name: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => usage(&format!("{name} needs a value")),
-        };
-        match arg.as_str() {
+    args.each(|args, flag| {
+        match flag {
             "--smoke" => smoke = true,
-            "--net" => nets = list(value("--net")),
-            "--model" => models = list(value("--model")),
-            "--requests" => match value("--requests").parse() {
-                Ok(n) => cfg.requests = n,
-                Err(_) => usage("--requests needs an integer"),
-            },
-            "--batch" => match value("--batch").parse() {
-                Ok(n) => cfg.batch = n,
-                Err(_) => usage("--batch needs an integer"),
-            },
-            "--arrival" => match Arrival::parse(&value("--arrival")) {
-                Ok(a) => cfg.arrival = a,
-                Err(e) => usage(&e),
-            },
-            "--policy" => match BatchPolicy::parse(&value("--policy")) {
-                Ok(p) => cfg.policy = p,
-                Err(e) => usage(&e),
-            },
-            "--seed" => match value("--seed").parse() {
-                Ok(n) => seed = n,
-                Err(_) => usage("--seed needs an integer"),
-            },
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--help" | "-h" => usage("help requested"),
-            other => usage(&format!("unknown flag {other}")),
+            "--net" => nets = list(args.value()?),
+            "--model" => models = list(args.value()?),
+            "--requests" => cfg.requests = args.parse("an integer", |_| true)?,
+            "--batch" => cfg.batch = args.parse("an integer", |_| true)?,
+            "--arrival" => {
+                cfg.arrival = Arrival::parse(&args.value()?).map_err(|e| format!("{flag}: {e}"))?;
+            }
+            "--policy" => {
+                cfg.policy =
+                    BatchPolicy::parse(&args.value()?).map_err(|e| format!("{flag}: {e}"))?;
+            }
+            "--seed" => seed = args.parse("an integer", |_| true)?,
+            "--out" => out = Some(PathBuf::from(args.value()?)),
+            _ => return engine_opts.parse_flag(args, flag),
         }
-    }
+        Ok(true)
+    });
 
     if smoke {
         if nets.is_empty() {
@@ -188,11 +167,11 @@ fn main() {
         models = MODEL_NAMES.iter().map(|s| s.to_string()).collect();
     }
     if let Err(e) = cfg.validate() {
-        usage(&e);
+        args.fail(&e);
     }
     for id in &nets {
         if !isos_nn::models::SUITE_IDS.contains(&id.as_str()) {
-            usage(&format!("unknown workload id {id:?}"));
+            args.fail(&format!("unknown workload id {id:?}"));
         }
     }
 
@@ -212,7 +191,7 @@ fn main() {
     for id in &nets {
         for name in &models {
             let Some(accel) = accel_by_name(name) else {
-                usage(&format!("unknown model {name:?}"));
+                args.fail(&format!("unknown model {name:?}"));
             };
             let (s, cache_hit) = run_stream_cached(&engine, accel.as_ref(), id, seed, &cfg);
             rows.push(row_out(id, accel.name(), cache_hit, &s, &cfg, &params));

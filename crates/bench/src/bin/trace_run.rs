@@ -9,19 +9,20 @@
 //! `<net>-<model>.timeline.csv`, and `<net>-<model>.stalls.md` under the
 //! output directory, prints the written paths plus the per-unit stall
 //! table, and verifies on the way out that the traced metrics match an
-//! untraced run. Bad flags print usage to stderr and exit with status 2.
+//! untraced run. Arguments follow [`isosceles_bench::cli`]: bad input
+//! prints an error and the usage to stderr and exits with status 2.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use isos_nn::models::{suite_workload, try_suite_workload, SUITE_IDS};
+use isosceles_bench::cli::Args;
 use isosceles_bench::suite::SEED;
 use isosceles_bench::trace::{accel_by_name, trace_workload, MODEL_NAMES, TRACE_DIR};
 
-/// Prints usage to stderr and exits with status 2.
-fn usage(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!(
+/// The usage text.
+fn usage_text() -> String {
+    format!(
         "usage: trace_run [--net ID] [--model NAME] [--out DIR] [--seed N]\n\
          \n\
          --net ID      suite workload id (default R81); one of {}\n\
@@ -31,41 +32,31 @@ fn usage(error: &str) -> ! {
          --seed N      sparsity-pattern seed (default {SEED})",
         SUITE_IDS.join(", "),
         MODEL_NAMES.join(", "),
-    );
-    exit(2);
+    )
 }
 
 fn main() {
+    let mut args = Args::from_env(usage_text());
     let mut net = "R81".to_string();
     let mut model = "isosceles".to_string();
     let mut out = PathBuf::from(TRACE_DIR);
     let mut seed = SEED;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => usage(&format!("{name} needs a value")),
-        };
-        match arg.as_str() {
-            "--net" => net = value("--net"),
-            "--model" => model = value("--model"),
-            "--out" => out = PathBuf::from(value("--out")),
-            "--seed" => match value("--seed").parse() {
-                Ok(n) => seed = n,
-                Err(_) => usage("--seed needs an integer"),
-            },
-            "--help" | "-h" => usage("help requested"),
-            other => usage(&format!("unknown flag {other}")),
+    args.each(|args, flag| {
+        match flag {
+            "--net" => net = args.value()?,
+            "--model" => model = args.value()?,
+            "--out" => out = PathBuf::from(args.value()?),
+            "--seed" => seed = args.parse("an integer", |_| true)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
 
     if try_suite_workload(&net, seed).is_none() {
-        usage(&format!("unknown workload id {net}"));
+        args.fail(&format!("unknown workload id {net}"));
     }
     let Some(accel) = accel_by_name(&model) else {
-        usage(&format!("unknown model {model}"));
+        args.fail(&format!("unknown model {model}"));
     };
 
     let workload = suite_workload(&net, seed);

@@ -32,7 +32,8 @@
 //! ```no_run
 //! use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 //! use isosceles_bench::suite::SEED;
-//! let run = SuiteEngine::new(EngineOptions::from_env()).run_suite(SEED);
+//! let opts = EngineOptions::from_env().expect("valid ISOS_* variables");
+//! let run = SuiteEngine::new(opts).run_suite(SEED);
 //! assert_eq!(run.rows.len(), 11);
 //! eprintln!("{}", run.stats.summary());
 //! ```
@@ -53,6 +54,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{parse_byte_size, CacheStore, EntryMeta};
+use crate::cli::{self, Args};
 use crate::suite::SuiteRow;
 
 /// Version of the cache entry layout. Bump on any change to
@@ -154,11 +156,21 @@ impl EngineOptions {
     /// - `ISOS_CACHE_DIR` overrides the `results/cache` location;
     /// - `ISOS_CACHE_BYTES` (`--cache-bytes`) bounds the store
     ///   (unbounded when unset).
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// `ISOS_THREADS` or `ISOS_CACHE_BYTES` holds a value its flag
+    /// rejects; the error names the variable.
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`from_env`](Self::from_env) over the variables `var` returns.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let mut opts = Self::default();
-        let var = |name| std::env::var(name).ok().filter(|v| !v.is_empty());
-        if let Some(n) = var("ISOS_THREADS").and_then(|v| v.trim().parse::<usize>().ok()) {
-            opts.threads = n.max(1);
+        let var = |name| var(name).filter(|v| !v.is_empty());
+        if let Some(v) = var("ISOS_THREADS") {
+            opts.threads = parse_threads("ISOS_THREADS", &v)?;
         }
         if var("ISOS_NO_CACHE").is_some_and(|v| v != "0") {
             opts.use_cache = false;
@@ -166,54 +178,39 @@ impl EngineOptions {
         if let Some(dir) = var("ISOS_CACHE_DIR") {
             opts.cache_dir = PathBuf::from(dir);
         }
-        if let Some(n) = var("ISOS_CACHE_BYTES").and_then(|v| parse_byte_size(&v)) {
-            opts.cache_bytes = Some(n);
+        if let Some(v) = var("ISOS_CACHE_BYTES") {
+            opts.cache_bytes = Some(parse_cache_bytes("ISOS_CACHE_BYTES", &v)?);
         }
-        opts
+        Ok(opts)
     }
 
-    /// Applies `arg` if it is an engine flag: `--threads N`,
-    /// `--threads=N`, `--no-cache`, `--cache-bytes N[k|m|g]` or
-    /// `--cache-bytes=N[k|m|g]`, taking a separate value from `rest`.
-    /// Returns `Ok(false)`, consuming nothing, for any other argument.
+    /// Applies `flag` if it is an engine flag (`--threads N`,
+    /// `--no-cache` or `--cache-bytes N[k|m|g]`), taking its value from
+    /// `args`. Returns `Ok(false)`, consuming nothing, for any other flag.
     ///
     /// # Errors
     ///
     /// A missing value, a non-number, or zero.
-    pub fn parse_flag<S: AsRef<str>>(
-        &mut self,
-        arg: &str,
-        rest: &mut impl Iterator<Item = S>,
-    ) -> Result<bool, String> {
-        let (flag, inline) = arg
-            .split_once('=')
-            .map_or((arg, None), |(f, v)| (f, Some(v)));
-        let mut value = || match inline {
-            Some(v) => Ok(v.to_string()),
-            None => rest
-                .next()
-                .map(|v| v.as_ref().to_string())
-                .ok_or(format!("{flag} needs a value")),
-        };
+    pub fn parse_flag(&mut self, args: &mut Args, flag: &str) -> Result<bool, String> {
         match flag {
-            "--no-cache" if inline.is_none() => self.use_cache = false,
-            "--threads" => {
-                let v = value()?;
-                let n = v.parse().ok().filter(|&n| n >= 1);
-                self.threads = n.ok_or(format!("--threads needs an integer >= 1, got {v:?}"))?;
-            }
-            "--cache-bytes" => {
-                let v = value()?;
-                let n = parse_byte_size(&v).filter(|&n| n >= 1);
-                let n = n.ok_or(format!(
-                    "--cache-bytes needs a size >= 1 such as 64k, got {v:?}"
-                ))?;
-                self.cache_bytes = Some(n);
-            }
+            "--no-cache" => self.use_cache = false,
+            "--threads" => self.threads = parse_threads(flag, &args.value()?)?,
+            "--cache-bytes" => self.cache_bytes = Some(parse_cache_bytes(flag, &args.value()?)?),
             _ => return Ok(false),
         }
         Ok(true)
     }
+}
+
+/// A `--threads`/`ISOS_THREADS` value named `name`: an integer >= 1.
+fn parse_threads(name: &str, text: &str) -> Result<usize, String> {
+    cli::parse(name, text, "an integer >= 1", |&n| n >= 1)
+}
+
+/// A `--cache-bytes`/`ISOS_CACHE_BYTES` value named `name`: a size >= 1.
+fn parse_cache_bytes(name: &str, text: &str) -> Result<u64, String> {
+    let n = parse_byte_size(text).filter(|&n| n >= 1);
+    cli::checked(name, text, "a size >= 1 such as 64k", n)
 }
 
 /// Timing and cache accounting for one finished job.
@@ -1162,23 +1159,22 @@ mod tests {
         assert_eq!(opts.cache_dir, PathBuf::from("results/cache"));
     }
 
-    /// Runs `args` through `parse_flag`; returns the options and the
-    /// arguments it passed through, or its first error.
+    /// Runs `args` through `parse_flag` under the shared parser;
+    /// returns the options and the arguments it passed through, or its
+    /// first error.
     fn parse(args: &[&str]) -> (EngineOptions, Result<Vec<String>, String>) {
         let mut opts = EngineOptions {
             threads: 3,
             ..EngineOptions::default()
         };
-        let mut it = args.iter();
         let mut other = Vec::new();
-        while let Some(arg) = it.next() {
-            match opts.parse_flag(arg, &mut it) {
-                Ok(true) => {}
-                Ok(false) => other.push(arg.to_string()),
-                Err(e) => return (opts, Err(e)),
+        let result = Args::new("usage: test", args.iter().copied()).try_each(|args, flag| {
+            if !opts.parse_flag(args, flag)? {
+                other.push(flag.to_string());
             }
-        }
-        (opts, Ok(other))
+            Ok(true)
+        });
+        (opts, result.map(|()| other))
     }
 
     #[test]
@@ -1198,8 +1194,8 @@ mod tests {
         assert_eq!((opts.threads, opts.use_cache), (4, false));
         assert_eq!(opts.cache_bytes, Some(64 << 10));
 
-        let (opts, rest) = parse(&["--threads=2", "--cache-bytes=3m", "--no-cache=1"]);
-        assert_eq!(rest.unwrap(), ["--no-cache=1"]);
+        let (opts, rest) = parse(&["--threads=2", "--cache-bytes=3m"]);
+        assert_eq!(rest.unwrap(), Vec::<String>::new());
         assert_eq!((opts.threads, opts.use_cache), (2, true));
         assert_eq!(opts.cache_bytes, Some(3 << 20));
     }
@@ -1214,11 +1210,47 @@ mod tests {
             "--cache-bytes 0",
             "--cache-bytes 64x",
             "--cache-bytes=",
+            "--no-cache=1",
         ] {
             let (opts, rest) = parse(&bad.split(' ').collect::<Vec<_>>());
             assert!(rest.is_err(), "{bad} accepted");
             assert_eq!((opts.threads, opts.cache_bytes), (3, None), "{bad}");
         }
+    }
+
+    #[test]
+    fn env_vars_get_their_flags_validation() {
+        let from = |vars: &[(&str, &str)]| {
+            let vars: Vec<(String, String)> =
+                vars.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+            EngineOptions::from_vars(|name| {
+                vars.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+            })
+        };
+        for (name, value) in [
+            ("ISOS_THREADS", "abc"),
+            ("ISOS_THREADS", "0"),
+            ("ISOS_CACHE_BYTES", "64x"),
+            ("ISOS_CACHE_BYTES", "0"),
+        ] {
+            let err = from(&[(name, value)]).expect_err(value);
+            assert!(err.starts_with(&format!("{name} needs ")), "{err}");
+        }
+
+        let opts = from(&[
+            ("ISOS_THREADS", "5"),
+            ("ISOS_CACHE_BYTES", "2m"),
+            ("ISOS_NO_CACHE", "1"),
+            ("ISOS_CACHE_DIR", "/x"),
+        ])
+        .unwrap();
+        assert_eq!((opts.threads, opts.cache_bytes), (5, Some(2 << 20)));
+        assert!(!opts.use_cache);
+        assert_eq!(opts.cache_dir, PathBuf::from("/x"));
+        // Empty variables and `ISOS_NO_CACHE=0` leave the defaults.
+        let opts = from(&[("ISOS_THREADS", ""), ("ISOS_NO_CACHE", "0")]).unwrap();
+        assert_eq!(opts.threads, default_threads());
+        assert!(opts.use_cache);
     }
 
     #[test]

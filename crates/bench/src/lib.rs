@@ -13,11 +13,13 @@
 //! timelines; [`stream`] runs `isos-stream` batched streaming-inference
 //! scenarios through the same engine cache and thread budget. The `paper`
 //! binary regenerates every table and figure from those results, one
-//! command each (see DESIGN.md's experiment index).
+//! command each (see DESIGN.md's experiment index). [`cli`] is the one
+//! argument parser every binary in the workspace shares.
 
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod engine;
 pub mod report;
 pub mod stream;

@@ -19,6 +19,8 @@ fn paper(args: &[&str]) -> Output {
 fn help_lists_every_command() {
     let out = paper(&["--help"]);
     assert!(out.status.success());
+    assert!(out.stderr.is_empty());
+    assert_eq!(paper(&["-h"]).stdout, out.stdout);
     let text = String::from_utf8(out.stdout).unwrap();
     for cmd in COMMANDS.split_whitespace() {
         assert!(
@@ -39,6 +41,10 @@ fn bad_input_exits_2_with_usage() {
         &["--cache-bytes", "64x", "table01"],
         &[],
         &["--trace", "table01"],
+        &["--trace=1", "summary"],
+        &["--no-cache=1", "table01"],
+        &["table01", "--threads"],
+        &["--cache-bytes=", "table01"],
     ] {
         let out = paper(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -46,6 +52,19 @@ fn bad_input_exits_2_with_usage() {
         assert!(err.contains("error: "), "{args:?}: {err}");
         assert!(err.contains("usage: paper"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+
+    // An engine variable gets its flag's check, and the error names it.
+    for (var, value) in [("ISOS_THREADS", "abc"), ("ISOS_CACHE_BYTES", "0")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+            .arg("table01")
+            .env(var, value)
+            .output()
+            .expect("run paper");
+        assert_eq!(out.status.code(), Some(2), "{var}={value}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with(&format!("error: {var} needs ")), "{err}");
+        assert!(out.stdout.is_empty(), "{var}={value} printed to stdout");
     }
 }
 

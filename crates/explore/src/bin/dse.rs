@@ -25,15 +25,15 @@ use isos_explore::search::{search_arch, search_stream, SearchOptions};
 use isos_explore::space::{ArchPoint, ArchSpace};
 use isos_nn::models::{try_suite_workload, SUITE_IDS};
 use isos_stream::StreamConfig;
+use isosceles_bench::cli::{self, Args};
 use isosceles_bench::engine::{EngineOptions, SuiteEngine};
 use isosceles_bench::suite::SEED;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-/// Prints the error and usage to stderr and exits with status 2.
-fn usage(error: &str) -> ! {
-    eprintln!("error: {error}");
-    eprintln!(
+/// The usage text.
+fn usage_text() -> String {
+    format!(
         "usage: dse [--net ID] [--arch PATH | --arch-space] [--top-k N]\n\
          \u{20}          [--budget-mm2 F] [--smoke] [--out DIR] [--seed N]\n\
          \u{20}          [--stream [--batches LIST] [--requests N]]\n\
@@ -60,33 +60,27 @@ fn usage(error: &str) -> ! {
          --cache-bytes N bound the engine result cache, e.g. 512m\n\
          \u{20}               (also ISOS_CACHE_BYTES)",
         SUITE_IDS.join(", "),
-    );
-    exit(2);
+    )
 }
 
 /// Loads described points from a file or directory of descriptions.
-fn arch_points_from(path: &Path) -> Vec<ArchPoint> {
+fn arch_points_from(path: &Path) -> Result<Vec<ArchPoint>, String> {
     let descs = if path.is_dir() {
-        match load_dir(path) {
-            Ok(d) => d,
-            Err(e) => usage(&format!("{e}")),
-        }
+        load_dir(path).map_err(|e| e.to_string())?
     } else {
-        match load_path(path) {
-            Ok(d) => vec![d],
-            Err(e) => usage(&format!("{e}")),
-        }
+        vec![load_path(path).map_err(|e| e.to_string())?]
     };
-    descs
+    Ok(descs
         .into_iter()
         .map(|desc| ArchPoint {
             label: desc.name.clone(),
             desc,
         })
-        .collect()
+        .collect())
 }
 
 fn main() {
+    let mut args = Args::from_env(usage_text());
     let mut net: Option<String> = None;
     let mut opts = SearchOptions::default();
     let mut smoke = false;
@@ -97,61 +91,37 @@ fn main() {
     let mut stream = false;
     let mut batches: Vec<u64> = vec![1, 2, 4, 8];
     let mut requests: u64 = 64;
-    let mut engine_opts = EngineOptions::from_env();
+    let mut engine_opts = EngineOptions::from_env().unwrap_or_else(|e| args.fail(&e));
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match engine_opts.parse_flag(arg, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => usage(&e),
-        }
-        let mut value = |name: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => usage(&format!("{name} needs a value")),
-        };
-        match arg.as_str() {
-            "--net" => net = Some(value("--net")),
-            "--arch" => arch_path = Some(PathBuf::from(value("--arch"))),
+    args.each(|args, flag| {
+        match flag {
+            "--net" => net = Some(args.value()?),
+            "--arch" => arch_path = Some(PathBuf::from(args.value()?)),
             "--arch-space" => arch_space = true,
             "--stream" => stream = true,
             "--batches" => {
-                batches = value("--batches")
+                let list = args.value()?;
+                let parsed = list
                     .split(',')
-                    .map(|s| match s.trim().parse::<u64>() {
-                        Ok(b) if b >= 1 => b,
-                        _ => usage("--batches needs comma-separated integers >= 1"),
-                    })
+                    .map(|b| b.trim().parse().ok().filter(|&n| n >= 1))
                     .collect();
-                if batches.is_empty() {
-                    usage("--batches needs at least one batch size");
-                }
+                batches = cli::checked(flag, &list, "comma-separated integers >= 1", parsed)?;
             }
-            "--requests" => match value("--requests").parse() {
-                Ok(n) if n >= 1 => requests = n,
-                _ => usage("--requests needs an integer >= 1"),
-            },
-            "--top-k" => match value("--top-k").parse() {
-                Ok(n) if n >= 1 => opts.top_k = n,
-                _ => usage("--top-k needs an integer >= 1"),
-            },
-            "--budget-mm2" => match value("--budget-mm2").parse::<f64>() {
-                Ok(f) if f.is_finite() && f > 0.0 => opts.budget_mm2 = Some(f),
-                _ => usage("--budget-mm2 needs a finite number > 0"),
-            },
+            "--requests" => requests = args.parse("an integer >= 1", |&n| n >= 1)?,
+            "--top-k" => opts.top_k = args.parse("an integer >= 1", |&n| n >= 1)?,
+            "--budget-mm2" => {
+                let f = args.parse("a finite number > 0", |f: &f64| f.is_finite() && *f > 0.0)?;
+                opts.budget_mm2 = Some(f);
+            }
             "--smoke" => smoke = true,
-            "--out" => out = PathBuf::from(value("--out")),
-            "--seed" => match value("--seed").parse() {
-                Ok(n) => seed = n,
-                Err(_) => usage("--seed needs an integer"),
-            },
-            "--help" | "-h" => usage("help requested"),
-            other => usage(&format!("unknown flag {other}")),
+            "--out" => out = PathBuf::from(args.value()?),
+            "--seed" => seed = args.parse("an integer", |_| true)?,
+            _ => return engine_opts.parse_flag(args, flag),
         }
-    }
+        Ok(true)
+    });
     if arch_path.is_some() && arch_space {
-        usage("--arch and --arch-space are mutually exclusive");
+        args.fail("--arch and --arch-space are mutually exclusive");
     }
     let arch_mode = arch_path.is_some() || arch_space;
     // In arch mode the smoke gate favors the fastest suite workload so
@@ -164,12 +134,12 @@ fn main() {
         }
     });
     let Some(workload) = try_suite_workload(&net, seed) else {
-        usage(&format!("unknown workload id {net}"));
+        args.fail(&format!("unknown workload id {net}"));
     };
 
     let engine = SuiteEngine::new(engine_opts);
     let points = match &arch_path {
-        Some(path) => arch_points_from(path),
+        Some(path) => arch_points_from(path).unwrap_or_else(|e| args.fail(&e)),
         None if arch_space && smoke => ArchSpace::smoke().enumerate(),
         None if arch_space => ArchSpace::default().enumerate(),
         None if smoke => ArchSpace::is_os_smoke().enumerate(),
@@ -197,7 +167,7 @@ fn main() {
             opts.top_k,
         );
         let result = search_stream(&engine, &workload, &points, &opts, &batches, &base, seed)
-            .unwrap_or_else(|e| usage(&format!("{e}")));
+            .unwrap_or_else(|e| args.fail(&e.to_string()));
         (stream_to_markdown(&result), write_all_stream(&result, &out))
     } else {
         eprintln!(
@@ -207,7 +177,7 @@ fn main() {
             opts.top_k,
         );
         let result = search_arch(&engine, &workload, &points, &opts, seed)
-            .unwrap_or_else(|e| usage(&format!("{e}")));
+            .unwrap_or_else(|e| args.fail(&e.to_string()));
         (to_markdown(&result), write_all(&result, &out))
     };
     println!("{markdown}");

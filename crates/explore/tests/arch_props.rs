@@ -64,7 +64,7 @@ proptest! {
     fn json_round_trip_preserves_every_description(desc in arb_desc()) {
         prop_assert_eq!(desc.validate(), Ok(()));
         let json = serde::json::to_string(&desc);
-        let back: ArchDesc = serde::json::from_str(&json)
+        let back = ArchDesc::from_config_str(&json)
             .map_err(|e| TestCaseError::fail(format!("reparse: {e}")))?;
         prop_assert_eq!(back, desc);
     }

@@ -26,7 +26,14 @@ fn bad_flag_values_exit_2_with_usage() {
         &["--top-k", "-1"],
         &["--top-k", "x"],
         &["--top-k"],
+        &["--top-k="],
         &["--bogus"],
+        &["--bogus=1"],
+        &["--smoke=1"],
+        &["--seed", "abc"],
+        &["--seed=-1"],
+        &["--batches", "1,,2"],
+        &["--net"],
     ] {
         let mut full = vec!["--arch-space", "--smoke"];
         full.extend_from_slice(args);
@@ -36,6 +43,32 @@ fn bad_flag_values_exit_2_with_usage() {
         assert!(err.contains("error: "), "{args:?}: {err}");
         assert!(err.contains("usage: dse"), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+}
+
+#[test]
+fn both_spellings_run_and_help_exits_0() {
+    let dir = std::env::temp_dir().join(format!("isos-dse-cli-eq-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_flag = format!("--out={}", dir.display());
+    let out = dse(&[
+        "--smoke",
+        "--net=G58",
+        "--seed=7",
+        "--top-k=1",
+        "--threads=1",
+        &out_flag,
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(dir.join("dse-G58.csv").is_file(), "dse-G58.csv not written");
+    let _ = std::fs::remove_dir_all(dir);
+
+    for flag in ["--help", "-h"] {
+        let out = dse(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        assert!(out.stdout.starts_with(b"usage: dse"), "{flag}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
     }
 }
 

@@ -16,6 +16,7 @@
 //! Emits the server's NDJSON responses verbatim on stdout, one line per
 //! row, so output pipes straight into `jq` or a results file. Exits 1
 //! if any response is an `error`, 2 on usage or connection problems.
+//! Arguments follow [`isosceles_bench::cli`].
 //!
 //! `--config FILE` sends the file's JSON as an inline configuration: a
 //! bare `IsoscelesConfig` object or a labeled one
@@ -37,8 +38,15 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
+use isosceles_bench::cli;
 use serde::json::Value;
 
+/// The usage text.
+const USAGE: &str = "usage: isos-client [--addr HOST:PORT] (--ping | --stats | --shutdown |\n\
+\x20                  --net IDS [--model NAMES | --config FILE | --arch FILE] [--seed N]\n\
+\x20                  [--trace] [--stream [--requests N] [--batch B] [--arrival A] [--policy P]])";
+
+#[derive(Default)]
 struct Args {
     addr: String,
     nets: Vec<String>,
@@ -57,88 +65,33 @@ struct Args {
     policy: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: isos-client [--addr HOST:PORT] (--ping | --stats | --shutdown | \
-         --net IDS [--model NAMES | --config FILE | --arch FILE] [--seed N] [--trace] \
-         [--stream [--requests N] [--batch B] [--arrival A] [--policy P]])"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+fn parse_args(cli: &mut cli::Args) -> Args {
     let mut args = Args {
         addr: "127.0.0.1:9377".to_string(),
-        nets: Vec::new(),
-        models: Vec::new(),
-        config: None,
-        arch: None,
-        seed: None,
-        trace: false,
-        ping: false,
-        stats: false,
-        shutdown: false,
-        stream: false,
-        requests: None,
-        batch: None,
-        arrival: None,
-        policy: None,
+        ..Args::default()
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                Some(v.to_string())
-            } else if arg == flag {
-                it.next().cloned()
-            } else {
-                None
-            }
-        };
-        if let Some(v) = take("--addr") {
-            args.addr = v;
-        } else if let Some(v) = take("--net") {
-            args.nets = v.split(',').map(|s| s.trim().to_string()).collect();
-        } else if let Some(v) = take("--model") {
-            args.models = v.split(',').map(|s| s.trim().to_string()).collect();
-        } else if let Some(v) = take("--config") {
-            args.config = Some(v);
-        } else if let Some(v) = take("--arch") {
-            args.arch = Some(v);
-        } else if let Some(v) = take("--seed") {
-            match v.parse() {
-                Ok(n) => args.seed = Some(n),
-                Err(_) => usage(),
-            }
-        } else if let Some(v) = take("--requests") {
-            match v.parse() {
-                Ok(n) => args.requests = Some(n),
-                Err(_) => usage(),
-            }
-        } else if let Some(v) = take("--batch") {
-            match v.parse() {
-                Ok(n) => args.batch = Some(n),
-                Err(_) => usage(),
-            }
-        } else if let Some(v) = take("--arrival") {
-            args.arrival = Some(v);
-        } else if let Some(v) = take("--policy") {
-            args.policy = Some(v);
-        } else if arg == "--stream" {
-            args.stream = true;
-        } else if arg == "--trace" {
-            args.trace = true;
-        } else if arg == "--ping" {
-            args.ping = true;
-        } else if arg == "--stats" {
-            args.stats = true;
-        } else if arg == "--shutdown" {
-            args.shutdown = true;
-        } else {
-            usage();
+    let list = |v: String| v.split(',').map(|s| s.trim().to_string()).collect();
+    cli.each(|cli, flag| {
+        match flag {
+            "--addr" => args.addr = cli.value()?,
+            "--net" => args.nets = list(cli.value()?),
+            "--model" => args.models = list(cli.value()?),
+            "--config" => args.config = Some(cli.value()?),
+            "--arch" => args.arch = Some(cli.value()?),
+            "--seed" => args.seed = Some(cli.parse("an integer", |_| true)?),
+            "--requests" => args.requests = Some(cli.parse("an integer", |_| true)?),
+            "--batch" => args.batch = Some(cli.parse("an integer", |_| true)?),
+            "--arrival" => args.arrival = Some(cli.value()?),
+            "--policy" => args.policy = Some(cli.value()?),
+            "--stream" => args.stream = true,
+            "--trace" => args.trace = true,
+            "--ping" => args.ping = true,
+            "--stats" => args.stats = true,
+            "--shutdown" => args.shutdown = true,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
     args
 }
 
@@ -286,14 +239,9 @@ fn build_stream_request(args: &Args, inline: &Option<Value>, arch: &Option<Value
 }
 
 fn main() {
-    let args = parse_args();
-    let request = match build_request(&args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("isos-client: {e}");
-            std::process::exit(2);
-        }
-    };
+    let mut cli = cli::Args::from_env(USAGE);
+    let args = parse_args(&mut cli);
+    let request = build_request(&args).unwrap_or_else(|e| cli.fail(&e));
 
     let stream = match TcpStream::connect(&args.addr) {
         Ok(s) => s,

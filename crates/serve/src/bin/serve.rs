@@ -5,6 +5,7 @@
 //!       [--threads N] [--no-cache] [--cache-bytes N[k|m|g]] [--smoke]
 //! ```
 //!
+//! Arguments follow [`isosceles_bench::cli`] (`serve --help` lists them).
 //! Prints a `{"type":"listening","addr":...}` line to stdout once the
 //! socket is bound (scripts parse it to discover ephemeral ports), then
 //! serves until a `shutdown` request or SIGINT/SIGTERM, draining
@@ -21,74 +22,72 @@ use std::time::Duration;
 
 use isos_serve::protocol::Response;
 use isos_serve::{Server, ServerOptions};
+use isosceles_bench::cli::Args;
 use isosceles_bench::engine::EngineOptions;
 
+/// Where `serve` listens without `--addr`.
+const DEFAULT_ADDR: &str = "127.0.0.1:9377";
+
+/// The usage text, the synopsis above plus one line per flag.
+fn usage_text() -> String {
+    let defaults = ServerOptions::default();
+    format!(
+        "usage: serve [--addr HOST:PORT] [--workers N] [--idle-timeout-secs S]\n\
+         \x20            [--threads N] [--no-cache] [--cache-bytes N[k|m|g]] [--smoke]\n\
+         \n\
+         --addr HOST:PORT       listen address (default {DEFAULT_ADDR}; port 0 picks one)\n\
+         --workers N            worker threads simulating jobs, >= 1 (default {})\n\
+         --idle-timeout-secs S  close connections silent for S seconds, >= 1\n\
+         \x20                      (default {})\n\
+         --threads N            engine worker threads (also ISOS_THREADS)\n\
+         --no-cache             disable the result cache (also ISOS_NO_CACHE)\n\
+         --cache-bytes N        bound the result cache, e.g. 512m (also ISOS_CACHE_BYTES)\n\
+         --smoke                serve one suite, one inline-config and one stats\n\
+         \x20                      request on an ephemeral port, check them, exit 0/1",
+        defaults.workers,
+        defaults.idle_timeout.as_secs(),
+    )
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(usage_text());
     let mut opts = ServerOptions {
-        addr: "127.0.0.1:9377".to_string(),
+        addr: DEFAULT_ADDR.to_string(),
         engine: EngineOptions {
             quiet: true,
-            ..EngineOptions::from_env()
+            ..EngineOptions::from_env().unwrap_or_else(|e| args.fail(&e))
         },
         ..ServerOptions::default()
     };
     let mut smoke = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match opts.engine.parse_flag(arg, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => die(&e),
+    args.each(|args, flag| {
+        match flag {
+            "--addr" => opts.addr = args.value()?,
+            "--workers" => opts.workers = args.parse("an integer >= 1", |&n| n >= 1)?,
+            "--idle-timeout-secs" => {
+                let secs = args.parse("an integer >= 1", |&s| s >= 1)?;
+                opts.idle_timeout = Duration::from_secs(secs);
+            }
+            "--smoke" => smoke = true,
+            _ => return opts.engine.parse_flag(args, flag),
         }
-        let mut take = |flag: &str| -> Option<String> {
-            if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-                Some(v.to_string())
-            } else if arg == flag {
-                it.next().cloned()
-            } else {
-                None
-            }
-        };
-        if let Some(v) = take("--addr") {
-            opts.addr = v;
-        } else if let Some(v) = take("--workers") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => opts.workers = n,
-                _ => die(&format!("invalid --workers value `{v}`")),
-            }
-        } else if let Some(v) = take("--idle-timeout-secs") {
-            match v.parse::<u64>() {
-                Ok(s) if s >= 1 => opts.idle_timeout = Duration::from_secs(s),
-                _ => die(&format!("invalid --idle-timeout-secs value `{v}`")),
-            }
-        } else if arg == "--smoke" {
-            smoke = true;
-        }
-        // Anything else is ignored.
-    }
+        Ok(true)
+    });
 
     if smoke {
         opts.addr = "127.0.0.1:0".to_string();
         std::process::exit(run_smoke(opts));
     }
 
-    let server = match Server::bind(opts) {
-        Ok(s) => s,
-        Err(e) => die(&format!("bind failed: {e}")),
-    };
+    let addr = opts.addr.clone();
+    let server = Server::bind(opts)
+        .unwrap_or_else(|e| args.fail(&format!("--addr {addr}: bind failed: {e}")));
     println!("{}", Response::listening(&server.local_addr().to_string()));
     let _ = std::io::stdout().flush();
 
     install_signal_bridge(server.stop_flag());
     server.run();
     eprintln!("serve: drained and stopped");
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("serve: {msg}");
-    std::process::exit(2);
 }
 
 /// Routes SIGINT/SIGTERM to the server's stop flag so `run()` drains

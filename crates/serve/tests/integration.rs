@@ -709,3 +709,87 @@ fn sigterm_drains_the_serve_binary() {
     assert!(status.success(), "serve exited with {status:?}");
     let _ = std::fs::remove_dir_all(cache);
 }
+
+/// Runs `exe` with `args` and waits at most 10 s for it to exit. A
+/// process still running then (a server that bound and is serving) is
+/// killed and fails the test.
+fn exits_within_10s(exe: &str, args: &[&str]) -> std::process::Output {
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(exe)
+        .args(args)
+        .env("ISOS_CACHE_DIR", scratch_dir("cli"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll child").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let out = child.wait_with_output().expect("killed child output");
+            panic!(
+                "{args:?} still running after 10 s; stdout: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("child output")
+}
+
+/// `--help` and bad flags end both binaries before `serve` binds or
+/// `isos-client` connects: help on stdout with exit 0, an error naming
+/// the flag plus the usage on stderr with exit 2.
+#[test]
+fn help_and_bad_flags_exit_without_serving() {
+    for (exe, name) in [
+        (env!("CARGO_BIN_EXE_serve"), "serve"),
+        (env!("CARGO_BIN_EXE_isos-client"), "isos-client"),
+    ] {
+        let out = exits_within_10s(exe, &["--help", "--addr", "127.0.0.1:0"]);
+        assert_eq!(out.status.code(), Some(0), "{name} --help");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.starts_with(&format!("usage: {name}")), "{text}");
+        assert!(out.stderr.is_empty(), "{name} --help wrote to stderr");
+    }
+
+    let serve = env!("CARGO_BIN_EXE_serve");
+    let client = env!("CARGO_BIN_EXE_isos-client");
+    for (exe, args, error) in [
+        (serve, &["--bogus"][..], "unknown flag --bogus"),
+        (serve, &["--wrokers", "4"], "unknown flag --wrokers"),
+        (
+            serve,
+            &["--workers", "0"],
+            "--workers needs an integer >= 1",
+        ),
+        (
+            serve,
+            &["--idle-timeout-secs=x"],
+            "--idle-timeout-secs needs",
+        ),
+        (serve, &["--threads"], "--threads needs a value"),
+        (serve, &["--smoke=1"], "--smoke takes no value"),
+        (
+            client,
+            &["--net", "G58", "--seed", "abc"],
+            "--seed needs an integer",
+        ),
+        (client, &["--requests="], "--requests needs an integer"),
+        (client, &["--ping=1"], "--ping takes no value"),
+        (client, &["--net", "G58"], "pass --model NAMES"),
+    ] {
+        let mut full = vec!["--addr", "127.0.0.1:0"];
+        full.extend_from_slice(args);
+        let out = exits_within_10s(exe, &full);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.starts_with(&format!("error: {error}")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("usage: "), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+}

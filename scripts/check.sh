@@ -73,7 +73,8 @@ PERF_JSON="${TMPDIR:-/tmp}/isos-check-perf/BENCH_smoke.json"
 # Smoke-level perf gate: G58 only, compared against the committed report.
 # The committed numbers are min-of-24 from a quiet machine while smoke is
 # min-of-10, so the margin is wide (150%) — this catches order-of-magnitude
-# kernel regressions, not noise. Full-matrix gating is a manual run:
+# kernel regressions, not noise. Full-matrix gating is a manual run, which
+# writes its report to the gitignored results/perf_report.json:
 #   perf_report --baseline BENCH_5.json
 cargo run --release -q -p isosceles-bench --bin perf_report -- \
   --smoke --repeat 10 --baseline BENCH_10.json --regress-pct 150 \
