@@ -12,7 +12,7 @@
 
 use isos_nn::graph::{Network, NodeId};
 
-use isos_sim::harness::{Grants, MemClient, MemHarness};
+use isos_sim::harness::{DramTags, MemHarness};
 use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};
 use isosceles::accel::{stable_key, Accelerator};
@@ -105,11 +105,6 @@ pub fn group_totals(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> 
     group_facts(net, group).totals(cfg, &mut FusedScratch::default())
 }
 
-/// Internal alias kept for the model's own call sites.
-fn simulate_group(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> FusedGroupRun {
-    group_metrics(net, group, cfg)
-}
-
 /// What a fused group moves and computes before the machine is chosen:
 /// its dense input, output and weight bytes, each layer's dense MACs, and
 /// the halo ring each layer must recompute for the layers after it. They
@@ -140,12 +135,12 @@ struct LayerFacts {
     ext: usize,
 }
 
-/// The memory-step buffers [`FusedGroupFacts::totals`] recycles, so a
-/// caller that keeps one across groups and points never allocates.
+/// The memory-step buffer [`FusedGroupFacts::totals`] recycles (the
+/// per-layer weight demand, granted in place), so a caller that keeps
+/// one across groups and points never allocates.
 #[derive(Debug, Default)]
 pub struct FusedScratch {
-    clients: Vec<MemClient>,
-    grants: Grants,
+    weight_reads: Vec<f64>,
 }
 
 /// The [`FusedGroupFacts`] of `group`.
@@ -245,24 +240,21 @@ impl FusedGroupFacts {
         // every stream is granted in full and the totals match the posted
         // bytes — splitting the weight stream only refines trace
         // attribution.
-        let unit = |pos: usize| units.get(pos).copied().unwrap_or(UnitId::NONE);
-        let FusedScratch { clients, grants } = scratch;
-        clients.clear();
-        clients.extend(
-            self.layers
-                .iter()
-                .enumerate()
-                .map(|(pos, l)| MemClient::weight(l.weight_bytes).for_unit(unit(pos))),
-        );
-        clients.push(MemClient::activation(input_bytes).for_unit(unit(0)));
-        mem.step_traced_into(
-            clients,
-            &[self.output_bytes],
-            &units[units.len().saturating_sub(1)..],
+        let weight_reads = &mut scratch.weight_reads;
+        weight_reads.clear();
+        weight_reads.extend(self.layers.iter().map(|l| l.weight_bytes));
+        let tags = DramTags {
+            t: t0,
+            weights: units,
+            acts: &units[..units.len().min(1)],
+            writes: &units[units.len().saturating_sub(1)..],
+        };
+        mem.step(
+            weight_reads,
+            &mut [input_bytes],
+            &mut [self.output_bytes],
             m.cycles,
-            t0,
-            sink,
-            grants,
+            sink.enabled().then_some((tags, sink)),
         );
         mem.finish(&mut m);
         // 4 local bytes per MAC: a 16-bit partial read-modify-write.
@@ -271,7 +263,7 @@ impl FusedGroupFacts {
     }
 }
 
-/// [`simulate_group`] with trace emission, built on the group's facts and
+/// [`group_metrics`] with trace emission, built on the group's facts and
 /// totals. Every fused layer is one unit spanning the whole group run (the
 /// layers execute concurrently in the tile pipeline): its busy time is its
 /// ideal MAC share, the dense-array efficiency loss lands on
@@ -383,19 +375,8 @@ impl Accelerator for FusedLayerConfig {
     }
 
     /// Simulates a whole network under Fused-Layer. The model is analytic,
-    /// so the seed does not enter.
-    fn simulate(&self, net: &Network, _seed: u64) -> NetworkMetrics {
-        let mut out = NetworkMetrics::default();
-        for group in fuse_groups(net, self.filter_buffer_bytes) {
-            let run = simulate_group(net, &group, self);
-            let name = net.layer(group[0]).name.clone();
-            out.push_group(name, run.metrics, run.layers);
-        }
-        out
-    }
-
-    /// Fused groups run one after another, so each group's events start
-    /// where the previous group's cycles ended.
+    /// so the seed does not enter. Fused groups run one after another, so
+    /// each group's events start where the previous group's cycles ended.
     fn simulate_traced(
         &self,
         net: &Network,
@@ -473,10 +454,10 @@ mod tests {
     fn deeper_fusion_costs_more_halo_macs() {
         let net = resnet50(0.9, 1);
         let cfg = FusedLayerConfig::default();
-        let deep = simulate_group(&net, &[2, 3, 4], &cfg);
+        let deep = group_metrics(&net, &[2, 3, 4], &cfg);
         let shallow: f64 = [2usize, 3, 4]
             .iter()
-            .map(|&id| simulate_group(&net, &[id], &cfg).metrics.effectual_macs)
+            .map(|&id| group_metrics(&net, &[id], &cfg).metrics.effectual_macs)
             .sum();
         assert!(deep.metrics.effectual_macs > shallow);
     }
@@ -505,7 +486,7 @@ mod tests {
     fn fused_group_layer_breakdown_conserves_totals() {
         let net = resnet50(0.9, 1);
         let cfg = FusedLayerConfig::default();
-        let run = simulate_group(&net, &[2, 3, 4], &cfg);
+        let run = group_metrics(&net, &[2, 3, 4], &cfg);
         assert_eq!(run.layers.len(), 3);
         let mut sum = RunMetrics::default();
         for (_, m) in &run.layers {

@@ -9,7 +9,7 @@ use isos_nn::graph::Network;
 use isos_sim::metrics::NetworkMetrics;
 use isos_trace::TraceSink;
 use isosceles::accel::{stable_key, Accelerator};
-use isosceles::arch::{run_network, run_network_traced};
+use isosceles::arch::run_network_traced;
 use isosceles::mapping::ExecMode;
 use isosceles::IsoscelesConfig;
 use serde::{Deserialize, Serialize};
@@ -32,10 +32,6 @@ impl Accelerator for IsoscelesSingleConfig {
         stable_key(Accelerator::name(self), self)
     }
 
-    fn simulate(&self, net: &Network, seed: u64) -> NetworkMetrics {
-        run_network(net, &self.0, ExecMode::SingleLayer, seed)
-    }
-
     fn simulate_traced(
         &self,
         net: &Network,
@@ -50,7 +46,7 @@ impl Accelerator for IsoscelesSingleConfig {
 mod tests {
     use super::*;
     use isos_nn::models::resnet50;
-    use isosceles::mapping::ExecMode;
+    use isosceles::arch::run_network;
 
     #[test]
     fn single_mode_has_one_weighted_layer_per_group() {

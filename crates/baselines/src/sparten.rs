@@ -133,12 +133,7 @@ pub fn layer_metrics(layer: &Layer, cfg: &SpartenConfig) -> RunMetrics {
     simulate_layer_traced(layer, cfg, 0, &mut NullSink)
 }
 
-/// Internal alias kept for the model's own call sites.
-fn simulate_layer(layer: &Layer, cfg: &SpartenConfig) -> RunMetrics {
-    layer_metrics(layer, cfg)
-}
-
-/// [`simulate_layer`] with trace emission: the layer becomes one unit
+/// [`layer_metrics`] with trace emission: the layer becomes one unit
 /// whose single compute event spans its whole modeled run starting at
 /// `t0`. Busy is the effectual-MAC share of the span; intersection /
 /// load-balance inefficiency (`1 - compute_efficiency`) lands on
@@ -175,7 +170,7 @@ fn simulate_layer_traced(
             // written as that conv's output (already counted there).
             let read = bitmask_act_bytes(in_elems, layer.in_act_density);
             m.cycles = (read / cfg.dram_bytes_per_cycle).ceil() as u64;
-            mem.transfer_traced(0.0, read, 0.0, m.cycles.max(1), t0, unit, sink);
+            mem.transfer(0.0, read, 0.0, m.cycles.max(1), t0, unit, sink);
             mem.finish(&mut m);
             let mut stalls = [0.0; 4];
             stalls[StallKind::DramThrottled.index()] = m.cycles as f64;
@@ -187,7 +182,7 @@ fn simulate_layer_traced(
             let read = bitmask_act_bytes(in_elems, layer.in_act_density);
             let write = bitmask_act_bytes(out_elems, layer.out_act_density);
             m.cycles = ((read + write) / cfg.dram_bytes_per_cycle).ceil() as u64;
-            mem.transfer_traced(0.0, read, write, m.cycles.max(1), t0, unit, sink);
+            mem.transfer(0.0, read, write, m.cycles.max(1), t0, unit, sink);
             mem.finish(&mut m);
             let mut stalls = [0.0; 4];
             stalls[StallKind::DramThrottled.index()] = m.cycles as f64;
@@ -229,7 +224,7 @@ fn simulate_layer_traced(
     m.cycles = cycles as u64;
     m.mac_util
         .add(m.effectual_macs / cfg.total_macs() as f64, m.cycles);
-    mem.transfer_traced(
+    mem.transfer(
         weight_read,
         input_read,
         output_write,
@@ -264,18 +259,9 @@ impl Accelerator for SpartenConfig {
 
     /// Simulates a whole network layer by layer under SparTen. The model
     /// is analytic, so the seed does not enter. Each layer is its own
-    /// "group", so the group and layer breakdowns coincide.
-    fn simulate(&self, net: &Network, _seed: u64) -> NetworkMetrics {
-        let mut out = NetworkMetrics::default();
-        for node in net.nodes() {
-            let m = simulate_layer(&node.layer, self);
-            out.push_group(node.layer.name.clone(), m, Vec::new());
-        }
-        out
-    }
-
-    /// Layers execute strictly one after another, so each layer's single
-    /// compute event starts where the previous layer's cycles ended.
+    /// "group", so the group and layer breakdowns coincide. Layers
+    /// execute strictly one after another, so each layer's single compute
+    /// event starts where the previous layer's cycles ended.
     fn simulate_traced(
         &self,
         net: &Network,
@@ -324,8 +310,8 @@ mod tests {
             .with_act_density(0.5, 0.5)
         };
         let cfg = SpartenConfig::default();
-        let narrow = simulate_layer(&mk(128), &cfg);
-        let wide = simulate_layer(&mk(512), &cfg);
+        let narrow = layer_metrics(&mk(128), &cfg);
+        let wide = layer_metrics(&mk(512), &cfg);
         // 4 passes vs 1: the input-read share of traffic scales.
         assert!(wide.act_traffic > 2.0 * narrow.act_traffic);
     }
@@ -350,7 +336,7 @@ mod tests {
                 gospa_filtering: gospa,
                 ..Default::default()
             };
-            simulate_layer(&layer, &cfg)
+            layer_metrics(&layer, &cfg)
         };
         let with = mk(true);
         let without = mk(false);

@@ -34,7 +34,7 @@ use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::metrics::{NetworkMetrics, RunMetrics};
 use isos_trace::TraceSink;
 use isosceles::accel::{stable_key, Accelerator};
-use isosceles::arch::{run_network, run_network_traced};
+use isosceles::arch::run_network_traced;
 use isosceles::mapping::{map_network, ExecMode};
 use isosceles::IsoscelesConfig;
 
@@ -391,14 +391,6 @@ impl Accelerator for ArchAccel {
 
     fn cache_key(&self) -> u64 {
         stable_key(&self.label, &self.desc)
-    }
-
-    fn simulate(&self, net: &Network, seed: u64) -> NetworkMetrics {
-        match &self.lowered {
-            Lowered::IsOs { cfg, mode } => run_network(net, cfg, *mode, seed),
-            Lowered::OutputStationary(cfg) => cfg.simulate(net, seed),
-            Lowered::FusedTile(cfg) => cfg.simulate(net, seed),
-        }
     }
 
     fn simulate_traced(

@@ -23,7 +23,7 @@ use crate::mapping::ExecMode;
 use crate::IsoscelesConfig;
 use isos_nn::graph::Network;
 use isos_sim::metrics::NetworkMetrics;
-use isos_trace::TraceSink;
+use isos_trace::{NullSink, TraceSink};
 
 /// A cycle-level accelerator performance model.
 ///
@@ -46,24 +46,19 @@ pub trait Accelerator: Sync {
     /// the key. Implementors normally delegate to [`stable_key`].
     fn cache_key(&self) -> u64;
 
-    /// Simulates `net` end to end and returns its metrics.
-    fn simulate(&self, net: &Network, seed: u64) -> NetworkMetrics;
-
-    /// Simulates `net` while emitting trace events to `sink`.
+    /// Simulates `net` end to end while emitting trace events to `sink`,
+    /// and returns its metrics.
     ///
-    /// With a disabled sink this must return metrics bit-identical to
-    /// [`simulate`](Accelerator::simulate) — and instrumented models
-    /// keep that guarantee with an *enabled* sink too, since tracing
-    /// only observes the simulation. The default implementation ignores
-    /// the sink; every model in this workspace overrides it.
-    fn simulate_traced(
-        &self,
-        net: &Network,
-        seed: u64,
-        sink: &mut dyn TraceSink,
-    ) -> NetworkMetrics {
-        let _ = sink;
-        self.simulate(net, seed)
+    /// Tracing only observes the simulation: the metrics must be
+    /// bit-identical whatever the sink, enabled or not.
+    fn simulate_traced(&self, net: &Network, seed: u64, sink: &mut dyn TraceSink)
+        -> NetworkMetrics;
+
+    /// Simulates `net` end to end and returns its metrics: the same run
+    /// as [`simulate_traced`](Accelerator::simulate_traced), with a
+    /// [`NullSink`].
+    fn simulate(&self, net: &Network, seed: u64) -> NetworkMetrics {
+        self.simulate_traced(net, seed, &mut NullSink)
     }
 }
 
@@ -104,10 +99,6 @@ impl Accelerator for IsoscelesConfig {
 
     fn cache_key(&self) -> u64 {
         stable_key(Accelerator::name(self), self)
-    }
-
-    fn simulate(&self, net: &Network, seed: u64) -> NetworkMetrics {
-        crate::arch::run_network(net, self, ExecMode::Pipelined, seed)
     }
 
     fn simulate_traced(

@@ -13,8 +13,8 @@ pub mod scheduler;
 
 pub use microsim::{build_chain, simulate_micro, MicroLayer, MicroResult};
 pub use pipeline::{
-    run_network, run_network_traced, simulate_group, simulate_group_traced, simulate_mapping,
-    simulate_mapping_traced, GroupRun,
+    run_network, run_network_traced, simulate_group, simulate_mapping, simulate_mapping_traced,
+    GroupRun,
 };
 pub use scheduler::DynamicScheduler;
 

@@ -16,7 +16,7 @@ use crate::mapping::{map_network, ExecMode, Mapping, PipelineGroup};
 use isos_nn::graph::{Network, NodeId};
 use isos_nn::work::{layer_work, LayerWork};
 use isos_sim::dram::{exact_recip, throttle};
-use isos_sim::harness::{Grants, MemClient, MemHarness};
+use isos_sim::harness::{DramTags, MemHarness};
 use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
 use isos_sim::stats::Utilization;
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};
@@ -119,20 +119,19 @@ struct IntervalScratch {
     unmet: Vec<f64>,
     used_per: Vec<f64>,
     extra_share: Vec<f64>,
-    clients: Vec<MemClient>,
-    write_pending: Vec<f64>,
-    grants: Grants,
-    /// Untraced read-demand buffers, granted in place by
-    /// [`MemHarness::step_classed`]: per-layer weight demand and per-
-    /// external-stream activation demand (the traced path posts `clients`
-    /// and reads `grants` instead).
+    /// Memory demand, granted in place by [`MemHarness::step`]: per-layer
+    /// weight demand, per-external-stream activation demand and per-layer
+    /// writeback.
     weight_reads: Vec<f64>,
     act_reads: Vec<f64>,
+    write_pending: Vec<f64>,
     /// Consumer adjacency (who reads layer `i`'s output), rebuilt per
     /// group; the inner vectors keep their allocations across groups.
     consumers: Vec<Vec<usize>>,
-    /// Trace unit ids per member layer, rebuilt per group.
+    /// Trace unit ids per member layer, and per external stream (its
+    /// owner's), rebuilt per group.
     unit_ids: Vec<UnitId>,
+    stream_units: Vec<UnitId>,
 }
 
 /// Resets a pooled buffer to `n` copies of `fill`, discarding whatever a
@@ -166,42 +165,31 @@ pub fn simulate_group(
     group: &PipelineGroup,
     seed: u64,
 ) -> GroupRun {
-    simulate_group_traced(net, cfg, group, seed, 0, &mut NullSink)
+    simulate_group_into(
+        net,
+        cfg,
+        group,
+        seed,
+        0,
+        &mut NullSink,
+        &mut IntervalScratch::default(),
+    )
 }
 
-/// [`simulate_group`] with trace emission.
+/// The interval loop behind every ISOSceles simulation, traced or not.
 ///
 /// When `sink` is enabled, every member layer becomes one trace unit and
 /// every scheduler interval emits one compute event per unit — effectual
 /// busy time plus the stall taxonomy, conserving the interval length —
 /// and one DRAM event per memory stream. `t0` offsets event timestamps
 /// so consecutive groups of a network land on one shared timeline.
-/// Tracing only observes the simulation: the returned metrics are
-/// bit-identical to the untraced run either way.
-pub fn simulate_group_traced(
-    net: &Network,
-    cfg: &IsoscelesConfig,
-    group: &PipelineGroup,
-    seed: u64,
-    t0: u64,
-    sink: &mut dyn TraceSink,
-) -> GroupRun {
-    simulate_group_into(
-        net,
-        cfg,
-        group,
-        seed,
-        t0,
-        sink,
-        &mut IntervalScratch::default(),
-    )
-}
-
-/// [`simulate_group_traced`] writing through a caller-owned scratch, so
-/// the network executor pays the interval-buffer allocations once per
-/// run instead of once per group. The scratch carries no
-/// state between groups — every buffer is cleared and rebuilt — so the
-/// results are bit-identical to a fresh scratch.
+/// Tracing only observes the simulation: it reads state the loop keeps
+/// either way, so the returned metrics are bit-identical with any sink.
+///
+/// The scratch is caller-owned, so the network executor pays the
+/// interval-buffer allocations once per run instead of once per group.
+/// It carries no state between groups — every buffer is cleared and
+/// rebuilt — so the results are bit-identical to a fresh scratch.
 fn simulate_group_into(
     net: &Network,
     cfg: &IsoscelesConfig,
@@ -225,6 +213,9 @@ fn simulate_group_into(
             .iter()
             .map(|l| sink.unit(&l.work.name, UnitKind::Layer)),
     );
+    sc.stream_units.clear();
+    sc.stream_units
+        .extend(ext_streams.iter().map(|s| sc.unit_ids[s.owner]));
 
     let safety_cycles: u64 = 500_000_000_000;
     let mut stalled_intervals = 0u32;
@@ -253,11 +244,6 @@ fn simulate_group_into(
     clear_resize(&mut sc.unmet, n, 0.0);
     clear_resize(&mut sc.used_per, n, 0.0);
     clear_resize(&mut sc.extra_share, n, 0.0);
-    clear_resize(
-        &mut sc.clients,
-        n + ext_streams.len(),
-        MemClient::weight(0.0),
-    );
     clear_resize(&mut sc.write_pending, n, 0.0);
     clear_resize(&mut sc.weight_reads, n, 0.0);
     clear_resize(&mut sc.act_reads, ext_streams.len(), 0.0);
@@ -268,121 +254,81 @@ fn simulate_group_into(
     loop {
         let t_start = t0 + metrics.cycles;
         // 1. Wavefront-dependency analysis: how far may each layer run?
-        // (`r_inputs`/`r_bps`/`gated`/`done_before` are stall-attribution
-        // observations: integer snapshots, free to compute, only read
-        // when tracing.) A finished layer's readiness is trivial — its
-        // demand is zero and its attribution snapshots are never read
-        // (the trace block branches on `done_before` first) — so the
-        // drain phase of a group skips the producer/consumer scans.
-        if tracing {
-            for i in 0..n {
-                let done = layers[i].cols_done >= layers[i].work.out_cols;
+        // `done_before`/`gated`/`r_inputs`/`r_bps` snapshot why, for the
+        // stall attribution below. Only the trace block reads them, so
+        // they (and `extra_share`) are recorded only when tracing: the
+        // writes alone cost about 6% of an untraced simulation. No state
+        // update depends on `tracing`. The trace block branches on `done_before`, then
+        // `gated`, first, so finished and weight-gated layers skip the
+        // producer/consumer scans. A finished layer demands nothing; a
+        // gated one stays at `cols_done`, where `cum[c] - cum[c]` is
+        // exactly +0.0 (finite operands), so its demand is
+        // `(0.0 - progress).max(0.0)`. The common single-producer /
+        // single-consumer shapes dodge the iterator reductions.
+        for i in 0..n {
+            let l = &layers[i];
+            let done = l.cols_done >= l.work.out_cols;
+            let gated = l.weight_left > 0.0;
+            if tracing {
                 sc.done_before[i] = done;
-                if done {
-                    sc.ready[i] = layers[i].work.out_cols;
-                    sc.demand[i] = 0.0;
-                    continue;
-                }
-                let avail_in = layers[i]
-                    .producers
+                sc.gated[i] = gated;
+            }
+            if done {
+                sc.ready[i] = l.work.out_cols;
+                sc.demand[i] = 0.0;
+                continue;
+            }
+            if gated {
+                sc.ready[i] = l.cols_done;
+                sc.demand[i] = (0.0 - l.col_progress).max(0.0);
+                continue;
+            }
+            let avail_in = match l.producers.as_slice() {
+                &[Source::Local(j)] => layers[j].cols_done,
+                &[Source::External(e)] => ext_streams[e].fetched_cols,
+                ps => ps
                     .iter()
                     .map(|s| match *s {
                         Source::External(e) => ext_streams[e].fetched_cols,
                         Source::Local(j) => layers[j].cols_done,
                     })
                     .min()
-                    .unwrap_or(layers[i].work.in_cols);
-                let r_input = max_out_cols(&layers[i].work, avail_in);
-                // Backpressure: don't run more than `ahead_cols` past the
-                // slowest in-group consumer.
-                let mut r_bp = usize::MAX;
-                for &j in &sc.consumers[i] {
-                    let consumed = if layers[j].cols_done >= layers[j].work.out_cols {
+                    .unwrap_or(l.work.in_cols),
+            };
+            let r_input = max_out_cols(&l.work, avail_in);
+            // Backpressure: don't run more than `ahead_cols` past the
+            // slowest in-group consumer.
+            let r_bp = match sc.consumers[i].as_slice() {
+                &[] => usize::MAX,
+                &[j] => {
+                    let c = &layers[j];
+                    if c.cols_done >= c.work.out_cols {
                         usize::MAX
                     } else {
-                        layers[j].cols_done * layers[j].work.stride
-                    };
-                    r_bp = r_bp.min(consumed.saturating_add(layers[i].ahead_cols));
+                        (c.cols_done * c.work.stride).saturating_add(l.ahead_cols)
+                    }
                 }
-                let weight_gated = layers[i].weight_left > 0.0;
-                let r = if weight_gated {
-                    layers[i].cols_done
-                } else {
-                    r_input.min(r_bp)
-                };
-                sc.ready[i] = r.clamp(layers[i].cols_done, layers[i].work.out_cols);
-                sc.r_inputs[i] = r_input;
-                sc.r_bps[i] = r_bp;
-                sc.gated[i] = weight_gated;
-                // 2. MAC demand (zero for finished layers, folded above).
-                let l = &layers[i];
-                sc.demand[i] =
-                    (l.cum_macs[sc.ready[i]] - l.cum_macs[l.cols_done] - l.col_progress).max(0.0);
-            }
-        } else {
-            // Untraced twin of the loop above: the stall-attribution
-            // snapshots have no reader, so weight-gated layers skip the
-            // producer/consumer scans entirely (`ready` pins to `cols_done`
-            // and the demand expression collapses to the same
-            // `cum[c] - cum[c] - progress` value the full path computes),
-            // and the overwhelmingly common single-producer /
-            // single-consumer shapes dodge the iterator reductions.
-            for i in 0..n {
-                let l = &layers[i];
-                if l.cols_done >= l.work.out_cols {
-                    sc.ready[i] = l.work.out_cols;
-                    sc.demand[i] = 0.0;
-                    continue;
-                }
-                if l.weight_left > 0.0 {
-                    sc.ready[i] = l.cols_done;
-                    // `cum[c] - cum[c]` in the full path is exactly +0.0
-                    // (finite operands), so the literal keeps every bit.
-                    sc.demand[i] = (0.0 - l.col_progress).max(0.0);
-                    continue;
-                }
-                let avail_in = match l.producers.as_slice() {
-                    &[Source::Local(j)] => layers[j].cols_done,
-                    &[Source::External(e)] => ext_streams[e].fetched_cols,
-                    ps => ps
-                        .iter()
-                        .map(|s| match *s {
-                            Source::External(e) => ext_streams[e].fetched_cols,
-                            Source::Local(j) => layers[j].cols_done,
-                        })
-                        .min()
-                        .unwrap_or(l.work.in_cols),
-                };
-                let l = &layers[i];
-                let r_input = max_out_cols(&l.work, avail_in);
-                let r_bp = match sc.consumers[i].as_slice() {
-                    &[] => usize::MAX,
-                    &[j] => {
-                        let c = &layers[j];
-                        if c.cols_done >= c.work.out_cols {
+                cs => {
+                    let mut r_bp = usize::MAX;
+                    for &j in cs {
+                        let consumed = if layers[j].cols_done >= layers[j].work.out_cols {
                             usize::MAX
                         } else {
-                            (c.cols_done * c.work.stride).saturating_add(layers[i].ahead_cols)
-                        }
+                            layers[j].cols_done * layers[j].work.stride
+                        };
+                        r_bp = r_bp.min(consumed.saturating_add(l.ahead_cols));
                     }
-                    cs => {
-                        let mut r_bp = usize::MAX;
-                        for &j in cs {
-                            let consumed = if layers[j].cols_done >= layers[j].work.out_cols {
-                                usize::MAX
-                            } else {
-                                layers[j].cols_done * layers[j].work.stride
-                            };
-                            r_bp = r_bp.min(consumed.saturating_add(layers[i].ahead_cols));
-                        }
-                        r_bp
-                    }
-                };
-                let l = &layers[i];
-                let r = r_input.min(r_bp).clamp(l.cols_done, l.work.out_cols);
-                sc.ready[i] = r;
-                sc.demand[i] = (l.cum_macs[r] - l.cum_macs[l.cols_done] - l.col_progress).max(0.0);
+                    r_bp
+                }
+            };
+            if tracing {
+                sc.r_inputs[i] = r_input;
+                sc.r_bps[i] = r_bp;
             }
+            // 2. MAC demand.
+            let r = r_input.min(r_bp).clamp(l.cols_done, l.work.out_cols);
+            sc.ready[i] = r;
+            sc.demand[i] = (l.cum_macs[r] - l.cum_macs[l.cols_done] - l.col_progress).max(0.0);
         }
         sched.allocate_into(&sc.demand, &mut sc.alloc);
         let mut executed_total = 0.0;
@@ -450,105 +396,67 @@ fn simulate_group_into(
 
         // 3. DRAM: weight fetches, input prefetch, output writeback, all
         // through the shared memory harness (demand → grant → throttle →
-        // accumulate). Weight streams first (same order every interval),
-        // then the external input streams, prefetching a few columns ahead
-        // of the consumers (the decoupled fetcher FSMs of Sec. IV-A).
-        // Clients carry the trace unit of the layer their stream serves.
+        // accumulate), posted straight from layer state and granted in
+        // place. Weight streams first (same order every interval), then
+        // the external input streams, prefetching a few columns ahead of
+        // the consumers (the decoupled fetcher FSMs of Sec. IV-A). Each
+        // stream is tagged with the trace unit of the layer it serves.
         let prefetch = 8usize;
-        let granted_read;
-        let granted_write;
+        for ((l, wr), wp) in layers
+            .iter()
+            .zip(&mut sc.weight_reads)
+            .zip(&mut sc.write_pending)
+        {
+            *wr = l.weight_left;
+            *wp = if l.writes_extern {
+                l.produced_bytes - l.written_bytes
+            } else {
+                0.0
+            };
+        }
+        for (s, ar) in ext_streams.iter().zip(&mut sc.act_reads) {
+            *ar = s.remaining_bytes_to(
+                &layers[s.owner].work.in_bytes_per_col,
+                s.fetched_cols + prefetch,
+            );
+        }
         if tracing {
-            for (((l, unit), c), wp) in layers
-                .iter()
-                .zip(&sc.unit_ids)
-                .zip(&mut sc.clients)
-                .zip(&mut sc.write_pending)
-            {
-                *c = MemClient::weight(l.weight_left).for_unit(*unit);
-                *wp = if l.writes_extern {
-                    l.produced_bytes - l.written_bytes
-                } else {
-                    0.0
-                };
-            }
-            for (e, s) in ext_streams.iter().enumerate() {
-                sc.clients[n + e] = MemClient::activation(s.remaining_bytes_to(
-                    &layers[s.owner].work.in_bytes_per_col,
-                    s.fetched_cols + prefetch,
-                ))
-                .for_unit(sc.unit_ids[s.owner]);
-            }
             // One compute event per layer plus at most one DRAM event per
             // memory stream this interval; reserving up front keeps the
             // sink from growing its buffer mid-stream.
-            sink.hint_events(n + sc.clients.len() + sc.write_pending.len());
-            mem.step_traced_into(
-                &sc.clients,
-                &sc.write_pending,
-                &sc.unit_ids,
-                interval,
-                t_start,
-                sink,
-                &mut sc.grants,
-            );
-            granted_read = sc.grants.granted_read;
-            granted_write = sc.grants.granted_write;
-        } else {
-            // Untraced: post the class-split demand straight from layer
-            // state and let the harness grant it in place — no client
-            // structs, no grant buffers. Weight demand first, then the
-            // activation streams, matching the client order above, so the
-            // grants are bit-identical to the traced path's.
-            for ((l, wr), wp) in layers
-                .iter()
-                .zip(&mut sc.weight_reads)
-                .zip(&mut sc.write_pending)
-            {
-                *wr = l.weight_left;
-                *wp = if l.writes_extern {
-                    l.produced_bytes - l.written_bytes
-                } else {
-                    0.0
-                };
-            }
-            for (s, ar) in ext_streams.iter().zip(&mut sc.act_reads) {
-                *ar = s.remaining_bytes_to(
-                    &layers[s.owner].work.in_bytes_per_col,
-                    s.fetched_cols + prefetch,
-                );
-            }
-            let (gr, gw) = mem.step_classed(
-                &mut sc.weight_reads,
-                &mut sc.act_reads,
-                &mut sc.write_pending,
-                interval,
-            );
-            granted_read = gr;
-            granted_write = gw;
+            sink.hint_events(n + n + ext_streams.len() + n);
         }
-        let (read_grants_w, read_grants_a, write_grants): (&[f64], &[f64], &[f64]) = if tracing {
-            (
-                &sc.grants.reads[..n],
-                &sc.grants.reads[n..],
-                &sc.grants.writes,
-            )
-        } else {
-            (&sc.weight_reads, &sc.act_reads, &sc.write_pending)
+        let tags = DramTags {
+            t: t_start,
+            weights: &sc.unit_ids,
+            acts: &sc.stream_units,
+            writes: &sc.unit_ids,
         };
+        let (granted_read, granted_write) = mem.step(
+            &mut sc.weight_reads,
+            &mut sc.act_reads,
+            &mut sc.write_pending,
+            interval,
+            tracing.then_some((tags, &mut *sink)),
+        );
         // One fused pass applies the weight grants and the writeback (one
         // writer per layer, distributed proportionally across sinks) and
         // computes the termination check on the resulting state — the
         // value is unchanged from checking after the trace block, which
         // only observes.
         let mut all_done = true;
-        for ((l, &g), &w) in layers.iter_mut().zip(read_grants_w).zip(write_grants) {
+        for ((l, &g), &w) in layers
+            .iter_mut()
+            .zip(&sc.weight_reads)
+            .zip(&sc.write_pending)
+        {
             l.weight_left = (l.weight_left - g).max(0.0);
             l.weight_streamed += g;
             l.written_bytes += w;
             all_done &= l.cols_done >= l.work.out_cols
                 && (!l.writes_extern || l.produced_bytes - l.written_bytes < 1.0);
         }
-        for (s, &g) in ext_streams.iter_mut().zip(read_grants_a) {
+        for (s, &g) in ext_streams.iter_mut().zip(&sc.act_reads) {
             s.advance(&layers[s.owner].work.in_bytes_per_col, g);
             s.granted += g;
         }
@@ -733,7 +641,7 @@ pub fn run_network(
     simulate_mapping(net, cfg, &mapping, seed)
 }
 
-/// [`run_network`] with trace emission (see [`simulate_group_traced`]).
+/// [`run_network`] with trace emission (see [`simulate_mapping_traced`]).
 pub fn run_network_traced(
     net: &Network,
     cfg: &IsoscelesConfig,
@@ -755,11 +663,14 @@ pub fn simulate_mapping(
     simulate_mapping_traced(net, cfg, mapping, seed, &mut NullSink)
 }
 
-/// [`simulate_mapping`] with trace emission. Groups run in mapping order
-/// on the shared IS-OS block, so each group's events start where the
-/// previous group's cycles ended and the whole network lands on one
-/// timeline. Tracing only observes the simulation: the metrics are
-/// bit-identical with any sink.
+/// [`simulate_mapping`] with trace emission. Every member layer of a
+/// group becomes one trace unit; every scheduler interval emits one
+/// compute event per unit (effectual busy time plus the stall taxonomy,
+/// conserving the interval length) and one DRAM event per memory stream.
+/// Groups run in mapping order on the shared IS-OS block, so each group's
+/// events start where the previous group's cycles ended and the whole
+/// network lands on one timeline. Tracing only observes the simulation:
+/// the metrics are bit-identical with any sink.
 pub fn simulate_mapping_traced(
     net: &Network,
     cfg: &IsoscelesConfig,

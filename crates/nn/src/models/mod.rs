@@ -2,14 +2,12 @@
 
 mod googlenet;
 mod mobilenet;
-mod resnet50;
 mod resnet_family;
 mod vgg16;
 
 pub use googlenet::googlenet_inception3a;
 pub use mobilenet::mobilenet_v1;
-pub use resnet50::resnet50;
-pub use resnet_family::{resnet, ResNetDepth};
+pub use resnet_family::{resnet, resnet50, ResNetDepth};
 pub use vgg16::vgg16;
 
 use crate::graph::Network;

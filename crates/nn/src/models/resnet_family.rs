@@ -1,9 +1,11 @@
-//! The full ResNet family [He et al., CVPR 2016].
+//! The ResNet family [He et al., CVPR 2016] with STR-style pruning.
 //!
-//! The paper evaluates ResNet-50; a library users would adopt also needs
-//! its siblings, so this module generalizes the builder: basic blocks
-//! (two 3x3 convs) for ResNet-18/34 and bottlenecks (1x1, 3x3, 1x1) for
-//! ResNet-50/101/152, with the standard stage widths.
+//! The paper evaluates ResNet-50 at six weight sparsities: 81%, 90%, 95%,
+//! 96%, 98%, 99% (Sec. V). One builder covers it and its siblings: basic
+//! blocks (two 3x3 convs) for ResNet-18/34 and bottlenecks (1x1, 3x3,
+//! 1x1) for ResNet-50/101/152, with the standard stage widths. Layer
+//! names follow torchvision (`layer1.0.conv2`, `layer3.0.downsample`) so
+//! that pipeline listings line up with the paper's Table IV.
 
 use crate::graph::Network;
 use crate::layer::{ActShape, Layer, LayerKind};
@@ -247,6 +249,15 @@ pub fn resnet(depth: ResNetDepth, weight_sparsity: f64, seed: u64) -> Network {
     net
 }
 
+/// The paper's ResNet-50: [`resnet`] at [`ResNetDepth::D50`].
+///
+/// # Panics
+///
+/// Panics if `weight_sparsity` is not in `[0, 1)`.
+pub fn resnet50(weight_sparsity: f64, seed: u64) -> Network {
+    resnet(ResNetDepth::D50, weight_sparsity, seed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,10 +330,66 @@ mod tests {
     }
 
     #[test]
-    fn matches_dedicated_resnet50_builder() {
-        let a = resnet(ResNetDepth::D50, 0.96, 7);
-        let b = crate::models::resnet50(0.96, 7);
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.total_dense_weights(), b.total_dense_weights());
+    fn resnet50_has_right_structure() {
+        let net = resnet50(0.96, 1);
+        net.validate().expect("valid graph");
+        // 1 stem conv + 16 blocks x (3 convs) + 4 downsamples = 53 convs.
+        assert_eq!(net.conv_ids().len(), 53);
+        // 16 bottleneck blocks registered.
+        assert_eq!(net.blocks().len(), 16);
+        // conv1 + maxpool + 16 blocks * (3..5 nodes) + gap + fc.
+        assert_eq!(net.sinks().len(), 1);
+    }
+
+    #[test]
+    fn resnet50_dense_macs_match_published_scale() {
+        let net = resnet50(0.0, 1);
+        // ResNet-50 is ~4.1 GMACs.
+        let gmacs = net.total_dense_macs() / 1e9;
+        assert!((3.5..4.5).contains(&gmacs), "got {gmacs} GMACs");
+        // ~25.5M params total; conv+fc weights ~25M.
+        let m = net.total_dense_weights() as f64 / 1e6;
+        assert!((23.0..27.0).contains(&m), "got {m}M weights");
+    }
+
+    #[test]
+    fn resnet50_shapes_match_torchvision() {
+        let net = resnet50(0.9, 1);
+        // Find layer4.2.conv3: output should be 7x7x2048.
+        let l = net
+            .nodes()
+            .iter()
+            .find(|n| n.layer.name == "layer4.2.conv3")
+            .unwrap();
+        assert_eq!(l.layer.output, ActShape::new(7, 7, 2048));
+        // layer1 spatial size is 56x56.
+        let l1 = net
+            .nodes()
+            .iter()
+            .find(|n| n.layer.name == "layer1.0.conv2")
+            .unwrap();
+        assert_eq!(l1.layer.output, ActShape::new(56, 56, 64));
+    }
+
+    #[test]
+    fn sparsity_target_is_hit_globally() {
+        for target in [0.81, 0.96, 0.99] {
+            let net = resnet50(target, 1);
+            assert!(
+                (net.weight_sparsity() - target).abs() < 0.02,
+                "target {target}, got {}",
+                net.weight_sparsity()
+            );
+        }
+    }
+
+    #[test]
+    fn skip_connections_join_correct_shapes() {
+        let net = resnet50(0.9, 1);
+        for (id, node) in net.nodes().iter().enumerate() {
+            if matches!(node.layer.kind, LayerKind::Add) {
+                assert_eq!(node.inputs.len(), 2, "add {id} needs two inputs");
+            }
+        }
     }
 }

@@ -92,31 +92,59 @@ fn main() {
 
 /// Routes SIGINT/SIGTERM to the server's stop flag so `run()` drains
 /// in-flight jobs instead of the process dying mid-write.
+///
+/// The handler may only make async-signal-safe calls, so it writes one
+/// byte into a socket pair; a bridge thread blocks reading the other end
+/// and calls `stop` when the byte arrives. Nothing polls, and an idle
+/// server stops as soon as the signal lands. The bridge thread is not
+/// joined: it lives until a signal or process exit.
 #[cfg(unix)]
 fn install_signal_bridge(stop: std::sync::Arc<dyn Fn() + Send + Sync>) {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::Read;
+    use std::os::fd::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicI32, Ordering};
 
-    static SIGNALED: AtomicBool = AtomicBool::new(false);
+    /// The write end of the bridge's socket pair (-1 before install).
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
     extern "C" fn on_signal(_sig: i32) {
-        SIGNALED.store(true, Ordering::SeqCst);
+        let byte = 1u8;
+        // SAFETY: `write` is async-signal-safe. `WAKE_FD` holds the write
+        // end before the handler is installed, and that descriptor is
+        // never closed; `byte` is a live one-byte buffer. A full buffer
+        // fails the non-blocking write, which is fine: a byte is waiting.
+        unsafe {
+            write(WAKE_FD.load(Ordering::SeqCst), &byte, 1);
+        }
     }
-    // The platform libc is already linked by std; declaring `signal`
-    // directly avoids depending on a libc crate the vendor tree lacks.
+    // The platform libc is already linked by std; declaring `signal` and
+    // `write` directly avoids depending on a libc crate the vendor tree
+    // lacks.
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+
+    let (mut reader, writer) = UnixStream::pair().expect("socket pair for the signal bridge");
+    writer
+        .set_nonblocking(true)
+        .expect("non-blocking signal bridge socket");
+    // Ownership of the write end passes to the handler for the life of
+    // the process.
+    WAKE_FD.store(writer.into_raw_fd(), Ordering::SeqCst);
+    // SAFETY: `on_signal` only loads an atomic and calls `write`, both
+    // async-signal-safe, and `WAKE_FD` is set above.
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
     }
-    std::thread::spawn(move || loop {
-        if SIGNALED.load(Ordering::SeqCst) {
+    std::thread::spawn(move || {
+        let mut byte = [0u8; 1];
+        if reader.read_exact(&mut byte).is_ok() {
             stop();
-            return;
         }
-        std::thread::sleep(std::time::Duration::from_millis(50));
     });
 }
 

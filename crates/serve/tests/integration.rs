@@ -657,34 +657,45 @@ fn idle_connections_are_closed_with_a_bye() {
     handle.join().expect("server thread");
 }
 
-/// SIGTERM on the real `serve` binary: the in-flight request completes
-/// and the process exits cleanly instead of dying mid-write.
-#[test]
+/// Starts the real `serve` binary on an ephemeral port; returns the
+/// child and the address from its listening line.
 #[cfg(unix)]
-fn sigterm_drains_the_serve_binary() {
+fn spawn_serve(cache: &std::path::Path) -> (std::process::Child, String) {
     use std::process::{Command, Stdio};
 
-    let cache = scratch_dir("sigterm");
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args(["--addr", "127.0.0.1:0", "--workers", "2", "--threads", "2"])
-        .env("ISOS_CACHE_DIR", &cache)
+        .env("ISOS_CACHE_DIR", cache)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn serve");
-
-    // Discover the ephemeral port from the listening line.
     let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
     let mut line = String::new();
     stdout.read_line(&mut line).expect("listening line");
     let listening = serde::json::parse(line.trim()).expect("listening JSON");
     assert_eq!(kind_of(&listening), "listening");
-    let addr = listening
-        .field("addr")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_string();
+    let addr = listening.field("addr").unwrap().as_str().unwrap();
+    (child, addr.to_string())
+}
+
+#[cfg(unix)]
+fn sigterm(child: &std::process::Child) {
+    let status = std::process::Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill -TERM");
+    assert!(status.success());
+}
+
+/// SIGTERM on the real `serve` binary: the in-flight request completes
+/// and the process exits cleanly instead of dying mid-write; an idle
+/// server exits within a second.
+#[test]
+#[cfg(unix)]
+fn sigterm_drains_the_serve_binary() {
+    let cache = scratch_dir("sigterm");
+    let (mut child, addr) = spawn_serve(&cache);
 
     // Park an in-flight request, then deliver SIGTERM while the
     // simulation runs.
@@ -693,11 +704,7 @@ fn sigterm_drains_the_serve_binary() {
     // Give the handler a beat to pick the request up, so the stop flag
     // cannot win the race against a line already on the wire.
     std::thread::sleep(Duration::from_millis(150));
-    let status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("kill -TERM");
-    assert!(status.success());
+    sigterm(&child);
 
     // The request still completes: a row and a done line arrive.
     let row = client.recv();
@@ -707,6 +714,24 @@ fn sigterm_drains_the_serve_binary() {
 
     let status = child.wait().expect("serve exit status");
     assert!(status.success(), "serve exited with {status:?}");
+
+    // Idle: nothing in flight, so the signal alone must end the process
+    // promptly.
+    let (mut child, _) = spawn_serve(&cache);
+    sigterm(&child);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("idle serve still running 1 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "idle serve exited with {status:?}");
     let _ = std::fs::remove_dir_all(cache);
 }
 

@@ -10,30 +10,31 @@
 //! accounting. [`MemHarness`] owns that sequence once:
 //!
 //! - the cycle-level ISOSceles pipeline calls [`MemHarness::step`] every
-//!   scheduler interval with one [`MemClient`] per weight stream and
-//!   external activation stream plus the per-sink writeback queue;
+//!   scheduler interval with its read demand split by class (one weight
+//!   stream per layer, one activation stream per external input) plus
+//!   the per-sink writeback queue, granted in place;
 //! - the analytic SparTen and Fused-Layer models call
-//!   [`MemHarness::transfer`] once per layer/group with the closed-form
-//!   byte totals and the layer's modeled cycle count.
+//!   [`MemHarness::transfer`] once per layer, or [`MemHarness::step`]
+//!   once per group, with the closed-form byte totals and the modeled
+//!   cycle count.
 //!
 //! Either way, [`MemHarness::finish`] folds the accumulated traffic
 //! split, bandwidth utilization, and DRAM energy activity into a
 //! [`RunMetrics`], so the accounting tail is identical across models.
+//! Tracing rides on the same call: given a trace sink and tags, a step
+//! also emits one DRAM event per requester, and the grants are unchanged.
 //!
 //! # Examples
 //!
 //! ```
-//! use isos_sim::harness::{MemClient, MemHarness};
+//! use isos_sim::harness::MemHarness;
 //! use isos_sim::metrics::RunMetrics;
 //! let mut mem = MemHarness::new(128.0);
 //! // One 100-cycle interval: a weight stream and an activation stream
 //! // oversubscribe the 12.8 kB capacity and are throttled 2:1.
-//! let g = mem.step(
-//!     &[MemClient::weight(10_000.0), MemClient::activation(5_000.0)],
-//!     &[0.0],
-//!     100,
-//! );
-//! assert!((g.reads[0] / g.reads[1] - 2.0).abs() < 1e-9);
+//! let (mut weights, mut acts) = ([10_000.0], [5_000.0]);
+//! mem.step(&mut weights, &mut acts, &mut [0.0], 100, None);
+//! assert!((weights[0] / acts[0] - 2.0).abs() < 1e-9);
 //! let mut m = RunMetrics { cycles: 100, ..Default::default() };
 //! mem.finish(&mut m);
 //! assert_eq!(m.total_traffic(), 12_800.0);
@@ -44,55 +45,6 @@ use crate::dram::{throttle_with_total, Dram, DramTraffic};
 use crate::metrics::RunMetrics;
 use crate::stats::Utilization;
 use isos_trace::{emit_dram, DramClass, TraceSink, UnitId};
-
-/// Accounting class of a memory client's granted reads (the Fig. 14c
-/// weight/activation traffic split).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrafficClass {
-    /// Compressed filter data.
-    Weight,
-    /// Input activations (outputs are always written as activations).
-    Activation,
-}
-
-/// One read-side requester on the memory interface for one interval.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MemClient {
-    /// Class the granted bytes are accounted under.
-    pub class: TrafficClass,
-    /// Bytes the client wants to read this interval. Demand beyond the
-    /// interval's DRAM capacity is clamped before arbitration.
-    pub read: f64,
-    /// Trace unit the client's stream serves; [`UnitId::NONE`] (the
-    /// constructor default) when the caller does not trace.
-    pub unit: UnitId,
-}
-
-impl MemClient {
-    /// A weight-stream client.
-    pub fn weight(read: f64) -> Self {
-        Self {
-            class: TrafficClass::Weight,
-            read,
-            unit: UnitId::NONE,
-        }
-    }
-
-    /// An activation-stream client.
-    pub fn activation(read: f64) -> Self {
-        Self {
-            class: TrafficClass::Activation,
-            read,
-            unit: UnitId::NONE,
-        }
-    }
-
-    /// Tags the client's granted bytes with a trace unit.
-    pub fn for_unit(mut self, unit: UnitId) -> Self {
-        self.unit = unit;
-        self
-    }
-}
 
 /// Byte totals granted so far, split by class and direction.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -112,33 +64,32 @@ impl TrafficTotals {
     }
 }
 
-/// Grants returned by one [`MemHarness::step`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Grants {
-    /// Granted read bytes, in client order.
-    pub reads: Vec<f64>,
-    /// Granted write bytes, in writer order.
-    pub writes: Vec<f64>,
-    /// Total granted read bytes this interval.
-    pub granted_read: f64,
-    /// Total granted write bytes this interval.
-    pub granted_write: f64,
-}
-
-impl Grants {
-    /// Whether any bytes moved this interval (the pipeline's liveness
-    /// check counts a granted transfer as forward progress).
-    pub fn moved(&self) -> bool {
-        self.granted_read > 1e-6 || self.granted_write > 1e-6
-    }
+/// Trace tags for the DRAM events of one [`MemHarness::step`]: the
+/// interval's start cycle and the trace unit of each posted requester,
+/// slice by slice. A requester past the end of its slice is tagged
+/// [`UnitId::NONE`].
+#[derive(Clone, Copy, Debug)]
+pub struct DramTags<'a> {
+    /// Start cycle of the interval.
+    pub t: u64,
+    /// Units of the weight streams, in `weight_reads` order.
+    pub weights: &'a [UnitId],
+    /// Units of the activation streams, in `act_reads` order.
+    pub acts: &'a [UnitId],
+    /// Units of the writeback queues, in `writes` order.
+    pub writes: &'a [UnitId],
 }
 
 /// The shared post-demand → grant → throttle → accumulate harness. See
 /// the [module docs](self).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct MemHarness {
     dram: Dram,
     traffic: TrafficTotals,
+    /// The demand posted to the current step, copied before it is granted
+    /// in place so the trace events can carry it (untouched when the sink
+    /// is disabled).
+    posted: Vec<f64>,
 }
 
 impl MemHarness {
@@ -152,6 +103,7 @@ impl MemHarness {
         Self {
             dram: Dram::new(bytes_per_cycle),
             traffic: TrafficTotals::default(),
+            posted: Vec::new(),
         }
     }
 
@@ -165,80 +117,40 @@ impl MemHarness {
         &self.dram
     }
 
-    /// One scheduling interval: posts every client's read demand (each
-    /// clamped to the interval capacity) plus the pooled write demand,
-    /// grants DRAM bandwidth for `cycles`, splits the granted reads and
-    /// writes proportionally, and accumulates the grants into the
-    /// harness's per-class traffic totals.
-    pub fn step(&mut self, clients: &[MemClient], writes: &[f64], cycles: u64) -> Grants {
-        let mut out = Grants::default();
-        self.step_into(clients, writes, cycles, &mut out);
-        out
-    }
-
-    /// [`step`](Self::step) writing the grants into `out`, whose buffers
-    /// are recycled across calls. The cycle-level interval loops hold one
-    /// [`Grants`] for a whole group simulation so the per-interval memory
-    /// path never allocates; the granted values are bit-identical to
-    /// [`step`](Self::step)'s.
-    pub fn step_into(
-        &mut self,
-        clients: &[MemClient],
-        writes: &[f64],
-        cycles: u64,
-        out: &mut Grants,
-    ) {
-        let capacity = self.dram.capacity(cycles);
-        out.reads.clear();
-        // Posting and summing in one pass keeps the accumulation order of
-        // the separate `iter().sum()` it replaces (left to right).
-        let mut total_read = 0.0;
-        out.reads.extend(clients.iter().map(|c| {
-            let d = c.read.min(capacity);
-            total_read += d;
-            d
-        }));
-        let write_demand: f64 = writes.iter().sum();
-        let (granted_read, granted_write) =
-            self.dram
-                .grant(total_read, write_demand.min(capacity), cycles);
-        throttle_with_total(&mut out.reads, total_read, granted_read);
-        for (client, granted) in clients.iter().zip(&out.reads) {
-            match client.class {
-                TrafficClass::Weight => self.traffic.weight_read += granted,
-                TrafficClass::Activation => self.traffic.act_read += granted,
-            }
-        }
-        out.writes.clear();
-        out.writes.extend_from_slice(writes);
-        throttle_with_total(&mut out.writes, write_demand, granted_write);
-        for granted in &out.writes {
-            self.traffic.act_write += granted;
-        }
-        out.granted_read = granted_read;
-        out.granted_write = granted_write;
-    }
-
-    /// [`step`](Self::step) for callers that hold their read demand
-    /// already split by traffic class, granted **in place**: on return
-    /// each slice element is the granted bytes for that requester, and
-    /// the result is `(granted_read, granted_write)` totals.
+    /// One scheduling interval, granted **in place**: posts every read
+    /// requester's demand (each clamped to the interval capacity) plus
+    /// the pooled write demand, grants DRAM bandwidth for `cycles`,
+    /// splits the granted reads and writes proportionally, and
+    /// accumulates the grants into the per-class traffic totals. On
+    /// return each slice element holds the bytes granted to that
+    /// requester, and the result is the `(granted_read, granted_write)`
+    /// totals.
     ///
-    /// The grants and traffic accumulation are bit-identical to a
-    /// [`step_into`](Self::step_into) call posting one weight client per
-    /// `weight_reads` element followed by one activation client per
-    /// `act_reads` element: clamping, the demand sum, and the per-class
-    /// accumulation all walk weights first then activations, left to
-    /// right, and both class slices are throttled by the same
-    /// total-demand scale. Untraced cycle-level loops use this to skip
-    /// building [`MemClient`]s and a [`Grants`] every interval.
-    pub fn step_classed(
+    /// Clamping, the demand sum and the per-class accumulation all walk
+    /// the weight streams first, then the activation streams, left to
+    /// right; both read classes share one demand total, hence one
+    /// throttle scale.
+    ///
+    /// Given a `trace`, the step also emits one
+    /// [DRAM event](isos_trace::TraceEvent::Dram) per requester (weights,
+    /// then activations, then writers) to its sink under its tags,
+    /// carrying the posted demand against the grant. The grants are the
+    /// same either way. Callers pass `None` when their sink is disabled,
+    /// so an untraced step costs no call through the sink.
+    pub fn step(
         &mut self,
         weight_reads: &mut [f64],
         act_reads: &mut [f64],
         writes: &mut [f64],
         cycles: u64,
+        trace: Option<(DramTags<'_>, &mut dyn TraceSink)>,
     ) -> (f64, f64) {
+        if trace.is_some() {
+            self.posted.clear();
+            self.posted.extend_from_slice(weight_reads);
+            self.posted.extend_from_slice(act_reads);
+            self.posted.extend_from_slice(writes);
+        }
         let capacity = self.dram.capacity(cycles);
         let mut total_read = 0.0;
         for d in weight_reads.iter_mut() {
@@ -276,97 +188,33 @@ impl MemHarness {
         for granted in writes.iter() {
             self.traffic.act_write += granted;
         }
+        if let Some((tags, sink)) = trace {
+            let classes = [
+                (DramClass::WeightRead, &*weight_reads, tags.weights),
+                (DramClass::ActivationRead, &*act_reads, tags.acts),
+                (DramClass::ActivationWrite, &*writes, tags.writes),
+            ];
+            let mut posted = self.posted.iter();
+            for (class, grants, units) in classes {
+                for (i, (&granted, &demand)) in grants.iter().zip(&mut posted).enumerate() {
+                    let unit = units.get(i).copied().unwrap_or(UnitId::NONE);
+                    emit_dram(sink, unit, tags.t, cycles, class, demand, granted);
+                }
+            }
+        }
         (granted_read, granted_write)
     }
 
-    /// [`step`](Self::step) plus trace emission: after granting, posts
-    /// one [DRAM event](isos_trace::TraceEvent::Dram) per client (and per
-    /// writer) to `sink`, carrying the raw posted demand against the
-    /// arbitrated grant. `write_units` tags the writeback queues, in
-    /// writer order (shorter slices leave the tail untagged). The grant
-    /// math is `step`'s, untouched — a disabled sink skips emission
-    /// entirely.
-    pub fn step_traced(
-        &mut self,
-        clients: &[MemClient],
-        writes: &[f64],
-        write_units: &[UnitId],
-        cycles: u64,
-        t: u64,
-        sink: &mut dyn TraceSink,
-    ) -> Grants {
-        let mut out = Grants::default();
-        self.step_traced_into(clients, writes, write_units, cycles, t, sink, &mut out);
-        out
-    }
-
-    /// [`step_traced`](Self::step_traced) writing the grants into `out`
-    /// (see [`step_into`](Self::step_into) for the buffer-recycling
-    /// contract).
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_traced_into(
-        &mut self,
-        clients: &[MemClient],
-        writes: &[f64],
-        write_units: &[UnitId],
-        cycles: u64,
-        t: u64,
-        sink: &mut dyn TraceSink,
-        out: &mut Grants,
-    ) {
-        self.step_into(clients, writes, cycles, out);
-        let grants = out;
-        if sink.enabled() {
-            for (client, &granted) in clients.iter().zip(&grants.reads) {
-                let class = match client.class {
-                    TrafficClass::Weight => DramClass::WeightRead,
-                    TrafficClass::Activation => DramClass::ActivationRead,
-                };
-                emit_dram(sink, client.unit, t, cycles, class, client.read, granted);
-            }
-            for (i, (&demand, &granted)) in writes.iter().zip(&grants.writes).enumerate() {
-                let unit = write_units.get(i).copied().unwrap_or(UnitId::NONE);
-                emit_dram(
-                    sink,
-                    unit,
-                    t,
-                    cycles,
-                    DramClass::ActivationWrite,
-                    demand,
-                    granted,
-                );
-            }
-        }
-    }
-
     /// Closed-form convenience for the analytic models: one weight
-    /// stream, one activation stream, and one writeback, granted over
-    /// `cycles` cycles.
+    /// stream, one activation stream, and one writeback, all serving
+    /// trace unit `unit`, granted over `cycles` cycles from start cycle
+    /// `t` (see [`step`](Self::step)).
     ///
     /// Callers size `cycles` at or above the memory time of the posted
     /// bytes, so the grant is complete and the traffic totals equal the
     /// posted demand exactly.
-    pub fn transfer(
-        &mut self,
-        weight_read: f64,
-        act_read: f64,
-        act_write: f64,
-        cycles: u64,
-    ) -> Grants {
-        self.step(
-            &[
-                MemClient::weight(weight_read),
-                MemClient::activation(act_read),
-            ],
-            &[act_write],
-            cycles,
-        )
-    }
-
-    /// [`transfer`](Self::transfer) plus trace emission, attributing all
-    /// three streams to `unit` at start cycle `t`.
     #[allow(clippy::too_many_arguments)]
-    pub fn transfer_traced(
+    pub fn transfer(
         &mut self,
         weight_read: f64,
         act_read: f64,
@@ -375,18 +223,22 @@ impl MemHarness {
         t: u64,
         unit: UnitId,
         sink: &mut dyn TraceSink,
-    ) -> Grants {
-        self.step_traced(
-            &[
-                MemClient::weight(weight_read).for_unit(unit),
-                MemClient::activation(act_read).for_unit(unit),
-            ],
-            &[act_write],
-            &[unit],
-            cycles,
+    ) {
+        let units = [unit];
+        let tags = DramTags {
             t,
-            sink,
-        )
+            weights: &units,
+            acts: &units,
+            writes: &units,
+        };
+        let trace = sink.enabled().then_some((tags, sink));
+        self.step(
+            &mut [weight_read],
+            &mut [act_read],
+            &mut [act_write],
+            cycles,
+            trace,
+        );
     }
 
     /// Byte totals granted so far, split by class and direction.
@@ -421,18 +273,29 @@ impl MemHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isos_trace::{EventBuffer, NullSink, TraceEvent, UnitKind};
+
+    /// Steps a fresh harness untraced; returns it with the in-place
+    /// grants `(weights, acts, writes)` and the totals.
+    fn step_once(
+        bytes_per_cycle: f64,
+        weights: &[f64],
+        acts: &[f64],
+        writes: &[f64],
+        cycles: u64,
+    ) -> (MemHarness, [Vec<f64>; 3], (f64, f64)) {
+        let mut mem = MemHarness::new(bytes_per_cycle);
+        let mut g = [weights.to_vec(), acts.to_vec(), writes.to_vec()];
+        let [w, a, wr] = &mut g;
+        let totals = mem.step(w, a, wr, cycles, None);
+        (mem, g, totals)
+    }
 
     #[test]
     fn step_grants_everything_under_capacity() {
-        let mut mem = MemHarness::new(128.0);
-        let g = mem.step(
-            &[MemClient::weight(1000.0), MemClient::activation(500.0)],
-            &[200.0, 0.0],
-            100,
-        );
-        assert_eq!(g.reads, vec![1000.0, 500.0]);
-        assert_eq!(g.writes, vec![200.0, 0.0]);
-        assert!(g.moved());
+        let (mem, g, totals) = step_once(128.0, &[1000.0], &[500.0], &[200.0, 0.0], 100);
+        assert_eq!(g, [vec![1000.0], vec![500.0], vec![200.0, 0.0]]);
+        assert_eq!(totals, (1500.0, 200.0));
         let t = mem.traffic();
         assert_eq!(t.weight_read, 1000.0);
         assert_eq!(t.act_read, 500.0);
@@ -442,34 +305,29 @@ mod tests {
 
     #[test]
     fn oversubscription_throttles_proportionally() {
-        let mut mem = MemHarness::new(10.0);
         // Capacity 1000; read demand 1500, write demand 500 (each
-        // individual demand stays under the per-client capacity clamp).
-        let g = mem.step(
-            &[MemClient::weight(900.0), MemClient::activation(600.0)],
-            &[500.0],
-            100,
-        );
-        assert!((g.granted_read - 750.0).abs() < 1e-9);
-        assert!((g.granted_write - 250.0).abs() < 1e-9);
+        // individual demand stays under the per-requester capacity clamp).
+        let (mem, g, (granted_read, granted_write)) =
+            step_once(10.0, &[900.0], &[600.0], &[500.0], 100);
+        assert!((granted_read - 750.0).abs() < 1e-9);
+        assert!((granted_write - 250.0).abs() < 1e-9);
         // Read split preserves the 900:600 ratio.
-        assert!((g.reads[0] / g.reads[1] - 1.5).abs() < 1e-9);
+        assert!((g[0][0] / g[1][0] - 1.5).abs() < 1e-9);
         assert_eq!(mem.utilization().ratio(), 1.0);
     }
 
     #[test]
-    fn per_client_demand_is_clamped_to_capacity() {
-        let mut mem = MemHarness::new(1.0);
-        // One client asks for far more than the 10-byte interval.
-        let g = mem.step(&[MemClient::weight(1e9)], &[], 10);
-        assert_eq!(g.granted_read, 10.0);
-        assert!(!mem.step(&[MemClient::weight(0.0)], &[], 10).moved());
+    fn per_requester_demand_is_clamped_to_capacity() {
+        // One stream asks for far more than the 10-byte interval.
+        let (_, _, (granted_read, _)) = step_once(1.0, &[1e9], &[], &[], 10);
+        assert_eq!(granted_read, 10.0);
+        assert_eq!(step_once(1.0, &[0.0], &[], &[], 10).2, (0.0, 0.0));
     }
 
     #[test]
     fn finish_folds_the_accounting_tail() {
         let mut mem = MemHarness::new(128.0);
-        mem.transfer(600.0, 300.0, 100.0, 100);
+        mem.transfer(600.0, 300.0, 100.0, 100, 0, UnitId::NONE, &mut NullSink);
         let mut m = RunMetrics {
             cycles: 100,
             ..Default::default()
@@ -483,61 +341,55 @@ mod tests {
 
     #[test]
     fn traced_step_matches_untraced_and_records_grants() {
-        use isos_trace::{EventBuffer, NullSink, TraceEvent, UnitKind};
-        let clients = [
-            MemClient::weight(900.0).for_unit(UnitId(0)),
-            MemClient::activation(600.0).for_unit(UnitId(1)),
-        ];
-        let mut plain = MemHarness::new(10.0);
-        let gp = plain.step(&clients, &[500.0], 100);
-
-        let mut nulled = MemHarness::new(10.0);
-        let gn = nulled.step_traced(&clients, &[500.0], &[UnitId(1)], 100, 0, &mut NullSink);
-        assert_eq!(gp, gn);
-        assert_eq!(plain.traffic(), nulled.traffic());
+        let (plain, gp, totals) = step_once(10.0, &[900.0], &[600.0], &[500.0], 100);
 
         let mut traced = MemHarness::new(10.0);
         let mut buf = EventBuffer::new();
         buf.unit("a", UnitKind::Layer);
         buf.unit("b", UnitKind::Layer);
-        let gt = traced.step_traced(&clients, &[500.0], &[UnitId(1)], 100, 700, &mut buf);
-        assert_eq!(gp, gt);
-        // One event per client plus the writer, demand vs. grant intact.
+        let mut gt = [vec![900.0], vec![600.0], vec![500.0]];
+        let [w, a, wr] = &mut gt;
+        let tags = DramTags {
+            t: 700,
+            weights: &[UnitId(0)],
+            acts: &[UnitId(1)],
+            writes: &[UnitId(1)],
+        };
+        assert_eq!(traced.step(w, a, wr, 100, Some((tags, &mut buf))), totals);
+        assert_eq!(gt, gp);
+        assert_eq!(traced.traffic(), plain.traffic());
+        // One event per requester, weights then activations then the
+        // writer, posted demand vs. grant intact.
         assert_eq!(buf.len(), 3);
-        match buf.events()[0] {
-            TraceEvent::Dram {
-                unit,
-                t,
-                class,
-                demand,
-                granted,
-                ..
-            } => {
-                assert_eq!(unit, UnitId(0));
-                assert_eq!(t, 700);
-                assert_eq!(class, DramClass::WeightRead);
-                assert_eq!(demand, 900.0);
-                assert_eq!(granted, gp.reads[0]);
+        let expect = [
+            (UnitId(0), DramClass::WeightRead, 900.0, gp[0][0]),
+            (UnitId(1), DramClass::ActivationRead, 600.0, gp[1][0]),
+            (UnitId(1), DramClass::ActivationWrite, 500.0, gp[2][0]),
+        ];
+        for (event, want) in buf.events().iter().zip(expect) {
+            match *event {
+                TraceEvent::Dram {
+                    unit,
+                    t,
+                    class,
+                    demand,
+                    granted,
+                    ..
+                } => assert_eq!(
+                    (unit, class, demand, granted, t),
+                    (want.0, want.1, want.2, want.3, 700)
+                ),
+                _ => panic!("expected DRAM event"),
             }
-            _ => panic!("expected DRAM event"),
         }
-        let totals = buf.dram_totals();
-        assert_eq!(totals.granted(DramClass::WeightRead), gp.reads[0]);
-        assert_eq!(totals.granted(DramClass::ActivationRead), gp.reads[1]);
-        assert_eq!(totals.granted(DramClass::ActivationWrite), gp.writes[0]);
     }
 
     #[test]
     fn transfer_matches_manual_step() {
         let mut a = MemHarness::new(64.0);
-        let mut b = MemHarness::new(64.0);
-        let ga = a.transfer(500.0, 250.0, 125.0, 50);
-        let gb = b.step(
-            &[MemClient::weight(500.0), MemClient::activation(250.0)],
-            &[125.0],
-            50,
-        );
-        assert_eq!(ga, gb);
+        a.transfer(500.0, 250.0, 125.0, 50, 0, UnitId::NONE, &mut NullSink);
+        let (b, _, _) = step_once(64.0, &[500.0], &[250.0], &[125.0], 50);
         assert_eq!(a.traffic(), b.traffic());
+        assert_eq!(a.utilization(), b.utilization());
     }
 }

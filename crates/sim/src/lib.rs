@@ -40,5 +40,5 @@ pub mod queue;
 pub mod sram;
 pub mod stats;
 
-pub use harness::{MemClient, MemHarness};
+pub use harness::{DramTags, MemHarness};
 pub use metrics::{NetworkMetrics, RequestSpan, RunMetrics, StreamMetrics};

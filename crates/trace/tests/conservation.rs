@@ -23,6 +23,9 @@ use isosceles::{Accelerator, IsoscelesConfig};
 
 const SEED: u64 = 0xC0FFEE;
 
+/// The order [`models`] returns, for failure messages.
+const MODEL_ORDER: &str = "isosceles, isosceles-single, sparten, fused-layer";
+
 fn models() -> Vec<Box<dyn Accelerator>> {
     vec![
         Box::new(IsoscelesConfig::default()),
@@ -148,5 +151,52 @@ fn tracing_does_not_perturb_the_metrics() {
                 accel.name()
             );
         }
+    }
+}
+
+/// The events themselves, not only their sums, are pinned: an FNV-1a
+/// hash of the Perfetto export for two networks on every model, captured
+/// from a known-good build. A change to how any model emits its compute
+/// or DRAM events (order, timestamps, demand, grants, attribution) shows
+/// here even when every conservation law above still holds.
+#[test]
+fn perfetto_exports_are_pinned() {
+    use isos_trace::export::perfetto_json;
+    use isosceles::accel::{fnv1a, FNV_OFFSET};
+    let pinned: [(&str, [u64; 4]); 2] = [
+        (
+            "G58",
+            [
+                0xa118b24a75a7c0ad,
+                0x374606e75c084a36,
+                0xeec5b4eaadb64675,
+                0xeadc34829c6716cc,
+            ],
+        ),
+        (
+            "R96",
+            [
+                0x6f87ae397258f263,
+                0xc5f5400d58e39bf0,
+                0x41e1facd4da56e07,
+                0x6dc4913ee581bdea,
+            ],
+        ),
+    ];
+    for (id, want) in pinned {
+        let w = suite_workload(id, SEED);
+        let got: Vec<u64> = models()
+            .iter()
+            .map(|accel| {
+                let mut buf = EventBuffer::new();
+                accel.simulate_traced(&w.network, SEED, &mut buf);
+                let json = perfetto_json(&buf, &format!("{} on {id}", accel.name()));
+                fnv1a(FNV_OFFSET, json.as_bytes())
+            })
+            .collect();
+        assert_eq!(
+            got, want,
+            "{id}: trace exports changed (model order: {MODEL_ORDER})"
+        );
     }
 }

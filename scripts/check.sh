@@ -50,23 +50,25 @@ ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p 
 [ -s "${TMPDIR:-/tmp}/isos-check-dse-arch/dse-G58.csv" ] \
   || { echo "dse arch smoke: dse-G58.csv missing or empty" >&2; exit 1; }
 
-echo "==> trace_run smoke (G58 timeline export)"
+echo "==> trace_run smoke (G58 timeline export, every model)"
 TRACE_OUT="${TMPDIR:-/tmp}/isos-check-traces"
-cargo run --release -q -p isosceles-bench --bin trace_run -- \
-  --net G58 --model isosceles --out "$TRACE_OUT" >/dev/null
-TRACE_JSON="$TRACE_OUT/G58-isosceles.trace.json"
-[ -s "$TRACE_JSON" ] || { echo "trace smoke: $TRACE_JSON missing or empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$TRACE_JSON" <<'PY'
+for MODEL in isosceles isosceles-single sparten fused-layer; do
+  cargo run --release -q -p isosceles-bench --bin trace_run -- \
+    --net G58 --model "$MODEL" --out "$TRACE_OUT" >/dev/null
+  TRACE_JSON="$TRACE_OUT/G58-$MODEL.trace.json"
+  [ -s "$TRACE_JSON" ] || { echo "trace smoke: $TRACE_JSON missing or empty" >&2; exit 1; }
+  if command -v python3 >/dev/null 2>&1; then
+    python3 - "$TRACE_JSON" <<'PY'
 import json, sys
 events = json.load(open(sys.argv[1]))["traceEvents"]
-assert events, "trace JSON has no events"
-assert any(e["ph"] == "X" for e in events), "trace JSON has no slices"
+assert events, sys.argv[1] + ": trace JSON has no events"
+assert any(e["ph"] == "X" for e in events), sys.argv[1] + ": trace JSON has no slices"
 PY
-else
-  grep -q '"traceEvents"' "$TRACE_JSON" && grep -q '"ph":"X"' "$TRACE_JSON" \
-    || { echo "trace smoke: $TRACE_JSON malformed" >&2; exit 1; }
-fi
+  else
+    grep -q '"traceEvents"' "$TRACE_JSON" && grep -q '"ph":"X"' "$TRACE_JSON" \
+      || { echo "trace smoke: $TRACE_JSON malformed" >&2; exit 1; }
+  fi
+done
 
 echo "==> perf_report --smoke --baseline BENCH_10.json (schema + regression gate)"
 PERF_JSON="${TMPDIR:-/tmp}/isos-check-perf/BENCH_smoke.json"
