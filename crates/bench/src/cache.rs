@@ -33,7 +33,7 @@ use std::sync::Mutex;
 use std::time::SystemTime;
 
 use isos_sim::metrics::NetworkMetrics;
-use serde::json::Value;
+use serde::json::{Reader, Source, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{WorkloadId, SCHEMA_VERSION};
@@ -61,12 +61,13 @@ pub struct EntryMeta {
 /// `kind` discriminates what the `payload` tree decodes to (`"metrics"`
 /// for single-inference [`NetworkMetrics`] rows, `"stream"` for
 /// streaming rows), so heterogeneous row types share one store without
-/// one kind's entry ever decoding as another's. The payload stays an
-/// uninterpreted [`Value`] until a typed load asks for it. The
-/// conversions are hand-written and by value so the payload, most of
-/// an entry's bytes, moves between the file's tree and the entry
-/// instead of being copied.
-#[derive(Debug)]
+/// one kind's entry ever decoding as another's. A store renders it
+/// through [`into_tree`](EntryFile::into_tree), which moves the payload
+/// instead of copying it. A hit never builds one: [`decode_hit`] reads
+/// the header and the typed payload straight from the text. Only a load
+/// that did not hit decodes the whole file as an `EntryFile`, to tell a
+/// poisoned file from a plain mismatch.
+#[derive(Debug, Deserialize)]
 struct EntryFile {
     schema: u32,
     kind: String,
@@ -89,18 +90,53 @@ impl EntryFile {
             ("payload".to_string(), self.payload),
         ])
     }
+}
 
-    fn from_tree(mut tree: Value) -> Result<Self, serde::json::Error> {
-        Ok(EntryFile {
-            schema: u32::from_value(tree.field("schema")?)?,
-            kind: String::from_value(tree.field("kind")?)?,
-            accel: String::from_value(tree.field("accel")?)?,
-            accel_key: u64::from_value(tree.field("accel_key")?)?,
-            workload: WorkloadId::from_value(tree.field("workload")?)?,
-            seed: u64::from_value(tree.field("seed")?)?,
-            payload: tree.take_field("payload")?,
-        })
+/// Decodes the entry file `text` in one pass if it is a hit: a current
+/// schema, header fields equal to `kind` and `expect`, and a payload that
+/// decodes as `T`. Keys may come in any order; as in every decode, the
+/// first occurrence of a key wins and unknown keys are skipped. `None`
+/// for anything else, as early as the text shows it.
+fn decode_hit<T: Deserialize>(text: &str, kind: &str, expect: &EntryMeta) -> Option<T> {
+    let mut src = Reader::new(text);
+    // Header fields seen so far, in `EntryFile` order.
+    let mut seen = [false; 6];
+    let mut payload = None;
+    src.begin_object().ok()?;
+    while let Some(key) = src.next_key().ok()? {
+        // `WorkloadId` is a newtype over its string, so comparing the
+        // borrowed string is its decode and comparison in one.
+        let (field, matches) = match &*key {
+            "schema" if !seen[0] => (0, u32::deserialize(&mut src).ok()? == SCHEMA_VERSION),
+            "kind" if !seen[1] => (1, src.str().ok()? == kind),
+            "accel" if !seen[2] => (2, src.str().ok()? == expect.accel),
+            "accel_key" if !seen[3] => (3, u64::deserialize(&mut src).ok()? == expect.accel_key),
+            "workload" if !seen[4] => (4, src.str().ok()? == expect.workload.as_str()),
+            "seed" if !seen[5] => (5, u64::deserialize(&mut src).ok()? == expect.seed),
+            "payload" if payload.is_none() => {
+                payload = Some(T::deserialize(&mut src).ok()?);
+                continue;
+            }
+            _ => {
+                src.skip().ok()?;
+                continue;
+            }
+        };
+        if !matches {
+            return None;
+        }
+        seen[field] = true;
     }
+    src.finish().ok()?;
+    payload.filter(|_| seen == [true; 6])
+}
+
+/// Whether an entry file that did not hit is still sound, so the load
+/// is a plain miss (a key-field mismatch or a payload of another shape)
+/// rather than a file to quarantine (malformed JSON, a missing or
+/// mistyped header field, or an unknown schema version).
+fn is_sound(text: &str) -> bool {
+    serde::json::from_str::<EntryFile>(text).is_ok_and(|entry| entry.schema == SCHEMA_VERSION)
 }
 
 /// Lifetime operation counters for one store.
@@ -244,25 +280,24 @@ impl CacheStore {
         let shard = shard_of(key);
         let _guard = self.locks[shard].lock().expect("shard lock poisoned");
         let path = self.entry_path(key);
-        let hit = self
-            .read_entry(&path)
-            .filter(|(_, entry)| {
-                entry.kind == kind
-                    && entry.accel == expect.accel
-                    && entry.accel_key == expect.accel_key
-                    && entry.workload == expect.workload
-                    && entry.seed == expect.seed
-            })
-            .and_then(|(file, entry)| {
-                let payload = T::from_value(&entry.payload).ok()?;
-                // Best effort: a file that refuses the stamp is still a hit.
-                let _ = file.set_modified(SystemTime::now());
-                Some(payload)
-            });
-        if hit.is_some() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        // A file that is gone (evicted, or never written) or unreadable
+        // is a plain miss.
+        let mut file = File::open(&path).ok()?;
+        let size = file.metadata().map_or(0, |m| m.len() as usize);
+        let mut text = String::with_capacity(size);
+        file.read_to_string(&mut text).ok()?;
+        let Some(payload) = decode_hit(&text, kind, expect) else {
+            // Corrupt, truncated, or from an unknown schema version:
+            // quarantine so the next run does not trip on it again.
+            if !is_sound(&text) {
+                self.quarantine(&path);
+            }
+            return None;
+        };
+        // Best effort: a file that refuses the stamp is still a hit.
+        let _ = file.set_modified(SystemTime::now());
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        Some(payload)
     }
 
     /// Persists `payload` under `key` with the given row `kind`,
@@ -332,27 +367,6 @@ impl CacheStore {
     /// Path the entry for `key` lives at (whether or not it exists).
     pub fn entry_path(&self, key: u64) -> PathBuf {
         self.shard_dir(shard_of(key)).join(entry_file_name(key))
-    }
-
-    /// Reads and validates the entry file at `path`, quarantining it on
-    /// corruption or schema mismatch. Returns the open file (to stamp a
-    /// hit through) and the parsed entry if structurally valid.
-    fn read_entry(&self, path: &Path) -> Option<(File, EntryFile)> {
-        // A file that is gone (evicted, or never written) or unreadable
-        // is a plain miss.
-        let mut file = File::open(path).ok()?;
-        let size = file.metadata().map_or(0, |m| m.len() as usize);
-        let mut text = String::with_capacity(size);
-        file.read_to_string(&mut text).ok()?;
-        match serde::json::parse(&text).and_then(EntryFile::from_tree) {
-            Ok(entry) if entry.schema == SCHEMA_VERSION => Some((file, entry)),
-            // Corrupt, truncated, or from an unknown schema version:
-            // quarantine so the next run does not trip on it again.
-            _ => {
-                self.quarantine(path);
-                None
-            }
-        }
     }
 
     /// Renames a poisoned entry to `<name>.bad` (best effort).
@@ -760,6 +774,67 @@ mod tests {
         // The subsequent store heals the slot.
         store.store(0x55, &meta(1), &metrics(6));
         assert_eq!(store.load(0x55, &meta(1)), Some(metrics(6)));
+    }
+
+    /// Rewrites the entry file for `key` through `edit` on its tree.
+    fn edit_entry(store: &CacheStore, key: u64, edit: impl FnOnce(&mut Vec<(String, Value)>)) {
+        let path = store.entry_path(key);
+        let mut tree = serde::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Value::Obj(pairs) = &mut tree else {
+            panic!("entry is an object")
+        };
+        edit(pairs);
+        std::fs::write(&path, tree.render()).unwrap();
+    }
+
+    #[test]
+    fn entry_with_the_payload_first_still_hits() {
+        let store = CacheStore::open(scratch_root("payloadfirst"), None);
+        store.store(0x66, &meta(1), &metrics(8));
+        edit_entry(&store, 0x66, |pairs| {
+            let payload = pairs.iter().position(|(k, _)| k == "payload").unwrap();
+            let pair = pairs.remove(payload);
+            pairs.insert(0, pair);
+        });
+        assert_eq!(store.load(0x66, &meta(1)), Some(metrics(8)));
+        assert_eq!(store.counters().quarantined, 0);
+    }
+
+    #[test]
+    fn mismatched_accel_key_is_a_plain_miss() {
+        let store = CacheStore::open(scratch_root("accelkey"), None);
+        store.store(0x77, &meta(1), &metrics(2));
+        edit_entry(&store, 0x77, |pairs| {
+            let accel_key = pairs.iter_mut().find(|(k, _)| k == "accel_key").unwrap();
+            accel_key.1 = Value::U64(43);
+        });
+        assert_eq!(store.load(0x77, &meta(1)), None);
+        let c = store.counters();
+        assert_eq!((c.hits, c.misses, c.quarantined), (0, 1, 0));
+        assert!(
+            store.entry_path(0x77).exists(),
+            "a mismatch is left in place"
+        );
+    }
+
+    #[test]
+    fn entry_truncated_mid_payload_is_quarantined_once() {
+        let store = CacheStore::open(scratch_root("truncated"), None);
+        let mut m = metrics(5);
+        m.layers = vec![("conv1".into(), RunMetrics::default()); 8];
+        store.store(0x88, &meta(1), &m);
+        let path = store.entry_path(0x88);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let payload = text.find("\"payload\"").unwrap();
+        std::fs::write(&path, &text[..payload + (text.len() - payload) / 2]).unwrap();
+
+        assert_eq!(store.load(0x88, &meta(1)), None);
+        assert!(path.with_extension("json.bad").exists());
+        assert!(!path.exists());
+        // The slot is empty now: later loads are plain misses.
+        assert_eq!(store.load(0x88, &meta(1)), None);
+        let c = store.counters();
+        assert_eq!((c.misses, c.quarantined), (2, 1));
     }
 
     #[test]

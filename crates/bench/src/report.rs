@@ -4,8 +4,10 @@
 //! the same data as CSV (or markdown) under `results/` so plots can be
 //! regenerated with any external tool (`cargo run -p isosceles-bench
 //! --bin paper -- export`). [`Report`] wraps a finished suite run and
-//! derives the standard tables from it, including the per-layer traffic
-//! split behind the paper's Fig. 14-style analyses.
+//! renders the standard tables from it in one pass, including the
+//! per-layer traffic split behind the paper's Fig. 14-style analyses.
+//! Both share one cell writer, which quotes or escapes only the cells
+//! that need it.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -56,23 +58,8 @@ impl CsvTable {
     /// Renders RFC-4180-ish CSV (quotes cells containing separators).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String]| {
-            let line = cells
-                .iter()
-                .map(|c| {
-                    if c.contains([',', '"', '\n']) {
-                        format!("\"{}\"", c.replace('"', "\"\""))
-                    } else {
-                        c.clone()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let _ = writeln!(out, "{line}");
-        };
-        write_row(&mut out, &self.headers);
-        for row in &self.rows {
-            write_row(&mut out, row);
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            csv_line(&mut out, row.iter().map(String::as_str));
         }
         out
     }
@@ -92,32 +79,11 @@ impl CsvTable {
     /// Renders a GitHub-flavored markdown table (pipes in cells are
     /// escaped so column boundaries survive).
     pub fn to_markdown(&self) -> String {
-        let escape = |c: &String| c.replace('|', "\\|").replace('\n', " ");
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "| {} |",
-            self.headers
-                .iter()
-                .map(&escape)
-                .collect::<Vec<_>>()
-                .join(" | ")
-        );
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| " --- ")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
+        markdown_line(&mut out, self.headers.iter().map(String::as_str));
+        markdown_separator(&mut out, self.headers.len());
         for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "| {} |",
-                row.iter().map(&escape).collect::<Vec<_>>().join(" | ")
-            );
+            markdown_line(&mut out, row.iter().map(String::as_str));
         }
         out
     }
@@ -135,12 +101,101 @@ impl CsvTable {
     }
 }
 
+/// Appends one CSV cell, quoted only if it holds a separator, a quote
+/// or a newline.
+fn csv_cell(out: &mut String, cell: &str) {
+    if !cell.bytes().any(|b| matches!(b, b',' | b'"' | b'\n')) {
+        out.push_str(cell);
+        return;
+    }
+    out.push('"');
+    for (i, part) in cell.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+/// Appends one markdown cell: pipes escaped, newlines flattened to
+/// spaces.
+fn markdown_cell(out: &mut String, cell: &str) {
+    if !cell.bytes().any(|b| matches!(b, b'|' | b'\n')) {
+        out.push_str(cell);
+        return;
+    }
+    for c in cell.chars() {
+        match c {
+            '|' => out.push_str("\\|"),
+            '\n' => out.push(' '),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Appends one CSV line.
+fn csv_line<'a>(out: &mut String, cells: impl IntoIterator<Item = &'a str>) {
+    for (i, cell) in cells.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        csv_cell(out, cell);
+    }
+    out.push('\n');
+}
+
+/// Appends markdown cells, each followed by its closing `|`.
+fn markdown_cells<'a>(out: &mut String, cells: impl IntoIterator<Item = &'a str>) {
+    for cell in cells {
+        out.push(' ');
+        markdown_cell(out, cell);
+        out.push_str(" |");
+    }
+}
+
+/// Appends one markdown table line.
+fn markdown_line<'a>(out: &mut String, cells: impl IntoIterator<Item = &'a str>) {
+    out.push('|');
+    markdown_cells(out, cells);
+    out.push('\n');
+}
+
+/// Appends the line that separates a markdown table's header from its
+/// rows.
+fn markdown_separator(out: &mut String, columns: usize) {
+    out.push('|');
+    for _ in 0..columns {
+        out.push_str(" --- |");
+    }
+    out.push('\n');
+}
+
+/// Columns of `suite_summary.csv`.
+const SUMMARY_HEADERS: [&str; 4] = [
+    "net",
+    "isosceles_speedup_vs_sparten",
+    "isosceles_speedup_vs_fused",
+    "sparten_traffic_ratio",
+];
+
+/// Columns of `layer_traffic.csv` and `layer_traffic.md`.
+const LAYER_HEADERS: [&str; 7] = [
+    "net",
+    "accel",
+    "layer",
+    "cycles",
+    "weight_bytes",
+    "act_bytes",
+    "traffic_share",
+];
+
 /// A finished suite run plus the standard derived tables.
 ///
-/// The whole-network tables repeat what the figure binaries print; the
-/// per-layer table is new with the shared metrics layer: one row per
-/// `(workload, accelerator, layer)` with the layer's cycle and traffic
-/// split, exported as both CSV and markdown by [`Report::write_all`].
+/// The whole-network summary repeats what the figure binaries print;
+/// the per-layer table has one row per `(workload, accelerator, layer)`
+/// with the layer's cycle and traffic split, exported as both CSV and
+/// markdown. [`Report::write_all`] renders all three files.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// One row per suite workload, in paper figure order.
@@ -153,71 +208,83 @@ impl Report {
         Self { rows }
     }
 
-    /// Whole-network summary: speedups and traffic ratios per workload.
-    pub fn summary_table(&self) -> CsvTable {
-        let mut t = CsvTable::new(&[
-            "net",
-            "isosceles_speedup_vs_sparten",
-            "isosceles_speedup_vs_fused",
-            "sparten_traffic_ratio",
-        ]);
-        for r in &self.rows {
-            t.push_row(vec![
-                r.id.to_string(),
-                format!("{:.3}", r.speedup_vs_sparten()),
-                format!("{:.3}", r.speedup_vs_fused()),
-                format!("{:.3}", r.sparten_traffic_ratio()),
-            ]);
-        }
-        t
-    }
-
-    /// Per-layer traffic split (the Fig. 14c decomposition at layer
-    /// granularity): one row per `(workload, accelerator, layer)` with
-    /// cycles, weight/activation bytes, and each layer's share of its
-    /// network's total traffic.
-    pub fn layer_traffic_table(&self) -> CsvTable {
-        let mut t = CsvTable::new(&[
-            "net",
-            "accel",
-            "layer",
-            "cycles",
-            "weight_bytes",
-            "act_bytes",
-            "traffic_share",
-        ]);
-        for r in &self.rows {
-            for (accel, metrics) in r.models() {
-                let net_total = metrics.total.total_traffic().max(f64::MIN_POSITIVE);
-                for (layer, m) in &metrics.layers {
-                    t.push_row(vec![
-                        r.id.to_string(),
-                        accel.to_string(),
-                        layer.clone(),
-                        m.cycles.to_string(),
-                        format!("{:.1}", m.weight_traffic),
-                        format!("{:.1}", m.act_traffic),
-                        format!("{:.5}", m.total_traffic() / net_total),
-                    ]);
-                }
-            }
-        }
-        t
-    }
-
-    /// Writes every derived table to `dir` as CSV, plus the per-layer
-    /// traffic table as markdown; returns the written paths.
+    /// Writes `suite_summary.csv` (speedups and traffic ratios per
+    /// workload), and the per-layer traffic split (the Fig. 14c
+    /// decomposition at layer granularity: cycles, weight/activation
+    /// bytes, and each layer's share of its network's total traffic) as
+    /// `layer_traffic.csv` and `layer_traffic.md`. Returns the written
+    /// paths.
+    ///
+    /// All three render in one pass over the rows, straight into their
+    /// output buffers: each number is formatted once, into the CSV line,
+    /// and the markdown line copies it from there.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write_all(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        let layers = self.layer_traffic_table();
-        Ok(vec![
-            self.summary_table().write(dir, "suite_summary")?,
-            layers.write(dir, "layer_traffic")?,
-            layers.write_markdown(dir, "layer_traffic")?,
-        ])
+        let mut summary = String::new();
+        let mut csv = String::new();
+        let mut md = String::new();
+        // The cells every line of one model's layers opens with.
+        let (mut csv_head, mut md_head) = (String::new(), String::new());
+        csv_line(&mut summary, SUMMARY_HEADERS);
+        csv_line(&mut csv, LAYER_HEADERS);
+        markdown_line(&mut md, LAYER_HEADERS);
+        markdown_separator(&mut md, LAYER_HEADERS.len());
+        for r in &self.rows {
+            let id = r.id.as_str();
+            csv_cell(&mut summary, id);
+            let _ = writeln!(
+                summary,
+                ",{:.3},{:.3},{:.3}",
+                r.speedup_vs_sparten(),
+                r.speedup_vs_fused(),
+                r.sparten_traffic_ratio()
+            );
+            for (accel, metrics) in r.models() {
+                let net_total = metrics.total.total_traffic().max(f64::MIN_POSITIVE);
+                csv_head.clear();
+                for cell in [id, accel] {
+                    csv_cell(&mut csv_head, cell);
+                    csv_head.push(',');
+                }
+                md_head.clear();
+                md_head.push('|');
+                markdown_cells(&mut md_head, [id, accel]);
+                for (layer, m) in &metrics.layers {
+                    csv.push_str(&csv_head);
+                    csv_cell(&mut csv, layer);
+                    let numbers = csv.len() + 1;
+                    let _ = writeln!(
+                        csv,
+                        ",{},{:.1},{:.1},{:.5}",
+                        m.cycles,
+                        m.weight_traffic,
+                        m.act_traffic,
+                        m.total_traffic() / net_total
+                    );
+                    // The numbers never need quoting or escaping: the
+                    // markdown line copies them from the CSV line.
+                    let numbers = csv[numbers..csv.len() - 1].split(',');
+                    md.push_str(&md_head);
+                    markdown_cells(&mut md, std::iter::once(layer.as_str()).chain(numbers));
+                    md.push('\n');
+                }
+            }
+        }
+        std::fs::create_dir_all(dir)?;
+        let mut paths = Vec::with_capacity(3);
+        for (name, text) in [
+            ("suite_summary.csv", summary),
+            ("layer_traffic.csv", csv),
+            ("layer_traffic.md", md),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text)?;
+            paths.push(path);
+        }
+        Ok(paths)
     }
 }
 
@@ -258,6 +325,29 @@ mod tests {
              | --- | --- |\n\
              | R96 | 4.9 |\n\
              | a\\|b | multi line |\n"
+        );
+    }
+
+    #[test]
+    fn special_cells_render_in_csv_and_markdown() {
+        let mut t = CsvTable::new(&["h,1", "h|2"]);
+        t.push(&["a,b", "say \"hi\""]);
+        t.push(&["x|y", "two\nlines"]);
+        t.push(&["all ,\"|\n", ""]);
+        assert_eq!(
+            t.to_csv(),
+            "\"h,1\",h|2\n\
+             \"a,b\",\"say \"\"hi\"\"\"\n\
+             x|y,\"two\nlines\"\n\
+             \"all ,\"\"|\n\",\n"
+        );
+        assert_eq!(
+            t.to_markdown(),
+            "| h,1 | h\\|2 |\n\
+             | --- | --- |\n\
+             | a,b | say \"hi\" |\n\
+             | x\\|y | two lines |\n\
+             | all ,\"\\|  |  |\n"
         );
     }
 
@@ -303,18 +393,29 @@ mod tests {
         };
         let report = Report::new(vec![row]);
 
-        assert_eq!(report.summary_table().len(), 1);
-        let layers = report.layer_traffic_table();
+        let dir = std::env::temp_dir().join("isos-report-perlayer-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let paths = report.write_all(&dir).unwrap();
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let (summary, csv, md) = (
+            read("suite_summary.csv"),
+            read("layer_traffic.csv"),
+            read("layer_traffic.md"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(paths.len(), 3);
+        assert_eq!(summary.lines().count(), 2, "header plus one workload");
+
         let expected: usize = report.rows[0]
             .models()
             .iter()
             .map(|(_, m)| m.layers.len())
             .sum();
-        assert_eq!(layers.len(), expected);
+        assert_eq!(csv.lines().count(), 1 + expected);
+        assert_eq!(md.lines().count(), 2 + expected);
         assert!(expected >= 4, "each model contributes layer rows");
 
         // Per model, the traffic shares sum to ~1.
-        let csv = layers.to_csv();
         for accel in ["isosceles", "sparten", "fused-layer"] {
             let share: f64 = csv
                 .lines()
@@ -323,12 +424,5 @@ mod tests {
                 .sum();
             assert!((share - 1.0).abs() < 1e-2, "{accel} shares sum to {share}");
         }
-
-        let dir = std::env::temp_dir().join("isos-report-perlayer-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = report.write_all(&dir).unwrap();
-        assert_eq!(paths.len(), 3);
-        assert!(paths.iter().all(|p| p.exists()));
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -778,7 +778,14 @@ fn dataflow_from(value: &Value) -> Result<DataflowDesc, JsonError> {
     })
 }
 
+/// Descriptions are decoded from a tree, not straight from text: they
+/// are read once per request or file, never on a hot path, and the
+/// tree lets every error name the offending field in context.
 impl Deserialize for ArchDesc {
+    fn deserialize<'de, S: serde::json::Source<'de>>(src: &mut S) -> Result<Self, JsonError> {
+        Self::from_value(&src.value()?)
+    }
+
     fn from_value(value: &Value) -> Result<Self, JsonError> {
         let ctx = "arch description";
         let pairs = obj_fields(

@@ -805,8 +805,14 @@ fn build_group_state(
                 producers.push(Source::External(e));
             }
         }
-        let writes_extern = net.consumers(id).iter().any(|c| local_index(*c).is_none())
-            || net.consumers(id).is_empty();
+        // Written out unless every consumer is in the group (and there
+        // is one): a single scan that allocates nothing.
+        let mut consumers = (net.nodes().iter().enumerate())
+            .filter(|(_, n)| n.inputs.contains(&id))
+            .map(|(c, _)| c)
+            .peekable();
+        let writes_extern =
+            consumers.peek().is_none() || consumers.any(|c| local_index(c).is_none());
 
         // Decoupling depth from the per-lane queue budget, floored at the
         // group-wide `min_ahead`.

@@ -16,7 +16,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> paper all, cold then warm (nine export files; recall must equal recompute)"
+echo "==> paper all, cold then warm (nine export files; the warm run recalls every row, and recall equals recompute)"
 ROOT="$(pwd)"
 PAPER_DIR="$(mktemp -d "${TMPDIR:-/tmp}/isos-check-paper.XXXXXX")"
 # The first run fills the cache; the second, in its own directory, reads
@@ -24,8 +24,18 @@ PAPER_DIR="$(mktemp -d "${TMPDIR:-/tmp}/isos-check-paper.XXXXXX")"
 mkdir "$PAPER_DIR/cold" "$PAPER_DIR/warm"
 for run in cold warm; do
   (cd "$PAPER_DIR/$run" && ISOS_CACHE_DIR="$PAPER_DIR/cache" cargo run --release -q \
-    --manifest-path "$ROOT/Cargo.toml" -p isosceles-bench --bin paper -- all >/dev/null)
+    --manifest-path "$ROOT/Cargo.toml" -p isosceles-bench --bin paper -- all \
+    >/dev/null 2>"$PAPER_DIR/$run.stderr")
 done
+# Recomputing gives the same bytes, so the cmp below cannot tell a
+# recall from a recompute: a cache read that turned every hit into a
+# miss would pass it. The warm run must recall every row.
+if ! grep -q '^suite engine:' "$PAPER_DIR/warm.stderr" \
+  || grep '^suite engine:' "$PAPER_DIR/warm.stderr" | grep -qv ', 0 misses'; then
+  echo "paper smoke: the warm run recomputed rows instead of recalling them:" >&2
+  cat "$PAPER_DIR/warm.stderr" >&2
+  exit 1
+fi
 for f in fig14a_speedup.csv fig14b_cycles.csv fig14c_traffic.csv fig15_bandwidth.csv \
   fig16_mac_util.csv fig17_energy.csv layer_traffic.csv layer_traffic.md suite_summary.csv; do
   [ -s "$PAPER_DIR/cold/results/$f" ] || { echo "paper smoke: results/$f missing or empty" >&2; exit 1; }
