@@ -10,10 +10,12 @@
 //! bandwidth utilization). Configured per Sec. V: same MACs and bandwidth
 //! as ISOSceles, 2.5 MB filter buffer.
 
+use std::ops::Range;
+
 use isos_nn::graph::{Network, NodeId};
 
 use isos_sim::harness::{DramTags, MemHarness};
-use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
+use isos_sim::metrics::{GroupSplit, LayerPart, NetworkMetrics, RunMetrics};
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};
 use isosceles::accel::{stable_key, Accelerator};
 use serde::{Deserialize, Serialize};
@@ -49,32 +51,35 @@ impl Default for FusedLayerConfig {
 /// Greedy fusion: consecutive conv layers are fused while their *dense*
 /// weights fit the filter buffer; pools/FC are boundaries (the original
 /// paper fuses only convolutional stages). The buffer size is the only
-/// configuration it reads, so sweeps memoize the groups on it.
-fn fuse_groups(net: &Network, filter_buffer_bytes: u64) -> Vec<Vec<NodeId>> {
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
-    let mut current: Vec<NodeId> = Vec::new();
+/// configuration it reads, so sweeps memoize the groups on it. Groups
+/// are runs of consecutive node ids, so each is returned as its id range.
+fn fuse_groups(net: &Network, filter_buffer_bytes: u64) -> Vec<Range<NodeId>> {
+    let mut groups = Vec::new();
+    // The open group is `start..id`; its dense weights sum to
+    // `current_bytes`.
+    let mut start = 0;
     let mut current_bytes = 0.0f64;
     for id in 0..net.len() {
         let layer = net.layer(id);
-        let fusable = layer.kind.is_pipelineable();
         let w = layer.weight_dense_bytes();
-        if !fusable {
-            if !current.is_empty() {
-                groups.push(std::mem::take(&mut current));
-                current_bytes = 0.0;
+        if !layer.kind.is_pipelineable() {
+            if start < id {
+                groups.push(start..id);
             }
-            groups.push(vec![id]);
+            groups.push(id..id + 1);
+            start = id + 1;
+            current_bytes = 0.0;
             continue;
         }
-        if !current.is_empty() && current_bytes + w > filter_buffer_bytes as f64 {
-            groups.push(std::mem::take(&mut current));
+        if start < id && current_bytes + w > filter_buffer_bytes as f64 {
+            groups.push(start..id);
+            start = id;
             current_bytes = 0.0;
         }
-        current.push(id);
         current_bytes += w;
     }
-    if !current.is_empty() {
-        groups.push(current);
+    if start < net.len() {
+        groups.push(start..net.len());
     }
     groups
 }
@@ -94,7 +99,13 @@ pub struct FusedGroupRun {
 /// declarative-architecture interpreter lowers fused-tile descriptions
 /// onto exactly this closed form.
 pub fn group_metrics(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> FusedGroupRun {
-    simulate_group_traced(net, group, cfg, 0, &mut NullSink)
+    let mut out = NetworkMetrics::default();
+    let mut sc = RunScratch::default();
+    simulate_group_traced(net, group, cfg, 0, &mut NullSink, &mut sc, &mut out);
+    FusedGroupRun {
+        metrics: out.groups[0].1,
+        layers: out.layers,
+    }
 }
 
 /// The totals of [`group_metrics`] without its per-layer breakdown:
@@ -112,7 +123,7 @@ pub fn group_totals(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> 
 /// filter-buffer size (which fixes the groups) and pay only
 /// [`totals`](Self::totals) per point. The tile edge enters there,
 /// through the halo factors.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FusedGroupFacts {
     /// The group input, dense, before its halo.
     input_bytes: f64,
@@ -145,27 +156,9 @@ pub struct FusedScratch {
 
 /// The [`FusedGroupFacts`] of `group`.
 pub fn group_facts(net: &Network, group: &[NodeId]) -> FusedGroupFacts {
-    let ring = |ids: &[NodeId]| -> usize {
-        ids.iter()
-            .map(|&j| net.layer(j).kind.kernel().0.saturating_sub(1))
-            .sum()
-    };
-    let layers: Vec<LayerFacts> = group
-        .iter()
-        .enumerate()
-        .map(|(pos, &id)| LayerFacts {
-            weight_bytes: net.layer(id).weight_dense_bytes(),
-            dense_macs: net.layer(id).dense_macs(),
-            ext: ring(&group[pos + 1..]),
-        })
-        .collect();
-    FusedGroupFacts {
-        input_bytes: net.layer(group[0]).in_act_dense_bytes(),
-        ext: ring(group),
-        output_bytes: net.layer(*group.last().unwrap()).out_act_dense_bytes(),
-        weight_bytes: layers.iter().map(|l| l.weight_bytes).sum(),
-        layers,
-    }
+    let mut facts = FusedGroupFacts::default();
+    facts.refill(net, group);
+    facts
 }
 
 /// How much a halo ring of `ext` inflates a `tile` × `tile` output tile's
@@ -176,6 +169,27 @@ fn halo_factor(tile: usize, ext: usize) -> f64 {
 }
 
 impl FusedGroupFacts {
+    /// Rewrites the facts as those of `group`, keeping the per-layer
+    /// buffer (what [`group_facts`] builds fresh).
+    fn refill(&mut self, net: &Network, group: &[NodeId]) {
+        let ring = |ids: &[NodeId]| -> usize {
+            ids.iter()
+                .map(|&j| net.layer(j).kind.kernel().0.saturating_sub(1))
+                .sum()
+        };
+        self.layers.clear();
+        self.layers
+            .extend(group.iter().enumerate().map(|(pos, &id)| LayerFacts {
+                weight_bytes: net.layer(id).weight_dense_bytes(),
+                dense_macs: net.layer(id).dense_macs(),
+                ext: ring(&group[pos + 1..]),
+            }));
+        self.input_bytes = net.layer(group[0]).in_act_dense_bytes();
+        self.ext = ring(group);
+        self.output_bytes = net.layer(*group.last().unwrap()).out_act_dense_bytes();
+        self.weight_bytes = self.layers.iter().map(|l| l.weight_bytes).sum();
+    }
+
     /// The group input at tile edge `tile`: each tile re-fetches its input
     /// halo ring, which grows with fusion depth (the central cost of
     /// Fig. 2).
@@ -263,34 +277,47 @@ impl FusedGroupFacts {
     }
 }
 
+/// The buffers one network run of the model reuses from group to group.
+#[derive(Debug, Default)]
+struct RunScratch {
+    units: Vec<UnitId>,
+    facts: FusedGroupFacts,
+    mem: FusedScratch,
+    split: GroupSplit,
+}
+
 /// [`group_metrics`] with trace emission, built on the group's facts and
-/// totals. Every fused layer is one unit spanning the whole group run (the
-/// layers execute concurrently in the tile pipeline): its busy time is its
-/// ideal MAC share, the dense-array efficiency loss lands on
-/// `MergeBound`, waiting for the *other* fused layers' tile wavefronts on
-/// `InputStarved`, and whatever the memory bound stretches the group
-/// beyond its compute time on `DramThrottled`.
+/// totals, appending the group to `out`; returns its cycles. Every fused
+/// layer is one unit spanning the whole group run (the layers execute
+/// concurrently in the tile pipeline): its busy time is its ideal MAC
+/// share, the dense-array efficiency loss lands on `MergeBound`, waiting
+/// for the *other* fused layers' tile wavefronts on `InputStarved`, and
+/// whatever the memory bound stretches the group beyond its compute time
+/// on `DramThrottled`.
 fn simulate_group_traced(
     net: &Network,
     group: &[NodeId],
     cfg: &FusedLayerConfig,
     t0: u64,
     sink: &mut dyn TraceSink,
-) -> FusedGroupRun {
-    let unit_ids: Vec<UnitId> = group
-        .iter()
-        .map(|&id| sink.unit(&net.layer(id).name, UnitKind::Layer))
-        .collect();
-    let facts = group_facts(net, group);
-    let (m, compute_cycles) =
-        facts.totals_traced(cfg, &unit_ids, t0, sink, &mut FusedScratch::default());
+    sc: &mut RunScratch,
+    out: &mut NetworkMetrics,
+) -> u64 {
+    sc.units.clear();
+    sc.units.extend(
+        group
+            .iter()
+            .map(|&id| sink.unit(&net.layer(id).name, UnitKind::Layer)),
+    );
+    sc.facts.refill(net, group);
+    let facts = &sc.facts;
+    let (m, compute_cycles) = facts.totals_traced(cfg, &sc.units, t0, sink, &mut sc.mem);
     let input_bytes = facts.input_bytes(cfg.tile);
     let output_bytes = facts.output_bytes;
-    let macs_per_layer: Vec<f64> = facts.layer_macs(cfg.tile).collect();
 
     if sink.enabled() {
         let t_f = m.cycles as f64;
-        for (&unit, &layer_macs) in unit_ids.iter().zip(&macs_per_layer) {
+        for (&unit, layer_macs) in sc.units.iter().zip(facts.layer_macs(cfg.tile)) {
             // This layer's ideal busy time and its share of the group's
             // compute time (efficiency loss included).
             let busy = layer_macs / cfg.total_macs as f64;
@@ -309,60 +336,30 @@ fn simulate_group_traced(
         }
     }
 
-    // Per-layer breakdown: each fused layer moves its own dense weights;
-    // the group's input (with its halo) enters at the first layer, the
-    // group's output leaves at the last; cycles — a group-shared resource
-    // — are apportioned by each layer's (halo-inflated) MACs, and the
-    // group's busy MAC/DRAM time by MAC/traffic share, water-filled
-    // against the layer's own cycles so the breakdown sums to the group
-    // totals.
-    let layer_cycles = apportion_cycles(m.cycles, &macs_per_layer);
-    let caps: Vec<f64> = layer_cycles.iter().map(|&c| c as f64).collect();
-    let traffic_per_layer: Vec<f64> = facts
+    // Per-layer breakdown (see `GroupSplit`): each fused layer moves its
+    // own dense weights and computes its (halo-inflated) MACs; the
+    // group's input (with its halo) enters at the first layer, the
+    // group's output leaves at the last.
+    sc.split.clear();
+    let last = group.len() - 1;
+    for (pos, (l, macs)) in facts
         .layers
         .iter()
+        .zip(facts.layer_macs(cfg.tile))
         .enumerate()
-        .map(|(pos, l)| {
-            let mut t = l.weight_bytes;
-            if pos == 0 {
-                t += input_bytes;
-            }
-            if pos == group.len() - 1 {
-                t += output_bytes;
-            }
-            t
-        })
-        .collect();
-    let mac_busy = apportion_capped(m.mac_util.busy(), &macs_per_layer, &caps);
-    let bw_busy = apportion_capped(m.bw_util.busy(), &traffic_per_layer, &caps);
-    let layers = group
-        .iter()
-        .zip(&macs_per_layer)
-        .zip(&layer_cycles)
-        .enumerate()
-        .map(|(pos, ((&id, &layer_macs), &cycles))| {
-            let layer = net.layer(id);
-            let mut lm = RunMetrics {
-                cycles,
-                weight_traffic: facts.layers[pos].weight_bytes,
-                act_traffic: 0.0,
-                effectual_macs: layer_macs,
-                ..Default::default()
-            };
-            if pos == 0 {
-                lm.act_traffic += input_bytes;
-            }
-            if pos == group.len() - 1 {
-                lm.act_traffic += output_bytes;
-            }
-            lm.mac_util.add(mac_busy[pos], cycles);
-            lm.bw_util.add(bw_busy[pos], cycles);
-            lm.activity.dram_bytes = lm.total_traffic();
-            lm.charge_compute_activity(layer_macs, 4.0);
-            (layer.name.clone(), lm)
-        })
-        .collect();
-    FusedGroupRun { metrics: m, layers }
+    {
+        sc.split.push(LayerPart {
+            weight_bytes: l.weight_bytes,
+            act_in: if pos == 0 { input_bytes } else { 0.0 },
+            act_out: if pos == last { output_bytes } else { 0.0 },
+            macs,
+        });
+    }
+    let names = group.iter().map(|&id| net.layer(id).name.clone());
+    // 4 local bytes per MAC, as in the group totals.
+    let breakdown = sc.split.breakdown(&m, 4.0, names);
+    out.push_group(net.layer(group[0]).name.clone(), m, breakdown);
+    m.cycles
 }
 
 impl Accelerator for FusedLayerConfig {
@@ -383,13 +380,17 @@ impl Accelerator for FusedLayerConfig {
         _seed: u64,
         sink: &mut dyn TraceSink,
     ) -> NetworkMetrics {
-        let mut out = NetworkMetrics::default();
+        let groups = fuse_groups(net, self.filter_buffer_bytes);
+        let ids: Vec<NodeId> = (0..net.len()).collect();
+        let mut out = NetworkMetrics {
+            groups: Vec::with_capacity(groups.len()),
+            layers: Vec::with_capacity(net.len()),
+            ..Default::default()
+        };
+        let mut sc = RunScratch::default();
         let mut t0 = 0u64;
-        for group in fuse_groups(net, self.filter_buffer_bytes) {
-            let run = simulate_group_traced(net, &group, self, t0, sink);
-            t0 += run.metrics.cycles;
-            let name = net.layer(group[0]).name.clone();
-            out.push_group(name, run.metrics, run.layers);
+        for group in groups {
+            t0 += simulate_group_traced(net, &ids[group], self, t0, sink, &mut sc, &mut out);
         }
         out
     }
@@ -400,6 +401,9 @@ impl Accelerator for FusedLayerConfig {
 /// Depends on `cfg.filter_buffer_bytes` alone.
 pub fn fused_groups(net: &Network, cfg: &FusedLayerConfig) -> Vec<Vec<NodeId>> {
     fuse_groups(net, cfg.filter_buffer_bytes)
+        .into_iter()
+        .map(Vec::from_iter)
+        .collect()
 }
 
 #[cfg(test)]
@@ -511,7 +515,11 @@ mod tests {
         for id in SUITE_IDS {
             let net = suite_workload(id, 1).network;
             for kb in [128u64, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096] {
-                for group in &fuse_groups(&net, kb * 1024) {
+                let fb = FusedLayerConfig {
+                    filter_buffer_bytes: kb * 1024,
+                    ..FusedLayerConfig::default()
+                };
+                for group in &fused_groups(&net, &fb) {
                     let facts = group_facts(&net, group);
                     for tile in [8, 16, 32, 64, 128, 256] {
                         for bw in [64.0, 512.0] {

@@ -268,7 +268,11 @@ impl Accelerator for SpartenConfig {
         _seed: u64,
         sink: &mut dyn TraceSink,
     ) -> NetworkMetrics {
-        let mut out = NetworkMetrics::default();
+        let mut out = NetworkMetrics {
+            groups: Vec::with_capacity(net.len()),
+            layers: Vec::with_capacity(net.len()),
+            ..Default::default()
+        };
         let mut t0 = 0u64;
         for node in net.nodes() {
             let m = simulate_layer_traced(&node.layer, self, t0, sink);

@@ -228,3 +228,28 @@ fn harness_refactor_is_bit_identical_to_pre_refactor_models() {
     }
     assert_eq!(checked, 16, "4 workloads x 4 accelerators");
 }
+
+/// Every breakdown, not just the totals: the FNV-1a fold of the canonical
+/// JSON of all 44 suite `NetworkMetrics` (groups and layers included), in
+/// `SUITE_IDS` × model order at seed 1 — the `digest` perfbench's
+/// `simulate` workload prints for `--seed 1`. Any change to a group or
+/// layer entry of any model moves it.
+#[test]
+fn all_suite_breakdowns_are_pinned() {
+    let seed = 1;
+    let mut h = isosceles::accel::FNV_OFFSET;
+    for id in isos_nn::models::SUITE_IDS {
+        let net = isos_nn::models::suite_workload(id, seed).network;
+        let models: [&dyn Accelerator; 4] = [
+            &IsoscelesConfig::default(),
+            &IsoscelesSingleConfig::default(),
+            &SpartenConfig::default(),
+            &FusedLayerConfig::default(),
+        ];
+        for model in models {
+            let m = model.simulate(&net, seed);
+            h = isosceles::accel::fnv1a(h, serde::json::to_string(&m).as_bytes());
+        }
+    }
+    assert_eq!(h, 0xb609_a4dd_db0b_d10e, "got {h:#018x}");
+}

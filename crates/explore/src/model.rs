@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 
-use isos_nn::graph::{Network, NodeId};
+use isos_nn::graph::{ConsumerIndex, Network, NodeId};
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::energy::{energy_of, Activity, EnergyBreakdown, EnergyParams};
 use isosceles::mapping::{map_network, ExecMode, MapKey, Mapping, PipelineGroup};
@@ -198,8 +198,8 @@ impl NetworkEstimate {
 #[derive(Clone, Debug)]
 pub(crate) struct NetFacts {
     layers: Vec<LayerFacts>,
-    /// Consumers of each node, in node order.
-    consumers: Vec<Vec<NodeId>>,
+    /// Consumers of each node.
+    consumers: ConsumerIndex,
 }
 
 /// One layer's entry in [`NetFacts`].
@@ -217,17 +217,10 @@ struct LayerFacts {
 impl NetFacts {
     /// Gathers the facts of every layer of `net`.
     pub(crate) fn new(net: &Network) -> Self {
-        let mut consumers = vec![Vec::new(); net.len()];
         let layers = net
             .nodes()
             .iter()
-            .enumerate()
-            .map(|(id, node)| {
-                for &p in &node.inputs {
-                    if !consumers[p].contains(&id) {
-                        consumers[p].push(id);
-                    }
-                }
+            .map(|node| {
                 let layer = &node.layer;
                 LayerFacts {
                     weight_bytes: layer.weight_csf_bytes(),
@@ -240,7 +233,10 @@ impl NetFacts {
                 }
             })
             .collect();
-        Self { layers, consumers }
+        Self {
+            layers,
+            consumers: net.consumer_index(),
+        }
     }
 }
 
@@ -317,8 +313,7 @@ pub(crate) fn group_work(
         }
         in_bytes += layer_act;
 
-        let consumers = &facts.consumers[id];
-        if consumers.is_empty() || consumers.iter().any(|c| !group.layers.contains(c)) {
+        if facts.consumers.written_off_chip(id, &group.layers) {
             let leaving = layer.out_act_bytes;
             out_bytes += leaving;
             layer_act += leaving;

@@ -13,12 +13,11 @@
 use super::scheduler::DynamicScheduler;
 use crate::config::IsoscelesConfig;
 use crate::mapping::{map_network, ExecMode, Mapping, PipelineGroup};
-use isos_nn::graph::{Network, NodeId};
-use isos_nn::work::{layer_work, LayerWork};
+use isos_nn::graph::{ConsumerIndex, Network, NodeId};
+use isos_nn::work::{layer_work_into, LayerWork};
 use isos_sim::dram::{exact_recip, throttle};
 use isos_sim::harness::{DramTags, MemHarness};
-use isos_sim::metrics::{apportion_capped, apportion_cycles, NetworkMetrics, RunMetrics};
-use isos_sim::stats::Utilization;
+use isos_sim::metrics::{GroupSplit, LayerPart, NetworkMetrics, RunMetrics};
 use isos_trace::{NullSink, StallKind, TraceEvent, TraceSink, UnitId, UnitKind};
 
 /// Where a simulated layer's input comes from.
@@ -31,7 +30,7 @@ enum Source {
 }
 
 /// Per-layer execution state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct SimLayer {
     work: LayerWork,
     /// Prefix sums of `macs_per_col` for O(1) demand queries.
@@ -41,6 +40,9 @@ struct SimLayer {
     weight_left: f64,
     /// Weight bytes granted so far (per-layer traffic attribution).
     weight_streamed: f64,
+    /// Activation bytes granted to the external streams this layer owns,
+    /// summed once the group finishes.
+    acts_read: f64,
     cols_done: usize,
     col_progress: f64,
     produced_bytes: f64,
@@ -100,15 +102,34 @@ impl ExtStream {
     }
 }
 
-/// Buffers reused across every interval of one group simulation.
+/// Every buffer one network simulation reuses, from interval to interval
+/// and from group to group.
 ///
-/// The interval loop used to allocate a dozen short `Vec`s per interval;
-/// at sub-microsecond interval cost those allocations *were* the
-/// simulation time. One scratch set lives for the whole group instead,
-/// sized once to the member count, and every interval overwrites it in
-/// place — the loop body itself never touches the heap.
+/// At sub-microsecond interval cost, allocating per interval or per
+/// group would be a large share of the simulation time, so one scratch
+/// set lives for the whole network run: the group state (the member
+/// layers' work profiles, prefix sums and producer lists, the external
+/// streams, the scheduler history) and the breakdown merge are refilled
+/// in place per group, and the interval buffers are sized once per group
+/// and overwritten every interval. Once it has grown to the largest
+/// group, a simulation touches the heap only for the metrics it returns.
+///
+/// Nothing carries over from one group to the next: every live entry is
+/// rewritten and the scheduler history is reset, so the results are
+/// bit-identical to a fresh scratch per group.
 #[derive(Default)]
 struct IntervalScratch {
+    /// Member-layer state, pooled: entries `..n` belong to the current
+    /// group of `n` layers, the rest keep their buffers for a later,
+    /// larger group.
+    layers: Vec<SimLayer>,
+    ext_streams: Vec<ExtStream>,
+    /// The producer behind each external stream (its dedup key).
+    ext_ids: Vec<NodeId>,
+    /// Created at the first group (a scratch serves one network run, so
+    /// one configuration) and reset at every group.
+    sched: Option<DynamicScheduler>,
+    split: GroupSplit,
     ready: Vec<usize>,
     r_inputs: Vec<usize>,
     r_bps: Vec<usize>,
@@ -165,6 +186,7 @@ pub fn simulate_group(
     group: &PipelineGroup,
     seed: u64,
 ) -> GroupRun {
+    let mut out = NetworkMetrics::default();
     simulate_group_into(
         net,
         cfg,
@@ -172,8 +194,14 @@ pub fn simulate_group(
         seed,
         0,
         &mut NullSink,
+        &net.consumer_index(),
         &mut IntervalScratch::default(),
-    )
+        &mut out,
+    );
+    GroupRun {
+        metrics: out.groups[0].1,
+        layers: out.layers,
+    }
 }
 
 /// The interval loop behind every ISOSceles simulation, traced or not.
@@ -186,10 +214,16 @@ pub fn simulate_group(
 /// Tracing only observes the simulation: it reads state the loop keeps
 /// either way, so the returned metrics are bit-identical with any sink.
 ///
-/// The scratch is caller-owned, so the network executor pays the
-/// interval-buffer allocations once per run instead of once per group.
-/// It carries no state between groups — every buffer is cleared and
-/// rebuilt — so the results are bit-identical to a fresh scratch.
+/// The group is appended to `out` (totals, group entry and per-layer
+/// breakdown); the result is its cycle count. `index` is the network's
+/// consumer index, built once per network.
+///
+/// The scratch is caller-owned, so the network executor pays the group
+/// state and interval-buffer allocations once per run instead of once
+/// per group. It carries no state between groups (see
+/// [`IntervalScratch`]), so the results are bit-identical to a fresh
+/// scratch.
+#[allow(clippy::too_many_arguments)]
 fn simulate_group_into(
     net: &Network,
     cfg: &IsoscelesConfig,
@@ -197,13 +231,21 @@ fn simulate_group_into(
     seed: u64,
     t0: u64,
     sink: &mut dyn TraceSink,
+    index: &ConsumerIndex,
     sc: &mut IntervalScratch,
-) -> GroupRun {
-    let (mut layers, mut ext_streams) = build_group_state(net, cfg, group, seed);
+    out: &mut NetworkMetrics,
+) -> u64 {
+    build_group_state(net, cfg, group, seed, index, sc);
+    let n = group.layers.len();
+    let layers = &mut sc.layers[..n];
+    let ext_streams = &mut sc.ext_streams[..];
     let interval = cfg.scheduler_interval;
     let total_macs = cfg.total_macs() as f64;
     let mut mem = MemHarness::new(cfg.dram_bytes_per_cycle);
-    let mut sched = DynamicScheduler::new(total_macs);
+    let sched = sc
+        .sched
+        .get_or_insert_with(|| DynamicScheduler::new(total_macs));
+    sched.reset();
     let mut metrics = RunMetrics::default();
 
     let tracing = sink.enabled();
@@ -219,7 +261,6 @@ fn simulate_group_into(
 
     let safety_cycles: u64 = 500_000_000_000;
     let mut stalled_intervals = 0u32;
-    let n = layers.len();
     // Consumer adjacency, precomputed once: the backpressure scan used to
     // test every (producer, consumer) pair every interval.
     for c in sc.consumers.iter_mut() {
@@ -575,54 +616,25 @@ fn simulate_group_into(
     let local_bytes_per_mac = 2.0 * cfg.accumulator_bytes() as f64;
     metrics.charge_compute_activity(metrics.effectual_macs, local_bytes_per_mac);
 
-    // Per-layer breakdown. The interval loop attributes traffic to the
-    // stream that moved it; cycles (a group-shared resource) are
-    // apportioned by each layer's executed MACs, and the group's busy
-    // MAC/DRAM time by each layer's share of its MACs/traffic —
-    // water-filled against the layer's own cycles so clamping cannot
-    // drop busy mass and the breakdown still sums to the group totals.
-    let macs_per_layer: Vec<f64> = layers.iter().map(|l| l.macs_executed).collect();
-    let layer_cycles = apportion_cycles(metrics.cycles, &macs_per_layer);
-    let caps: Vec<f64> = layer_cycles.iter().map(|&c| c as f64).collect();
-    let mut ext_read = vec![0.0f64; layers.len()];
-    for s in &ext_streams {
-        ext_read[s.owner] += s.granted;
+    // Per-layer breakdown (see `GroupSplit`). The interval loop
+    // attributes traffic to the stream that moved it; each layer owns its
+    // weight stream, its writeback and the external streams it consumes.
+    for s in ext_streams.iter() {
+        layers[s.owner].acts_read += s.granted;
     }
-    let traffic_per_layer: Vec<f64> = layers
-        .iter()
-        .zip(&ext_read)
-        .map(|(l, &acts_in)| l.weight_streamed + acts_in + l.written_bytes)
-        .collect();
-    let mac_busy = apportion_capped(metrics.mac_util.busy(), &macs_per_layer, &caps);
-    let bw_busy = apportion_capped(metrics.bw_util.busy(), &traffic_per_layer, &caps);
-    let per_layer: Vec<(String, RunMetrics)> = layers
-        .iter_mut()
-        .zip(&layer_cycles)
-        .zip(&ext_read)
-        .enumerate()
-        .map(|(i, ((l, &cycles), &acts_in))| {
-            let mut m = RunMetrics {
-                cycles,
-                weight_traffic: l.weight_streamed,
-                act_traffic: acts_in + l.written_bytes,
-                effectual_macs: l.macs_executed,
-                ..Default::default()
-            };
-            m.mac_util = Utilization::new();
-            m.mac_util.add(mac_busy[i], cycles);
-            m.bw_util = Utilization::new();
-            m.bw_util.add(bw_busy[i], cycles);
-            m.activity.dram_bytes = m.total_traffic();
-            m.charge_compute_activity(l.macs_executed, local_bytes_per_mac);
-            // The layer state dies with this function; hand its name
-            // to the breakdown instead of cloning the string.
-            (std::mem::take(&mut l.work.name), m)
-        })
-        .collect();
-    GroupRun {
-        metrics,
-        layers: per_layer,
+    sc.split.clear();
+    for l in layers.iter() {
+        sc.split.push(LayerPart {
+            weight_bytes: l.weight_streamed,
+            act_in: l.acts_read,
+            act_out: l.written_bytes,
+            macs: l.macs_executed,
+        });
     }
+    let names = layers.iter().map(|l| l.work.name.clone());
+    let breakdown = sc.split.breakdown(&metrics, local_bytes_per_mac, names);
+    out.push_group(group.name.clone(), metrics, breakdown);
+    metrics.cycles
 }
 
 /// Simulates a whole network: maps it into groups and runs them in order
@@ -678,13 +690,16 @@ pub fn simulate_mapping_traced(
     seed: u64,
     sink: &mut dyn TraceSink,
 ) -> NetworkMetrics {
-    let mut out = NetworkMetrics::default();
+    let mut out = NetworkMetrics {
+        groups: Vec::with_capacity(mapping.groups.len()),
+        layers: Vec::with_capacity(mapping.groups.iter().map(|g| g.layers.len()).sum()),
+        ..Default::default()
+    };
+    let index = net.consumer_index();
     let mut t0 = 0u64;
     let mut sc = IntervalScratch::default();
     for group in &mapping.groups {
-        let run = simulate_group_into(net, cfg, group, seed, t0, sink, &mut sc);
-        t0 += run.metrics.cycles;
-        out.push_group(group.name.clone(), run.metrics, run.layers);
+        t0 += simulate_group_into(net, cfg, group, seed, t0, sink, &index, &mut sc, &mut out);
     }
     out
 }
@@ -735,20 +750,29 @@ fn advance_layer(layer: &mut SimLayer, budget: f64, ready: usize) -> f64 {
     used
 }
 
-/// Builds the simulation state for one group.
+/// Builds the simulation state for one group in the scratch's pools:
+/// `sc.layers[..n]` for its `n` members and `sc.ext_streams`, every
+/// field rewritten.
 fn build_group_state(
     net: &Network,
     cfg: &IsoscelesConfig,
     group: &PipelineGroup,
     seed: u64,
-) -> (Vec<SimLayer>, Vec<ExtStream>) {
+    index: &ConsumerIndex,
+    sc: &mut IntervalScratch,
+) {
     // Groups hold at most a handful of layers, so membership lookups are
     // linear scans rather than hash maps (hashing costs more than the
     // scan at this size, and this runs once per group per simulation).
     let local_index = |id: NodeId| group.layers.iter().position(|&l| l == id);
-    let mut ext_streams: Vec<ExtStream> = Vec::new();
-    let mut ext_ids: Vec<NodeId> = Vec::new();
-    let mut layers: Vec<SimLayer> = Vec::with_capacity(group.layers.len());
+    let n = group.layers.len();
+    if sc.layers.len() < n {
+        sc.layers.resize_with(n, SimLayer::default);
+    }
+    let ext_streams = &mut sc.ext_streams;
+    let ext_ids = &mut sc.ext_ids;
+    ext_streams.clear();
+    ext_ids.clear();
 
     // Decoupling depth floor, shared by every member: it must exceed the
     // longest pipeline lag inside the group (a skip connection's queue
@@ -760,9 +784,14 @@ fn build_group_state(
         .map(|&j| net.layer(j).kind.kernel().1)
         .sum::<usize>();
 
-    for &id in &group.layers {
+    for (owner, (&id, l)) in group.layers.iter().zip(&mut sc.layers).enumerate() {
         let layer = net.layer(id);
-        let work = layer_work(layer, seed ^ (id as u64).wrapping_mul(0x9E37_79B9));
+        layer_work_into(
+            layer,
+            seed ^ (id as u64).wrapping_mul(0x9E37_79B9),
+            &mut l.work,
+        );
+        let work = &l.work;
         let (r_kernel, _) = layer.kind.kernel();
         // Traffic multipliers for this layer's external input: K-tiling
         // re-reads the input per tile; P-tiling re-reads halo rows at each
@@ -775,9 +804,7 @@ fn build_group_state(
         let scale = group.k_tiles as f64 * (1.0 + halo_frac);
 
         let inputs = &net.nodes()[id].inputs;
-        let owner = layers.len();
-        let mut producers: Vec<Source> = Vec::new();
-        let mut ext_stream_for = |key: NodeId, work: &LayerWork| -> usize {
+        let mut ext_stream_for = |key: NodeId| -> usize {
             if let Some(e) = ext_ids.iter().position(|&k| k == key) {
                 return e;
             }
@@ -792,27 +819,18 @@ fn build_group_state(
             ext_ids.push(key);
             ext_streams.len() - 1
         };
+        l.producers.clear();
         if inputs.is_empty() {
             // Network input: one stream shaped like this layer's input.
-            let e = ext_stream_for(id + 1_000_000, &work);
-            producers.push(Source::External(e));
+            l.producers
+                .push(Source::External(ext_stream_for(id + 1_000_000)));
         }
         for &p in inputs {
-            if let Some(j) = local_index(p) {
-                producers.push(Source::Local(j));
-            } else {
-                let e = ext_stream_for(p, &work);
-                producers.push(Source::External(e));
-            }
+            l.producers.push(match local_index(p) {
+                Some(j) => Source::Local(j),
+                None => Source::External(ext_stream_for(p)),
+            });
         }
-        // Written out unless every consumer is in the group (and there
-        // is one): a single scan that allocates nothing.
-        let mut consumers = (net.nodes().iter().enumerate())
-            .filter(|(_, n)| n.inputs.contains(&id))
-            .map(|(c, _)| c)
-            .peekable();
-        let writes_extern =
-            consumers.peek().is_none() || consumers.any(|c| local_index(c).is_none());
 
         // Decoupling depth from the per-lane queue budget, floored at the
         // group-wide `min_ahead`.
@@ -821,28 +839,29 @@ fn build_group_state(
         let ahead_cols =
             ((cfg.queue_bytes_per_lane as f64 / mean_col_bytes) as usize).clamp(min_ahead, 128);
 
-        let mut cum_macs = Vec::with_capacity(work.out_cols + 1);
+        l.cum_macs.clear();
         let mut am = 0.0;
-        cum_macs.push(0.0);
-        for c in 0..work.out_cols {
-            am += work.macs_per_col[c];
-            cum_macs.push(am);
+        l.cum_macs.push(0.0);
+        for &macs in &work.macs_per_col {
+            am += macs;
+            l.cum_macs.push(am);
         }
-        let weight_left = work.weight_csf_bytes;
-        layers.push(SimLayer {
-            work,
-            cum_macs,
-            producers,
-            writes_extern,
-            weight_left,
+        // Rebuilt as a literal around its refilled buffers, so no field
+        // can keep the previous group's value.
+        *l = SimLayer {
+            weight_left: l.work.weight_csf_bytes,
+            work: std::mem::take(&mut l.work),
+            cum_macs: std::mem::take(&mut l.cum_macs),
+            producers: std::mem::take(&mut l.producers),
+            writes_extern: index.written_off_chip(id, &group.layers),
             weight_streamed: 0.0,
+            acts_read: 0.0,
             cols_done: 0,
             col_progress: 0.0,
             produced_bytes: 0.0,
             written_bytes: 0.0,
             macs_executed: 0.0,
             ahead_cols,
-        });
+        };
     }
-    (layers, ext_streams)
 }

@@ -103,6 +103,19 @@ impl DynamicScheduler {
         }
     }
 
+    /// Forgets the demand history, as at [`new`](Self::new), but keeps
+    /// its buffer. A pooled scheduler must be reset between pipeline
+    /// groups: [`allocate_into`](Self::allocate_into) takes any history
+    /// of the demand's length as valid, so a group the size of the one
+    /// before it would otherwise inherit that group's shares. (An empty
+    /// history matches no non-empty demand, and an empty demand gets the
+    /// same empty shares either way.)
+    pub fn reset(&mut self) {
+        if let Some(prev) = &mut self.prev_demand {
+            prev.clear();
+        }
+    }
+
     /// Total PEs under management.
     pub fn total_pes(&self) -> f64 {
         self.total_pes
@@ -143,6 +156,17 @@ mod tests {
         s.allocate(&[10.0, 90.0]);
         // Group changed size: equal shares again.
         assert_eq!(s.allocate(&[1.0, 1.0, 1.0, 1.0]), vec![25.0; 4]);
+    }
+
+    #[test]
+    fn reset_forgets_history_of_the_same_length() {
+        let mut s = DynamicScheduler::new(100.0);
+        s.allocate(&[10.0, 90.0]);
+        s.reset();
+        let mut fresh = DynamicScheduler::new(100.0);
+        for demand in [[3.0, 1.0], [0.0, 0.0], [5.0, 5.0]] {
+            assert_eq!(s.allocate(&demand), fresh.allocate(&demand));
+        }
     }
 
     #[test]

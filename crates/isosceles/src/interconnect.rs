@@ -126,10 +126,9 @@ pub fn configure(net: &Network, group: &PipelineGroup) -> InterconnectConfig {
             push(src, dst.clone(), &mut connections);
         }
     }
+    let index = net.consumer_index();
     for &id in &group.layers {
-        let consumers = net.consumers(id);
-        let external = consumers.is_empty() || consumers.iter().any(|c| !in_group(c));
-        if external {
+        if index.written_off_chip(id, &group.layers) {
             push(
                 unit_of(id),
                 Unit::Writer(net.layer(id).name.clone()),

@@ -284,11 +284,12 @@ impl Mapping {
 }
 
 /// A schedulable unit: either one block (with its skip connection) or a
-/// single uncovered layer.
-#[derive(Clone, Debug)]
-struct Unit {
-    name: String,
-    members: Vec<NodeId>,
+/// single uncovered layer. It borrows its name and members from the
+/// network, so collecting the units allocates only their list.
+#[derive(Clone, Copy, Debug)]
+struct Unit<'a> {
+    name: &'a str,
+    members: &'a [NodeId],
     pipelineable: bool,
 }
 
@@ -366,7 +367,10 @@ pub fn map_network(net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapp
 
 /// [`map_network`] on a [`MapKey`].
 fn map_keyed(net: &Network, key: &MapKey) -> Mapping {
-    let units = collect_units(net);
+    // Every node id, in order: singleton units borrow their one-member
+    // list from here.
+    let ids: Vec<NodeId> = (0..net.len()).collect();
+    let units = collect_units(net, &ids);
     // The greedy grower re-tests overlapping layer sets against the
     // context constraint, and the per-layer accumulator occupancy behind
     // it costs a `powf`; memoizing it per layer keeps the mapping
@@ -386,7 +390,7 @@ fn map_keyed(net: &Network, key: &MapKey) -> Mapping {
             return;
         }
         let layers = std::mem::take(current_flat);
-        let name = current[0].name.clone();
+        let name = current[0].name.to_owned();
         let (p_tiles, k_tiles) = tiling_for(net, key, &occs, &layers);
         groups.push(PipelineGroup {
             name,
@@ -401,23 +405,23 @@ fn map_keyed(net: &Network, key: &MapKey) -> Mapping {
         let single_only = key.mode == ExecMode::SingleLayer;
         if !unit.pipelineable || single_only {
             flush(&mut current, &mut current_flat, &mut groups);
-            push_decomposed(net, key, &occs, &unit.members, &mut groups);
+            push_decomposed(net, key, &occs, unit.members, &mut groups);
             continue;
         }
         // Would appending this unit violate a resource constraint?
         candidate.clear();
         candidate.extend_from_slice(&current_flat);
-        candidate.extend_from_slice(&unit.members);
+        candidate.extend_from_slice(unit.members);
         if !current.is_empty() && !fits(net, key, &occs, &candidate) {
             flush(&mut current, &mut current_flat, &mut groups);
         }
         // A unit that doesn't even fit alone runs as single layers
         // (weights tiled on K as needed).
-        if !fits(net, key, &occs, &unit.members) && unit.members.len() > 1 {
-            push_decomposed(net, key, &occs, &unit.members, &mut groups);
+        if !fits(net, key, &occs, unit.members) && unit.members.len() > 1 {
+            push_decomposed(net, key, &occs, unit.members, &mut groups);
             continue;
         }
-        current_flat.extend_from_slice(&unit.members);
+        current_flat.extend_from_slice(unit.members);
         current.push(unit);
     }
     flush(&mut current, &mut current_flat, &mut groups);
@@ -456,9 +460,10 @@ fn push_decomposed(
 }
 
 /// Partitions the network into blocks (from the graph's hints) plus
-/// singleton units for uncovered layers, in topological order.
+/// singleton units for uncovered layers, in topological order. `ids` is
+/// every node id in order.
 #[allow(clippy::needless_range_loop)] // id doubles as the NodeId
-fn collect_units(net: &Network) -> Vec<Unit> {
+fn collect_units<'a>(net: &'a Network, ids: &'a [NodeId]) -> Vec<Unit<'a>> {
     let mut covered = vec![false; net.len()];
     let mut units: Vec<(NodeId, Unit)> = Vec::new();
     for block in net.blocks() {
@@ -473,7 +478,7 @@ fn collect_units(net: &Network) -> Vec<Unit> {
             block.members[0],
             Unit {
                 name: block_display_name(net, block.members[0], &block.name),
-                members: block.members.clone(),
+                members: &block.members,
                 pipelineable,
             },
         ));
@@ -483,8 +488,8 @@ fn collect_units(net: &Network) -> Vec<Unit> {
             units.push((
                 id,
                 Unit {
-                    name: net.layer(id).name.clone(),
-                    members: vec![id],
+                    name: &net.layer(id).name,
+                    members: &ids[id..=id],
                     pipelineable: net.layer(id).kind.is_pipelineable(),
                 },
             ));
@@ -495,12 +500,12 @@ fn collect_units(net: &Network) -> Vec<Unit> {
 }
 
 /// Table IV names pipelines after the first conv layer of the group.
-fn block_display_name(net: &Network, first: NodeId, fallback: &str) -> String {
+fn block_display_name<'a>(net: &'a Network, first: NodeId, fallback: &'a str) -> &'a str {
     let name = &net.layer(first).name;
     if name.is_empty() {
-        fallback.to_owned()
+        fallback
     } else {
-        name.clone()
+        name
     }
 }
 

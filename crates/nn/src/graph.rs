@@ -151,6 +151,13 @@ impl Network {
             .collect()
     }
 
+    /// The consumers of every node at once, built in one O(N) pass (see
+    /// [`ConsumerIndex`]). Callers that ask about many nodes build it
+    /// once instead of calling [`consumers`](Self::consumers) per node.
+    pub fn consumer_index(&self) -> ConsumerIndex {
+        ConsumerIndex::new(self)
+    }
+
     /// Network input nodes (no producers).
     pub fn sources(&self) -> Vec<NodeId> {
         (0..self.nodes.len())
@@ -160,8 +167,9 @@ impl Network {
 
     /// Network output nodes (no consumers).
     pub fn sinks(&self) -> Vec<NodeId> {
+        let index = self.consumer_index();
         (0..self.nodes.len())
-            .filter(|&i| self.consumers(i).is_empty())
+            .filter(|&i| index.consumers(i).is_empty())
             .collect()
     }
 
@@ -229,6 +237,70 @@ impl Network {
     }
 }
 
+/// Who reads each node's output: the reverse of [`Node::inputs`], for
+/// the whole network at once.
+///
+/// Built on demand by [`Network::consumer_index`] in one pass over the
+/// edges and stored flat (one offset table, one id list), so asking about
+/// every node of a network costs O(N + E) instead of the O(N²) of a
+/// [`Network::consumers`] scan per node. Each consumer is listed once
+/// per producer, in ascending id order, even if it names that producer
+/// twice.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConsumerIndex {
+    /// `ids[start[i]..start[i + 1]]` are node `i`'s consumers.
+    start: Vec<usize>,
+    ids: Vec<NodeId>,
+}
+
+impl ConsumerIndex {
+    fn new(net: &Network) -> Self {
+        // Every (producer, consumer) edge once, consumers ascending.
+        let edges = || {
+            net.nodes.iter().enumerate().flat_map(|(id, node)| {
+                let inputs = &node.inputs;
+                (0..inputs.len())
+                    .filter(move |&k| !inputs[..k].contains(&inputs[k]))
+                    .map(move |k| (inputs[k], id))
+            })
+        };
+        // Counting sort on the producer: count, prefix-sum into offsets,
+        // then place each consumer at its producer's cursor.
+        let n = net.len();
+        let mut start = vec![0usize; n + 1];
+        for (p, _) in edges() {
+            start[p + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut ids = vec![0; start[n]];
+        let mut cursor = start[..n].to_vec();
+        for (p, c) in edges() {
+            ids[cursor[p]] = c;
+            cursor[p] += 1;
+        }
+        Self { start, ids }
+    }
+
+    /// Ids of the nodes that consume `id`'s output, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn consumers(&self, id: NodeId) -> &[NodeId] {
+        &self.ids[self.start[id]..self.start[id + 1]]
+    }
+
+    /// Whether node `id`'s output leaves a pipeline group of `members`
+    /// for DRAM: it does unless it has a consumer and every consumer is a
+    /// member. A network output always goes off-chip.
+    pub fn written_off_chip(&self, id: NodeId, members: &[NodeId]) -> bool {
+        let consumers = self.consumers(id);
+        consumers.is_empty() || consumers.iter().any(|c| !members.contains(c))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,6 +343,36 @@ mod tests {
         );
         assert_eq!(net.consumers(a), vec![b, add]);
         assert!(net.validate().is_ok());
+    }
+
+    #[test]
+    fn consumer_index_matches_the_per_node_scan() {
+        let mut net = Network::new("skip");
+        let a = net.add(conv("a", ActShape::new(8, 8, 8), 8), &[]);
+        let b = net.add(conv("b", ActShape::new(8, 8, 8), 8), &[a]);
+        let add = net.add(
+            Layer::new("add", LayerKind::Add, ActShape::new(8, 8, 8), 0),
+            &[a, b],
+        );
+        // A node naming one producer twice still consumes it once.
+        let twice = net.add(
+            Layer::new("twice", LayerKind::Add, ActShape::new(8, 8, 8), 0),
+            &[add, add],
+        );
+        let index = net.consumer_index();
+        for id in 0..net.len() {
+            assert_eq!(
+                index.consumers(id),
+                net.consumers(id).as_slice(),
+                "node {id}"
+            );
+        }
+        assert_eq!(index.consumers(twice), &[] as &[NodeId]);
+        assert_eq!(net.sinks(), vec![twice]);
+        // Off-chip unless every consumer is in the group.
+        assert!(index.written_off_chip(a, &[a, b]));
+        assert!(!index.written_off_chip(a, &[a, b, add]));
+        assert!(index.written_off_chip(twice, &[a, b, add, twice]));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Work and footprint profile of one layer, at column granularity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LayerWork {
     /// Layer name.
     pub name: String,
@@ -75,48 +75,61 @@ impl LayerWork {
 /// expectation (they match [`Layer::effectual_macs`] and the CSF byte
 /// estimates on [`Layer`]).
 pub fn layer_work(layer: &Layer, seed: u64) -> LayerWork {
+    let mut work = LayerWork::default();
+    layer_work_into(layer, seed, &mut work);
+    work
+}
+
+/// [`layer_work`] refilling `work` in place: every field is overwritten
+/// and the name and column buffers keep their allocations, so a
+/// simulator that pools one `LayerWork` per pipeline context pays no
+/// allocation per layer. The result equals [`layer_work`]'s bit for bit
+/// (it *is* `layer_work`'s body).
+pub fn layer_work_into(layer: &Layer, seed: u64, work: &mut LayerWork) {
     let mut rng = SmallRng::seed_from_u64(seed ^ WORK_SEED);
     let (q, w) = match layer.kind {
         LayerKind::FullyConnected | LayerKind::GlobalAvgPool => (1, 1),
         _ => (layer.output.w, layer.input.w),
     };
-    let total_macs = layer.effectual_macs();
-    let macs_per_col = wobbled_split(total_macs, q, &mut rng);
-    let in_bytes_per_col = wobbled_split(layer.in_act_csf_bytes(), w, &mut rng);
-    let out_bytes_per_col = wobbled_split(layer.out_act_csf_bytes(), q, &mut rng);
+    wobbled_split(layer.effectual_macs(), q, &mut rng, &mut work.macs_per_col);
+    wobbled_split(
+        layer.in_act_csf_bytes(),
+        w,
+        &mut rng,
+        &mut work.in_bytes_per_col,
+    );
+    wobbled_split(
+        layer.out_act_csf_bytes(),
+        q,
+        &mut rng,
+        &mut work.out_bytes_per_col,
+    );
     let (_, s) = layer.kind.kernel();
-    LayerWork {
-        name: layer.name.clone(),
-        in_cols: w,
-        out_cols: q,
-        in_rows: layer.input.h,
-        out_rows: layer.output.h,
-        stride: layer.kind.stride(),
-        s_kernel: s,
-        macs_per_col,
-        in_bytes_per_col,
-        out_bytes_per_col,
-        weight_csf_bytes: layer.weight_csf_bytes(),
-        weight_dense_bytes: layer.weight_dense_bytes(),
-        has_weights: layer.kind.has_weights(),
-    }
+    work.name.clear();
+    work.name.push_str(&layer.name);
+    work.in_cols = w;
+    work.out_cols = q;
+    work.in_rows = layer.input.h;
+    work.out_rows = layer.output.h;
+    work.stride = layer.kind.stride();
+    work.s_kernel = s;
+    work.weight_csf_bytes = layer.weight_csf_bytes();
+    work.weight_dense_bytes = layer.weight_dense_bytes();
+    work.has_weights = layer.kind.has_weights();
 }
 
-/// Splits `total` across `n` columns with ±30% per-column wobble, exactly
-/// preserving the total.
-fn wobbled_split(total: f64, n: usize, rng: &mut SmallRng) -> Vec<f64> {
-    if n == 0 {
-        return Vec::new();
-    }
+/// Splits `total` across `n` columns into `cols` (cleared first) with
+/// ±30% per-column wobble, exactly preserving the total.
+fn wobbled_split(total: f64, n: usize, rng: &mut SmallRng, cols: &mut Vec<f64>) {
+    cols.clear();
     // One buffer end to end: draw the factors, sum them, scale in place.
     // The per-column values are exactly the `total * f / sum` of a
     // separate factor pass (same draws, same sum, same expression).
-    let mut cols: Vec<f64> = (0..n).map(|_| rng.gen_range(0.7..1.3)).collect();
+    cols.extend((0..n).map(|_| rng.gen_range(0.7..1.3)));
     let sum: f64 = cols.iter().sum();
     for f in cols.iter_mut() {
         *f = total * *f / sum;
     }
-    cols
 }
 
 /// Salt so layer-work RNG streams differ from other seeded generators.
@@ -201,6 +214,21 @@ mod tests {
         assert_eq!(w.out_cols, 1);
         assert_eq!(w.macs_per_col.len(), 1);
         assert!((w.total_macs() - l.effectual_macs()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn refilling_a_used_buffer_equals_a_fresh_build() {
+        let fc = Layer::new(
+            "fc",
+            LayerKind::FullyConnected,
+            ActShape::new(1, 1, 512),
+            100,
+        );
+        let mut work = layer_work(&conv_layer(), 3);
+        layer_work_into(&fc, 4, &mut work);
+        assert_eq!(work, layer_work(&fc, 4));
+        layer_work_into(&conv_layer(), 5, &mut work);
+        assert_eq!(work, layer_work(&conv_layer(), 5));
     }
 
     #[test]

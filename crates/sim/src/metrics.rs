@@ -9,8 +9,10 @@
 //! - [`NetworkMetrics`]: whole-network totals plus per-pipeline-group
 //!   *and* per-layer breakdowns, with the invariant that the breakdowns
 //!   sum back to the totals;
-//! - [`apportion_cycles`]: exact-sum integer apportionment used to split
-//!   a group's cycles over its member layers.
+//! - [`GroupSplit`]: the per-layer breakdown of a pipeline-group run
+//!   that every group-granular model shares, built on
+//!   [`apportion_cycles`] (exact-sum integer apportionment of the
+//!   group's cycles) and [`apportion_capped`] (water-filled busy time).
 //!
 //! Every crate, the ISOSceles model included, names them from here, so
 //! depending on a *result* does not require depending on the ISOSceles
@@ -109,13 +111,13 @@ impl NetworkMetrics {
         &mut self,
         name: String,
         group: RunMetrics,
-        layers: Vec<(String, RunMetrics)>,
+        layers: impl IntoIterator<Item = (String, RunMetrics)>,
     ) {
         self.total.accumulate(&group);
-        if layers.is_empty() {
+        let before = self.layers.len();
+        self.layers.extend(layers);
+        if self.layers.len() == before {
             self.layers.push((name.clone(), group));
-        } else {
-            self.layers.extend(layers);
         }
         self.groups.push((name, group));
     }
@@ -288,37 +290,36 @@ impl StreamMetrics {
 }
 
 /// Splits `total` cycles over weights with an exact sum (largest-
-/// remainder apportionment).
+/// remainder apportionment), writing the counts into `out`.
 ///
 /// Used to attribute a pipeline group's cycles to its member layers in
-/// proportion to the work each executed; the returned counts always sum
-/// to exactly `total`. Non-finite or negative weights count as zero; if
-/// every weight is zero the split is uniform.
-pub fn apportion_cycles(total: u64, weights: &[f64]) -> Vec<u64> {
+/// proportion to the work each executed; the counts always sum to
+/// exactly `total`. Non-finite or negative weights count as zero; if
+/// every weight is zero the split is uniform. `out` is cleared first and
+/// `order` is scratch space for the remainder ranking, so a caller that
+/// keeps both across groups never allocates here.
+pub fn apportion_cycles(total: u64, weights: &[f64], out: &mut Vec<u64>, order: &mut Vec<usize>) {
+    out.clear();
     if weights.is_empty() {
-        return Vec::new();
+        return;
     }
-    let sanitized: Vec<f64> = weights
-        .iter()
-        .map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 })
-        .collect();
-    let wsum: f64 = sanitized.iter().sum();
-    let shares: Vec<f64> = if wsum > 0.0 {
-        sanitized
-            .iter()
-            .map(|w| total as f64 * (w / wsum))
-            .collect()
-    } else {
-        vec![total as f64 / weights.len() as f64; weights.len()]
+    let wsum: f64 = weights.iter().map(|&w| sanitize(w)).sum();
+    let share = |i: usize| {
+        if wsum > 0.0 {
+            total as f64 * (sanitize(weights[i]) / wsum)
+        } else {
+            total as f64 / weights.len() as f64
+        }
     };
-    let mut out: Vec<u64> = shares.iter().map(|s| s.floor() as u64).collect();
+    out.extend((0..weights.len()).map(|i| share(i).floor() as u64));
     let assigned: u64 = out.iter().sum();
     // Hand the remaining cycles to the largest fractional remainders
-    // (ties broken by index, so the result is deterministic).
-    let mut order: Vec<usize> = (0..out.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = shares[a] - shares[a].floor();
-        let fb = shares[b] - shares[b].floor();
+    // (ties broken by index, so the order is total and deterministic).
+    order.clear();
+    order.extend(0..out.len());
+    order.sort_unstable_by(|&a, &b| {
+        let fa = share(a) - share(a).floor();
+        let fb = share(b) - share(b).floor();
         fb.total_cmp(&fa).then(a.cmp(&b))
     });
     let mut left = total.saturating_sub(assigned);
@@ -330,11 +331,20 @@ pub fn apportion_cycles(total: u64, weights: &[f64]) -> Vec<u64> {
         left -= 1;
     }
     debug_assert_eq!(out.iter().sum::<u64>(), total);
-    out
 }
 
-/// Splits `total` over `weights` proportionally, never exceeding the
-/// per-entry `caps` (water-filling).
+/// A weight as the apportioners read it: non-finite or negative counts
+/// as zero.
+fn sanitize(w: f64) -> f64 {
+    if w.is_finite() && w > 0.0 {
+        w
+    } else {
+        0.0
+    }
+}
+
+/// Splits `total` over `weights` proportionally into `out` (cleared
+/// first), never exceeding the per-entry `caps` (water-filling).
 ///
 /// Overflow from capped entries is redistributed among the uncapped ones
 /// by weight until everything is placed or every positive-weight entry is
@@ -349,53 +359,144 @@ pub fn apportion_cycles(total: u64, weights: &[f64]) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics if `weights` and `caps` differ in length.
-pub fn apportion_capped(total: f64, weights: &[f64], caps: &[f64]) -> Vec<f64> {
+pub fn apportion_capped(total: f64, weights: &[f64], caps: &[f64], out: &mut Vec<f64>) {
     assert_eq!(weights.len(), caps.len(), "weights/caps length mismatch");
-    let mut out = vec![0.0f64; weights.len()];
+    out.clear();
+    out.resize(weights.len(), 0.0);
     if total <= 0.0 {
-        return out;
+        return;
     }
-    let sanitized: Vec<f64> = weights
-        .iter()
-        .map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 })
-        .collect();
+    // An entry is active while it has weight and cap headroom; only its
+    // own pass step changes its `out`, so testing it in place is the
+    // same as listing the active set at the start of the pass.
+    let active = |out: &[f64], i: usize| sanitize(weights[i]) > 0.0 && out[i] < caps[i];
     let mut left = total;
     // Each pass either places everything or saturates at least one entry,
     // so this terminates in at most `len` passes.
     loop {
-        let active: Vec<usize> = (0..out.len())
-            .filter(|&i| sanitized[i] > 0.0 && out[i] < caps[i])
-            .collect();
-        let wsum: f64 = active.iter().map(|&i| sanitized[i]).sum();
-        if left <= total * 1e-12 || active.is_empty() || wsum <= 0.0 {
+        let mut any_active = false;
+        let wsum: f64 = (0..out.len())
+            .filter(|&i| active(out, i))
+            .inspect(|_| any_active = true)
+            .map(|i| sanitize(weights[i]))
+            .sum();
+        if left <= total * 1e-12 || !any_active || wsum <= 0.0 {
             break;
         }
         let mut overflow = 0.0;
-        for &i in &active {
-            let share = left * sanitized[i] / wsum;
-            let take = share.min(caps[i] - out[i]);
-            out[i] += take;
-            overflow += share - take;
+        for i in 0..out.len() {
+            if active(out, i) {
+                let share = left * sanitize(weights[i]) / wsum;
+                let take = share.min(caps[i] - out[i]);
+                out[i] += take;
+                overflow += share - take;
+            }
         }
         left = overflow;
     }
     // Every positive-weight entry is saturated (or there were none):
     // spill the rest into whatever cap headroom remains, pro rata.
     if left > total * 1e-12 {
-        let headroom: Vec<f64> = out
-            .iter()
-            .zip(caps)
-            .map(|(&o, &c)| (c - o).max(0.0))
-            .collect();
-        let room: f64 = headroom.iter().sum();
+        let headroom = |o: f64, c: f64| (c - o).max(0.0);
+        let room: f64 = out.iter().zip(caps).map(|(&o, &c)| headroom(o, c)).sum();
         if room > 0.0 {
             let spill = left.min(room);
-            for (o, h) in out.iter_mut().zip(&headroom) {
-                *o += spill * h / room;
+            for (o, &c) in out.iter_mut().zip(caps) {
+                *o += spill * headroom(*o, c) / room;
             }
         }
     }
-    out
+}
+
+/// What one member layer of a pipeline group moved and computed on its
+/// own, as the group's simulation attributes it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LayerPart {
+    /// Weight bytes read for the layer.
+    pub weight_bytes: f64,
+    /// Activation bytes read from DRAM into the layer.
+    pub act_in: f64,
+    /// Activation bytes the layer wrote back to DRAM.
+    pub act_out: f64,
+    /// Effectual MACs the layer executed.
+    pub macs: f64,
+}
+
+/// Splits pipeline-group runs into per-layer breakdowns: the one merge
+/// every group-granular model shares. Cycles (a group-shared resource)
+/// are apportioned by each layer's MACs, and the group's busy MAC/DRAM
+/// time by each layer's share of its MACs/traffic, water-filled against
+/// the layer's own cycles so clamping cannot drop busy mass and the
+/// breakdown still sums to the group totals.
+///
+/// The buffers live as long as the splitter, so a model that keeps one
+/// across the groups of a network allocates nothing per group here.
+#[derive(Clone, Debug, Default)]
+pub struct GroupSplit {
+    parts: Vec<LayerPart>,
+    macs: Vec<f64>,
+    traffic: Vec<f64>,
+    cycles: Vec<u64>,
+    caps: Vec<f64>,
+    mac_busy: Vec<f64>,
+    bw_busy: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl GroupSplit {
+    /// Starts a new group: forgets the parts of the previous one.
+    pub fn clear(&mut self) {
+        self.parts.clear();
+    }
+
+    /// Appends the next member layer's part, in group order.
+    pub fn push(&mut self, part: LayerPart) {
+        self.parts.push(part);
+    }
+
+    /// The per-layer breakdown of `group` over the pushed parts, named
+    /// by `names` (one per part, in order), for
+    /// [`NetworkMetrics::push_group`]. Each layer's compute activity is
+    /// charged at `local_bytes_per_mac` (see
+    /// [`RunMetrics::charge_compute_activity`]).
+    pub fn breakdown<'a>(
+        &'a mut self,
+        group: &RunMetrics,
+        local_bytes_per_mac: f64,
+        names: impl Iterator<Item = String> + 'a,
+    ) -> impl Iterator<Item = (String, RunMetrics)> + 'a {
+        self.macs.clear();
+        self.macs.extend(self.parts.iter().map(|p| p.macs));
+        self.traffic.clear();
+        self.traffic.extend(
+            self.parts
+                .iter()
+                .map(|p| p.weight_bytes + p.act_in + p.act_out),
+        );
+        apportion_cycles(group.cycles, &self.macs, &mut self.cycles, &mut self.order);
+        self.caps.clear();
+        self.caps.extend(self.cycles.iter().map(|&c| c as f64));
+        let mac_busy = group.mac_util.busy();
+        apportion_capped(mac_busy, &self.macs, &self.caps, &mut self.mac_busy);
+        let bw_busy = group.bw_util.busy();
+        apportion_capped(bw_busy, &self.traffic, &self.caps, &mut self.bw_busy);
+        let split = &*self;
+        names.zip(0..split.parts.len()).map(move |(name, i)| {
+            let (p, cycles) = (&split.parts[i], split.cycles[i]);
+            let mut m = RunMetrics {
+                cycles,
+                weight_traffic: p.weight_bytes,
+                act_traffic: p.act_in + p.act_out,
+                effectual_macs: p.macs,
+                ..Default::default()
+            };
+            m.mac_util.add(split.mac_busy[i], cycles);
+            m.bw_util.add(split.bw_busy[i], cycles);
+            m.activity.dram_bytes = m.total_traffic();
+            m.charge_compute_activity(p.macs, local_bytes_per_mac);
+            (name, m)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -553,33 +654,45 @@ mod tests {
         assert_eq!(r.formation_wait + r.busy_wait, r.queue_wait());
     }
 
+    fn cycles_of(total: u64, weights: &[f64]) -> Vec<u64> {
+        let mut out = vec![99; 5];
+        apportion_cycles(total, weights, &mut out, &mut vec![7; 9]);
+        out
+    }
+
+    fn capped_of(total: f64, weights: &[f64], caps: &[f64]) -> Vec<f64> {
+        let mut out = vec![-1.0; 5];
+        apportion_capped(total, weights, caps, &mut out);
+        out
+    }
+
     #[test]
     fn apportion_is_exact_and_proportional() {
-        let split = apportion_cycles(100, &[3.0, 1.0]);
+        let split = cycles_of(100, &[3.0, 1.0]);
         assert_eq!(split, vec![75, 25]);
-        let uneven = apportion_cycles(10, &[1.0, 1.0, 1.0]);
+        let uneven = cycles_of(10, &[1.0, 1.0, 1.0]);
         assert_eq!(uneven.iter().sum::<u64>(), 10);
         assert!(uneven.iter().all(|&c| (3..=4).contains(&c)));
     }
 
     #[test]
     fn apportion_handles_degenerate_weights() {
-        assert_eq!(apportion_cycles(7, &[]), Vec::<u64>::new());
-        let zeros = apportion_cycles(7, &[0.0, 0.0]);
+        assert_eq!(cycles_of(7, &[]), Vec::<u64>::new());
+        let zeros = cycles_of(7, &[0.0, 0.0]);
         assert_eq!(zeros.iter().sum::<u64>(), 7);
-        let nan = apportion_cycles(9, &[f64::NAN, 1.0, -3.0]);
+        let nan = cycles_of(9, &[f64::NAN, 1.0, -3.0]);
         assert_eq!(nan.iter().sum::<u64>(), 9);
         assert_eq!(nan[1], 9);
     }
 
     #[test]
     fn apportion_zero_total_is_zeroes() {
-        assert_eq!(apportion_cycles(0, &[5.0, 1.0]), vec![0, 0]);
+        assert_eq!(cycles_of(0, &[5.0, 1.0]), vec![0, 0]);
     }
 
     #[test]
     fn apportion_capped_is_proportional_when_uncapped() {
-        let out = apportion_capped(100.0, &[3.0, 1.0], &[1e9, 1e9]);
+        let out = capped_of(100.0, &[3.0, 1.0], &[1e9, 1e9]);
         assert!((out[0] - 75.0).abs() < 1e-9);
         assert!((out[1] - 25.0).abs() < 1e-9);
     }
@@ -588,14 +701,14 @@ mod tests {
     fn apportion_capped_redistributes_overflow() {
         // Entry 0 wants 75 but is capped at 10; its overflow spills to
         // entry 1 so the sum is preserved.
-        let out = apportion_capped(100.0, &[3.0, 1.0], &[10.0, 1e9]);
+        let out = capped_of(100.0, &[3.0, 1.0], &[10.0, 1e9]);
         assert_eq!(out[0], 10.0);
         assert!((out.iter().sum::<f64>() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn apportion_capped_saturates_when_total_exceeds_caps() {
-        let out = apportion_capped(100.0, &[1.0, 1.0], &[30.0, 40.0]);
+        let out = capped_of(100.0, &[1.0, 1.0], &[30.0, 40.0]);
         assert_eq!(out, vec![30.0, 40.0]);
     }
 
@@ -603,18 +716,18 @@ mod tests {
     fn apportion_capped_spills_into_zero_weight_headroom() {
         // The weighted entry saturates at 4; the remaining 6 spill into
         // the zero-weight entry's headroom instead of being dropped.
-        let out = apportion_capped(10.0, &[1.0, 0.0], &[4.0, 20.0]);
+        let out = capped_of(10.0, &[1.0, 0.0], &[4.0, 20.0]);
         assert_eq!(out[0], 4.0);
         assert!((out[1] - 6.0).abs() < 1e-9);
         // No weights at all: everything is spill.
-        let even = apportion_capped(10.0, &[0.0, 0.0], &[5.0, 5.0]);
+        let even = capped_of(10.0, &[0.0, 0.0], &[5.0, 5.0]);
         assert_eq!(even, vec![5.0, 5.0]);
     }
 
     #[test]
     fn apportion_capped_handles_degenerate_inputs() {
-        assert_eq!(apportion_capped(0.0, &[1.0], &[5.0]), vec![0.0]);
-        let nan = apportion_capped(10.0, &[f64::NAN, 1.0], &[100.0, 100.0]);
+        assert_eq!(capped_of(0.0, &[1.0], &[5.0]), vec![0.0]);
+        let nan = capped_of(10.0, &[f64::NAN, 1.0], &[100.0, 100.0]);
         assert_eq!(nan[0], 0.0);
         assert!((nan[1] - 10.0).abs() < 1e-9);
     }
