@@ -27,8 +27,11 @@
 //! cache-key hashing, metadata construction, or metrics cloning (the
 //! overheads the engine's per-job stats include).
 //!
-//! `--smoke` runs only the smallest workload (G58) so CI can validate
-//! the schema in seconds without gating on timings.
+//! `--smoke` runs only the smallest workload (G58), so CI checks the
+//! schema in seconds. Its timings are no baseline, but they are gated:
+//! `scripts/check.sh` compares a smoke run with the committed
+//! `BENCH_10.json` at `--regress-pct 150`, a coarse bound that catches
+//! an order-of-magnitude slowdown and nothing finer.
 //!
 //! # Baseline comparison
 //!
@@ -208,7 +211,7 @@ fn usage_text() -> String {
         "usage: perf_report [--smoke] [--out PATH] [--seed N] [--warmup N]\n\
          \x20                  [--repeat N] [--baseline PATH] [--regress-pct P]\n\
          \n\
-         --smoke          time only G58 (schema check; not a perf baseline)\n\
+         --smoke          time only G58 (quick check; timings fit only a coarse gate)\n\
          --out PATH       output JSON path (default {DEFAULT_OUT})\n\
          --seed N         sparsity-pattern seed (default {SEED})\n\
          --warmup N       untimed simulations per cell (default {DEFAULT_WARMUP})\n\

@@ -250,15 +250,6 @@ impl CacheStats {
         self.hits + self.misses
     }
 
-    /// Fraction of jobs served from the cache (0 when no jobs ran).
-    pub fn hit_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total() as f64
-        }
-    }
-
     /// Sums two counter sets.
     pub fn merge(self, other: CacheStats) -> CacheStats {
         CacheStats {
@@ -1137,7 +1128,6 @@ mod tests {
         assert_eq!(total, CacheStats { hits: 2, misses: 2 });
         assert_eq!(total, clone.lifetime_cache());
         assert_eq!(total.total(), 4);
-        assert!((total.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1146,8 +1136,6 @@ mod tests {
         let b = CacheStats { hits: 1, misses: 3 };
         assert_eq!(a.merge(b), CacheStats { hits: 4, misses: 4 });
         assert_eq!(a.merge(b), b.merge(a));
-        assert!((a.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert_eq!(a.to_string(), "3 hits / 1 misses");
     }
 

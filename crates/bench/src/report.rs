@@ -87,18 +87,6 @@ impl CsvTable {
         }
         out
     }
-
-    /// Writes the table to `dir/name.md`, creating `dir` if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_markdown(&self, dir: &Path, name: &str) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.md"));
-        std::fs::write(&path, self.to_markdown())?;
-        Ok(path)
-    }
 }
 
 /// Appends one CSV cell, quoted only if it holds a separator, a quote
@@ -349,20 +337,6 @@ mod tests {
              | x\\|y | two lines |\n\
              | all ,\"\\|  |  |\n"
         );
-    }
-
-    #[test]
-    fn writes_markdown_to_disk() {
-        let dir = std::env::temp_dir().join("isos-report-md-test");
-        let mut t = CsvTable::new(&["x"]);
-        t.push(&[1]);
-        let path = t.write_markdown(&dir, "t").unwrap();
-        assert!(path.ends_with("t.md"));
-        assert_eq!(
-            std::fs::read_to_string(path).unwrap(),
-            "| x |\n| --- |\n| 1 |\n"
-        );
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use isosceles::accel::{fnv1a, Accelerator, FNV_OFFSET};
 
 use crate::cache::EntryMeta;
 use crate::engine::{fan_out, SuiteEngine, WorkloadId, SCHEMA_VERSION};
-use crate::trace::{accel_by_name, MODEL_NAMES};
 use isos_sim::metrics::RunMetrics;
 
 /// Payload kind streaming rows are stored under.
@@ -100,49 +99,12 @@ pub fn run_stream_cached(
     (metrics, false)
 }
 
-/// One suite workload's streaming results across the four paper models.
-#[derive(Clone, Debug)]
-pub struct StreamSuiteRow {
-    /// Workload id (`R81`, ..., `M89`).
-    pub id: WorkloadId,
-    /// Per-model stream metrics, in [`MODEL_NAMES`] order.
-    pub models: Vec<(String, StreamMetrics)>,
-}
-
-/// Runs the streaming scenario on all 11 suite workloads × 4 models.
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation.
-pub fn run_stream_suite(
-    engine: &SuiteEngine,
-    seed: u64,
-    cfg: &StreamConfig,
-) -> Vec<StreamSuiteRow> {
-    isos_nn::models::SUITE_IDS
-        .iter()
-        .map(|id| {
-            let models = MODEL_NAMES
-                .iter()
-                .map(|name| {
-                    let accel = accel_by_name(name).expect("paper model");
-                    let (metrics, _) = run_stream_cached(engine, accel.as_ref(), id, seed, cfg);
-                    (name.to_string(), metrics)
-                })
-                .collect();
-            StreamSuiteRow {
-                id: WorkloadId::new(*id),
-                models,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineOptions;
     use crate::suite::SEED;
+    use crate::trace::{accel_by_name, MODEL_NAMES};
     use isos_nn::models::suite_workload;
     use isos_stream::{Arrival, BatchPolicy};
     use isosceles::IsoscelesConfig;
@@ -252,12 +214,11 @@ mod tests {
         // scenario) across all 11 workloads × 4 models.
         let eng = engine(4, false, "suite");
         let cfg = small_cfg(2, 2);
-        let rows = run_stream_suite(&eng, SEED, &cfg);
-        assert_eq!(rows.len(), 11);
-        for row in &rows {
-            assert_eq!(row.models.len(), 4);
-            for (model, s) in &row.models {
-                assert_eq!(s.requests.len(), 2, "{model}/{}", row.id.as_str());
+        for id in isos_nn::models::SUITE_IDS {
+            for name in MODEL_NAMES {
+                let accel = accel_by_name(name).expect("paper model");
+                let (s, _) = run_stream_cached(&eng, accel.as_ref(), id, SEED, &cfg);
+                assert_eq!(s.requests.len(), 2, "{name}/{id}");
                 assert_eq!(s.service_sum(), s.busy_cycles);
                 assert_eq!(
                     s.busy_cycles + s.idle_cycles + s.formation_cycles,

@@ -334,17 +334,6 @@ impl ArchDesc {
             .find(|l| l.per_lane && l.stores.iter().any(|b| b.tensor == tensor))
     }
 
-    /// The DRAM-facing storage format of `tensor`: the format at the
-    /// outermost level binding it ([`TensorFormat::Dense`] if unbound).
-    pub fn dram_format(&self, tensor: TensorKind) -> TensorFormat {
-        self.levels
-            .iter()
-            .flat_map(|l| l.stores.iter())
-            .find(|b| b.tensor == tensor)
-            .map(|b| b.format)
-            .unwrap_or(TensorFormat::Dense)
-    }
-
     /// Whether any level skips ineffectual compute on `tensor`.
     pub fn skips(&self, tensor: TensorKind) -> bool {
         self.levels

@@ -77,9 +77,6 @@ pub struct CoarsePe {
     /// and accumulation a binary search in a short contiguous run instead
     /// of a pointer-chasing map lookup.
     columns: Vec<Vec<((u16, u16), f32)>>,
-    /// Live register count across all columns (zeros stay live until
-    /// drained).
-    live: usize,
     stats: PeStats,
 }
 
@@ -94,7 +91,6 @@ impl CoarsePe {
         Self {
             width,
             columns: Vec::new(),
-            live: 0,
             stats: PeStats::default(),
         }
     }
@@ -137,10 +133,7 @@ impl CoarsePe {
             let col = &mut self.columns[s];
             match col.binary_search_by_key(&(w.r, w.k), |&(rk, _)| rk) {
                 Ok(i) => col[i].1 += input * w.value,
-                Err(i) => {
-                    col.insert(i, ((w.r, w.k), input * w.value));
-                    self.live += 1;
-                }
+                Err(i) => col.insert(i, ((w.r, w.k), input * w.value)),
             }
         }
         cycles
@@ -162,15 +155,9 @@ impl CoarsePe {
         let Some(col) = self.columns.get_mut(s as usize) else {
             return Vec::new();
         };
-        self.live -= col.len();
         let out = col.iter().copied().filter(|&(_, v)| v != 0.0).collect();
         col.clear();
         out
-    }
-
-    /// Number of live partial registers.
-    pub fn live_partials(&self) -> usize {
-        self.live
     }
 
     /// Throughput counters.
@@ -184,7 +171,7 @@ impl PartialEq for CoarsePe {
     /// Column storage that was allocated but drained (or pre-sized via
     /// [`CoarsePe::with_geometry`]) does not affect equality.
     fn eq(&self, other: &Self) -> bool {
-        self.width == other.width && self.stats == other.stats && self.live == other.live && {
+        self.width == other.width && self.stats == other.stats && {
             let flat = |pe: &Self| {
                 pe.columns
                     .iter()
@@ -281,7 +268,7 @@ mod tests {
         );
         let drained = pe.drain_column(0);
         assert_eq!(drained, vec![((0, 2), 2.0), ((0, 5), 1.0)]);
-        assert_eq!(pe.live_partials(), 1);
+        assert_eq!(pe.partial(1, 0, 1), Some(3.0));
         // Draining again finds nothing.
         assert!(pe.drain_column(0).is_empty());
     }
@@ -327,7 +314,6 @@ mod tests {
             b.issue(i as f32, &v);
         }
         assert_eq!(a, b);
-        assert_eq!(a.live_partials(), b.live_partials());
         assert_eq!(a.drain_column(1), b.drain_column(1));
         assert_eq!(a, b);
         // A fresh pre-sized PE equals a fresh default PE.

@@ -54,11 +54,6 @@ impl PartialStreams {
     pub fn total_partials(&self) -> usize {
         self.streams.values().map(Vec::len).sum()
     }
-
-    /// Distinct `(h, r, k)` streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 /// Runs the IS frontend over a full layer.

@@ -33,5 +33,4 @@ pub mod models;
 pub mod pruning;
 pub mod reference;
 pub mod sparsity;
-pub mod summary;
 pub mod work;

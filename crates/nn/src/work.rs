@@ -51,11 +51,6 @@ impl LayerWork {
         self.macs_per_col.iter().sum()
     }
 
-    /// Total compressed input activation bytes.
-    pub fn in_csf_bytes(&self) -> f64 {
-        self.in_bytes_per_col.iter().sum()
-    }
-
     /// Total compressed output activation bytes.
     pub fn out_csf_bytes(&self) -> f64 {
         self.out_bytes_per_col.iter().sum()
@@ -161,7 +156,8 @@ mod tests {
         let l = conv_layer();
         let w = layer_work(&l, 1);
         assert!((w.total_macs() - l.effectual_macs()).abs() / l.effectual_macs() < 1e-9);
-        assert!((w.in_csf_bytes() - l.in_act_csf_bytes()).abs() < 1e-6);
+        let in_bytes: f64 = w.in_bytes_per_col.iter().sum();
+        assert!((in_bytes - l.in_act_csf_bytes()).abs() < 1e-6);
         assert!((w.out_csf_bytes() - l.out_act_csf_bytes()).abs() < 1e-6);
     }
 

@@ -33,7 +33,8 @@
 //! `--stream` turns each scenario into a batched streaming-inference
 //! run: rows report throughput and p50/p95/p99 tail latency. With
 //! several `--net`/`--model` values, the scenarios travel as one
-//! `batch` request so the server can dedup identical jobs in flight.
+//! `batch` request. The server does not dedup stream jobs in flight:
+//! identical scenarios each simulate unless one already cached its row.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -182,8 +183,7 @@ fn build_request(args: &Args) -> Result<String, String> {
 }
 
 /// Builds a `stream` request (one scenario) or a `batch` of `stream`
-/// jobs (workloads × models cross product in one request, so the
-/// server can dedup identical jobs in flight).
+/// jobs (workloads × models cross product in one request).
 fn build_stream_request(args: &Args, inline: &Option<Value>, arch: &Option<Value>) -> String {
     let job = |net: &str, model: Option<&str>| -> Value {
         let mut pairs: Vec<(&str, Value)> = vec![

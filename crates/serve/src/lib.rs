@@ -9,8 +9,9 @@
 //! ([`dispatch`]) funnels every job through one shared
 //! [`SuiteEngine`], so all connections benefit from — and contribute
 //! to — the same persistent sharded cache and single-flight dedup
-//! table. `N` concurrent identical requests cost exactly one
-//! simulation, no matter how many clients sent them.
+//! table. `N` concurrent identical untraced `run` jobs cost exactly one
+//! simulation, no matter how many clients sent them; `stream` jobs
+//! share only the cache, so identical ones in flight each simulate.
 //!
 //! The server is deliberately plain: a blocking `accept` loop (woken on
 //! stop by a connection to itself), blocking connection sockets with

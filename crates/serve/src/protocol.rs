@@ -30,9 +30,12 @@
 //!   latency, and queue depth next to the conserved totals.
 //! - `{"type":"batch","jobs":[{...},{...}]}` — heterogeneous scenarios
 //!   (each entry a `run`- or `stream`-shaped object, discriminated by
-//!   its own `"type"`, default `run`) submitted as one request;
-//!   identical concurrent jobs are deduplicated through the engine's
-//!   single-flight table, so duplicates cost one simulation.
+//!   its own `"type"`, default `run`) submitted as one request.
+//!   Identical concurrent untraced `run` jobs are deduplicated through the
+//!   engine's single-flight table, so duplicates cost one simulation.
+//!   `stream` jobs have no single-flight claim: two identical stream
+//!   jobs in flight each simulate every request, unless one has already
+//!   stored its row in the cache.
 //! - `{"type":"stats"}` — lifetime engine, store, and worker counters,
 //!   plus the open connections and the jobs queued for a worker. The
 //!   `store` object holds the cache root, `byte_limit`, the live

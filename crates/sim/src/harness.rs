@@ -41,7 +41,7 @@
 //! assert_eq!(m.bw_util.ratio(), 1.0);
 //! ```
 
-use crate::dram::{throttle_with_total, Dram, DramTraffic};
+use crate::dram::{throttle_with_total, Dram};
 use crate::metrics::RunMetrics;
 use crate::stats::Utilization;
 use isos_trace::{emit_dram, DramClass, TraceSink, UnitId};
@@ -244,11 +244,6 @@ impl MemHarness {
     /// Byte totals granted so far, split by class and direction.
     pub fn traffic(&self) -> TrafficTotals {
         self.traffic
-    }
-
-    /// Raw directional traffic recorded by the DRAM model.
-    pub fn dram_traffic(&self) -> DramTraffic {
-        self.dram.traffic()
     }
 
     /// Bandwidth utilization so far (paper Fig. 15).

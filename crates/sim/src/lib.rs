@@ -12,7 +12,6 @@
 //!   [`metrics::NetworkMetrics`]) with per-group and per-layer breakdowns,
 //! - [`sram`]: banked on-chip buffers with coalescing and conflict
 //!   accounting (the shared filter buffer of Sec. IV-A),
-//! - [`queue`]: bounded decoupling FIFOs with occupancy statistics,
 //! - [`stats`]: utilization and summary statistics (gmean speedups),
 //! - [`energy`]: the per-operation energy model behind Fig. 17,
 //! - [`area`]: the analytic area model reproducing Table II.
@@ -36,7 +35,6 @@ pub mod dram;
 pub mod energy;
 pub mod harness;
 pub mod metrics;
-pub mod queue;
 pub mod sram;
 pub mod stats;
 

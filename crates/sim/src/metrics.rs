@@ -48,16 +48,6 @@ impl RunMetrics {
         self.weight_traffic + self.act_traffic
     }
 
-    /// Speedup of `self` relative to `other` (higher = `self` faster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cycles` is zero.
-    pub fn speedup_over(&self, other: &RunMetrics) -> f64 {
-        assert!(self.cycles > 0, "zero-cycle run");
-        other.cycles as f64 / self.cycles as f64
-    }
-
     /// Accumulates another run executed sequentially after this one.
     pub fn accumulate(&mut self, other: &RunMetrics) {
         self.cycles += other.cycles;
@@ -523,19 +513,6 @@ mod tests {
         assert_eq!(a.cycles, 150);
         assert_eq!(a.total_traffic(), 40.0);
         assert_eq!(a.effectual_macs, 1500.0);
-    }
-
-    #[test]
-    fn speedup_is_cycle_ratio() {
-        let fast = RunMetrics {
-            cycles: 100,
-            ..Default::default()
-        };
-        let slow = RunMetrics {
-            cycles: 400,
-            ..Default::default()
-        };
-        assert_eq!(fast.speedup_over(&slow), 4.0);
     }
 
     #[test]

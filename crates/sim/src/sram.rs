@@ -36,7 +36,7 @@ impl SramStats {
 /// use isos_sim::sram::Sram;
 /// let mut fb = Sram::new("filter-buffer", 1 << 20, 64, 32);
 /// assert!(fb.fits(900_000));
-/// fb.read_words(4);
+/// fb.read_bytes(200); // rounds up to 4 words of 64 bytes
 /// assert_eq!(fb.stats().reads, 4);
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -87,16 +87,6 @@ impl Sram {
     /// Whether `bytes` fits in the buffer.
     pub fn fits(&self, bytes: u64) -> bool {
         bytes <= self.capacity_bytes
-    }
-
-    /// Records `words` word reads.
-    pub fn read_words(&mut self, words: u64) {
-        self.stats.reads += words;
-    }
-
-    /// Records `words` word writes.
-    pub fn write_words(&mut self, words: u64) {
-        self.stats.writes += words;
     }
 
     /// Records a read of `bytes`, rounded up to whole words.

@@ -68,35 +68,6 @@ impl Utilization {
     }
 }
 
-/// A weighted-average accumulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct WeightedMean {
-    sum: f64,
-    weight: f64,
-}
-
-impl WeightedMean {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `value` with `weight`.
-    pub fn add(&mut self, value: f64, weight: f64) {
-        self.sum += value * weight;
-        self.weight += weight;
-    }
-
-    /// The weighted mean, or zero if nothing was added.
-    pub fn mean(&self) -> f64 {
-        if self.weight == 0.0 {
-            0.0
-        } else {
-            self.sum / self.weight
-        }
-    }
-}
-
 /// Geometric mean of a sequence of positive values.
 ///
 /// Used for the paper's gmean speedup summaries. Returns zero for an empty
@@ -143,14 +114,6 @@ mod tests {
         b.add(90.0, 100);
         a.merge(&b);
         assert!((a.ratio() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_mean_weighs() {
-        let mut m = WeightedMean::new();
-        m.add(1.0, 1.0);
-        m.add(4.0, 3.0);
-        assert!((m.mean() - 3.25).abs() < 1e-9);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use isos_sim::dram::{arbitrate, Dram};
 use isos_sim::energy::{energy_of, Activity, EnergyParams};
-use isos_sim::queue::BoundedQueue;
 use isos_sim::stats::{geometric_mean, Utilization};
 use proptest::prelude::*;
 
@@ -82,31 +81,6 @@ proptest! {
 
         let u = dram.utilization().ratio();
         prop_assert!((0.0..=1.0).contains(&u));
-    }
-
-    #[test]
-    fn queue_conserves_elements(ops in prop::collection::vec(prop::option::of(0u32..100), 0..200)) {
-        let mut q = BoundedQueue::new(16);
-        let mut pushed = 0u64;
-        let mut popped = 0u64;
-        for op in ops {
-            match op {
-                Some(v) => {
-                    if q.try_push(v).is_ok() {
-                        pushed += 1;
-                    }
-                }
-                None => {
-                    if q.pop().is_some() {
-                        popped += 1;
-                    }
-                }
-            }
-            prop_assert!(q.len() <= q.capacity());
-        }
-        prop_assert_eq!(pushed - popped, q.len() as u64);
-        prop_assert_eq!(q.stats().pushes, pushed);
-        prop_assert_eq!(q.stats().pops, popped);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! sparsity (see DESIGN.md §4). Unstructured pruning produces exactly this
 //! kind of pattern, which is the case the hardware targets.
 
-use crate::{Coord, Csf, Dense, Shape};
+use crate::{Csf, Dense, Shape};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,42 +37,6 @@ pub fn random_csf(shape: Shape, density: f64, seed: u64) -> Csf {
     Csf::from_dense(&random_dense(shape, density, seed))
 }
 
-/// Generates a random sparse tensor with an *exact* nonzero count,
-/// mimicking magnitude pruning to a precise target sparsity.
-///
-/// # Panics
-///
-/// Panics if `nnz > shape.volume()`.
-pub fn random_csf_exact_nnz(shape: Shape, nnz: usize, seed: u64) -> Csf {
-    let volume = shape.volume();
-    assert!(nnz <= volume, "nnz {nnz} exceeds volume {volume}");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Reservoir-free approach: sample linear indices without replacement
-    // via a partial Fisher-Yates over a sparse map (volume can be large).
-    let mut chosen = std::collections::HashSet::with_capacity(nnz);
-    while chosen.len() < nnz {
-        chosen.insert(rng.gen_range(0..volume));
-    }
-    let dims: Vec<usize> = shape.dims().to_vec();
-    let entries = chosen
-        .into_iter()
-        .map(|lin| {
-            let mut rem = lin;
-            let mut coords = [0 as Coord; crate::MAX_RANKS];
-            for (r, &d) in dims.iter().enumerate().rev() {
-                coords[r] = (rem % d) as Coord;
-                rem /= d;
-            }
-            let mut x = 0.0f32;
-            while x == 0.0 {
-                x = rng.gen_range(-1.0f32..1.0);
-            }
-            (crate::Point::from_slice(&coords[..dims.len()]), x)
-        })
-        .collect();
-    Csf::from_entries(shape, entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,12 +55,6 @@ mod tests {
         let c = random_csf(vec![16, 16].into(), 0.3, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn exact_nnz_is_exact() {
-        let t = random_csf_exact_nnz(vec![10, 10, 10].into(), 137, 3);
-        assert_eq!(t.nnz(), 137);
     }
 
     #[test]

@@ -167,26 +167,6 @@ impl EventBuffer {
         }
         totals
     }
-
-    /// Sum of granted DRAM bytes attributed to `unit`, by class.
-    pub fn dram_granted_for(&self, unit: UnitId) -> DramTotals {
-        let mut totals = DramTotals::default();
-        for ev in &self.events {
-            if let TraceEvent::Dram {
-                unit: u,
-                class,
-                demand,
-                granted,
-                ..
-            } = *ev
-            {
-                if u == unit {
-                    totals.add(class, demand, granted);
-                }
-            }
-        }
-        totals
-    }
 }
 
 impl TraceSink for EventBuffer {
@@ -351,7 +331,5 @@ mod tests {
         assert_eq!(t.granted(DramClass::ActivationWrite), 30.0);
         assert_eq!(t.total_granted(), 180.0);
         assert_eq!(b.len(), 4);
-        assert_eq!(b.dram_granted_for(u).total_granted(), 180.0);
-        assert_eq!(b.dram_granted_for(UnitId(9)).total_granted(), 0.0);
     }
 }

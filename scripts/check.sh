@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every cache and output directory below lives in one fresh work
+# directory per run: the cache key carries no code version, so a cache
+# left by an earlier run would let the smokes recall rows older code
+# wrote, and an output file left behind would satisfy a `[ -s ]` check.
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/isos-check.XXXXXX")"
+trap 'rm -rf "$WORK"' EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -18,10 +25,10 @@ cargo test --workspace -q
 
 echo "==> paper all, cold then warm (nine export files; the warm run recalls every row, and recall equals recompute)"
 ROOT="$(pwd)"
-PAPER_DIR="$(mktemp -d "${TMPDIR:-/tmp}/isos-check-paper.XXXXXX")"
+PAPER_DIR="$WORK/paper"
 # The first run fills the cache; the second, in its own directory, reads
 # every suite row back from it.
-mkdir "$PAPER_DIR/cold" "$PAPER_DIR/warm"
+mkdir -p "$PAPER_DIR/cold" "$PAPER_DIR/warm"
 for run in cold warm; do
   (cd "$PAPER_DIR/$run" && ISOS_CACHE_DIR="$PAPER_DIR/cache" cargo run --release -q \
     --manifest-path "$ROOT/Cargo.toml" -p isosceles-bench --bin paper -- all \
@@ -42,26 +49,25 @@ for f in fig14a_speedup.csv fig14b_cycles.csv fig14c_traffic.csv fig15_bandwidth
   cmp "$PAPER_DIR/cold/results/$f" "$PAPER_DIR/warm/results/$f" \
     || { echo "paper smoke: warm results/$f differs from the cold run" >&2; exit 1; }
 done
-rm -rf "$PAPER_DIR"
 
 echo "==> dse --smoke (design-space exploration fast path)"
-ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
-  --smoke --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse" >/dev/null
+ISOS_CACHE_DIR="$WORK/dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
+  --smoke --net G58 --out "$WORK/dse" >/dev/null
 
 echo "==> dse --stream --smoke (streaming search over the batch axis)"
-ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
-  --stream --smoke --net G58 --out "${TMPDIR:-/tmp}/isos-check-dse-stream" >/dev/null
-[ -s "${TMPDIR:-/tmp}/isos-check-dse-stream/dse-stream-G58.csv" ] \
+ISOS_CACHE_DIR="$WORK/dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
+  --stream --smoke --net G58 --out "$WORK/dse-stream" >/dev/null
+[ -s "$WORK/dse-stream/dse-stream-G58.csv" ] \
   || { echo "dse stream smoke: dse-stream-G58.csv missing or empty" >&2; exit 1; }
 
 echo "==> dse --arch configs/arch --smoke (declarative descriptions)"
-ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
-  --arch configs/arch --smoke --out "${TMPDIR:-/tmp}/isos-check-dse-arch" >/dev/null
-[ -s "${TMPDIR:-/tmp}/isos-check-dse-arch/dse-G58.csv" ] \
+ISOS_CACHE_DIR="$WORK/dse-cache" cargo run --release -q -p isos-explore --bin dse -- \
+  --arch configs/arch --smoke --out "$WORK/dse-arch" >/dev/null
+[ -s "$WORK/dse-arch/dse-G58.csv" ] \
   || { echo "dse arch smoke: dse-G58.csv missing or empty" >&2; exit 1; }
 
 echo "==> trace_run smoke (G58 timeline export, every model)"
-TRACE_OUT="${TMPDIR:-/tmp}/isos-check-traces"
+TRACE_OUT="$WORK/traces"
 for MODEL in isosceles isosceles-single sparten fused-layer; do
   cargo run --release -q -p isosceles-bench --bin trace_run -- \
     --net G58 --model "$MODEL" --out "$TRACE_OUT" >/dev/null
@@ -81,7 +87,7 @@ PY
 done
 
 echo "==> perf_report --smoke --baseline BENCH_10.json (schema + regression gate)"
-PERF_JSON="${TMPDIR:-/tmp}/isos-check-perf/BENCH_smoke.json"
+PERF_JSON="$WORK/perf/BENCH_smoke.json"
 # Smoke-level perf gate: G58 only, compared against the committed report.
 # The committed numbers are min-of-24 from a quiet machine while smoke is
 # min-of-10, so the margin is wide (150%) — this catches order-of-magnitude
@@ -113,8 +119,8 @@ else
 fi
 
 echo "==> stream_run --smoke (streaming tail-latency schema check)"
-STREAM_JSON="${TMPDIR:-/tmp}/isos-check-stream/stream_smoke.json"
-ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-stream-cache" cargo run --release -q -p isosceles-bench --bin stream_run -- \
+STREAM_JSON="$WORK/stream/stream_smoke.json"
+ISOS_CACHE_DIR="$WORK/stream-cache" cargo run --release -q -p isosceles-bench --bin stream_run -- \
   --smoke --out "$STREAM_JSON" 2>/dev/null
 [ -s "$STREAM_JSON" ] || { echo "stream smoke: $STREAM_JSON missing or empty" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
@@ -138,7 +144,7 @@ else
 fi
 
 echo "==> serve --smoke (simulation service self-check)"
-ISOS_CACHE_DIR="${TMPDIR:-/tmp}/isos-check-serve-cache" cargo run --release -q -p isos-serve --bin serve -- \
+ISOS_CACHE_DIR="$WORK/serve-cache" cargo run --release -q -p isos-serve --bin serve -- \
   --smoke
 
 echo "==> perfbench tests (stats and pacer units, a 1 s run of every workload in both trace modes)"
