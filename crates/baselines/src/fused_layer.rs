@@ -120,9 +120,9 @@ pub fn group_totals(net: &Network, group: &[NodeId], cfg: &FusedLayerConfig) -> 
 /// its dense input, output and weight bytes, each layer's dense MACs, and
 /// the halo ring each layer must recompute for the layers after it. They
 /// depend on the network and the group alone, so sweeps memoize them per
-/// filter-buffer size (which fixes the groups) and pay only
-/// [`totals`](Self::totals) per point. The tile edge enters there,
-/// through the halo factors.
+/// filter-buffer size (which fixes the groups). The tile edge enters
+/// through the halo factors ([`at_tile`](Self::at_tile)), and a point
+/// pays only [`cost`](Self::cost) on those.
 #[derive(Debug, Default)]
 pub struct FusedGroupFacts {
     /// The group input, dense, before its halo.
@@ -144,6 +144,47 @@ struct LayerFacts {
     dense_macs: f64,
     /// The halo ring the layers after it need: their `R - 1`, summed.
     ext: usize,
+}
+
+/// A fused group's facts at one tile edge: its halo-inflated MACs and
+/// input bytes, the only facts the tile changes. Sweeps memoize them per
+/// (filter-buffer size, tile), so a point pays only
+/// [`FusedGroupFacts::cost`]: the compute and memory divisions, a
+/// `ceil`, and the traffic sum.
+#[derive(Clone, Copy, Debug)]
+pub struct FusedTileFacts {
+    /// The tile edge these facts are at.
+    tile: usize,
+    /// The fused layers' MACs with their halos, summed in group order.
+    macs: f64,
+    /// The group input with its halo ring.
+    input_bytes: f64,
+}
+
+/// What a screen reads of a fused group's [`RunMetrics`], as
+/// [`FusedGroupFacts::totals`] computes it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FusedGroupCost {
+    /// Group cycles.
+    pub cycles: u64,
+    /// Weight bytes read from DRAM.
+    pub weight_traffic: f64,
+    /// Activation bytes read and written.
+    pub act_traffic: f64,
+    /// MACs performed, halos included.
+    pub effectual_macs: f64,
+}
+
+impl FusedGroupCost {
+    /// The cost fields of a group's metrics.
+    pub fn of(m: &RunMetrics) -> Self {
+        Self {
+            cycles: m.cycles,
+            weight_traffic: m.weight_traffic,
+            act_traffic: m.act_traffic,
+            effectual_macs: m.effectual_macs,
+        }
+    }
 }
 
 /// The memory-step buffer [`FusedGroupFacts::totals`] recycles (the
@@ -207,6 +248,64 @@ impl FusedGroupFacts {
             .map(move |l| l.dense_macs * halo_factor(tile, l.ext))
     }
 
+    /// The facts that depend on the tile edge, at `tile`.
+    pub fn at_tile(&self, tile: usize) -> FusedTileFacts {
+        let mut macs = 0.0;
+        for layer_macs in self.layer_macs(tile) {
+            macs += layer_macs;
+        }
+        FusedTileFacts {
+            tile,
+            macs,
+            input_bytes: self.input_bytes(tile),
+        }
+    }
+
+    /// The group's cycles on `cfg` at `at`, and its compute time: dense
+    /// compute with halo recomputation against dense traffic (the group
+    /// input once per tile with its halo, the group output once, the
+    /// dense weights of every fused layer once).
+    fn cycles(&self, at: &FusedTileFacts, cfg: &FusedLayerConfig) -> (u64, f64) {
+        let compute_cycles = at.macs / (cfg.total_macs as f64 * cfg.compute_efficiency);
+        let memory_cycles =
+            (self.weight_bytes + (at.input_bytes + self.output_bytes)) / cfg.dram_bytes_per_cycle;
+        let cycles = compute_cycles.max(memory_cycles).ceil().max(1.0) as u64;
+        (cycles, compute_cycles)
+    }
+
+    /// The [`FusedGroupCost`] of [`totals`](Self::totals) on `cfg`, from
+    /// the facts at its tile (`at` is [`at_tile`](Self::at_tile) of
+    /// `cfg.tile`), bit for bit.
+    ///
+    /// The group's cycles cover its memory time, so the memory step
+    /// grants every stream in full and its traffic is the posted bytes,
+    /// summed as the step sums them. Only when rounding puts the posted
+    /// total a hair above the step's capacity (the cycles divide the
+    /// bytes summed in another order) does the step clamp or scale; then
+    /// the full [`totals`](Self::totals) runs.
+    pub fn cost(
+        &self,
+        at: &FusedTileFacts,
+        cfg: &FusedLayerConfig,
+        scratch: &mut FusedScratch,
+    ) -> FusedGroupCost {
+        debug_assert_eq!(at.tile, cfg.tile, "facts at another tile");
+        let (cycles, _) = self.cycles(at, cfg);
+        // The step's demand: the weight streams, then the input, then
+        // the output (`self.weight_bytes` sums the weights in that order).
+        let demand = self.weight_bytes + at.input_bytes + self.output_bytes;
+        if demand <= cfg.dram_bytes_per_cycle * cycles as f64 {
+            FusedGroupCost {
+                cycles,
+                weight_traffic: self.weight_bytes,
+                act_traffic: at.input_bytes + self.output_bytes,
+                effectual_macs: at.macs,
+            }
+        } else {
+            FusedGroupCost::of(&self.totals(cfg, scratch))
+        }
+    }
+
     /// The group totals on `cfg`: cycles, MAC utilization, the memory
     /// step and its accounting, and the compute activity. Reads
     /// `total_macs`, `dram_bytes_per_cycle`, `tile` and
@@ -230,20 +329,11 @@ impl FusedGroupFacts {
     ) -> (RunMetrics, f64) {
         let mut m = RunMetrics::default();
         let mut mem = MemHarness::new(cfg.dram_bytes_per_cycle);
-        // Dense traffic: group input once per tile with its halo, group
-        // output once, dense weights of every fused layer once. Dense
-        // compute with halo recomputation.
-        let input_bytes = self.input_bytes(cfg.tile);
-        let mut macs = 0.0;
-        for layer_macs in self.layer_macs(cfg.tile) {
-            macs += layer_macs;
-        }
+        let at = self.at_tile(cfg.tile);
+        let (input_bytes, macs) = (at.input_bytes, at.macs);
         m.effectual_macs = macs;
-
-        let compute_cycles = macs / (cfg.total_macs as f64 * cfg.compute_efficiency);
-        let memory_cycles =
-            (self.weight_bytes + (input_bytes + self.output_bytes)) / cfg.dram_bytes_per_cycle;
-        m.cycles = compute_cycles.max(memory_cycles).ceil().max(1.0) as u64;
+        let compute_cycles;
+        (m.cycles, compute_cycles) = self.cycles(&at, cfg);
         m.mac_util.add(
             (macs / cfg.total_macs as f64).min(m.cycles as f64),
             m.cycles,
@@ -503,12 +593,24 @@ mod tests {
         assert!(rel(sum.effectual_macs, run.metrics.effectual_macs) < 1e-6);
     }
 
+    /// A cost's fields by bit pattern, so `0.0` and `-0.0` differ.
+    fn cost_bits(c: &FusedGroupCost) -> (u64, u64, u64, u64) {
+        (
+            c.cycles,
+            c.weight_traffic.to_bits(),
+            c.act_traffic.to_bits(),
+            c.effectual_macs.to_bits(),
+        )
+    }
+
     /// The facts hold everything but `total_macs`, the bandwidth, the tile
     /// and the efficiency, so totals from memoized facts must equal both
     /// public paths on every group of the suite: at each filter-buffer
     /// size and tile of the design-space default
     /// (`isos_explore::ArchSpace`), at 64 and 512 B/cycle, with 8 and 256
-    /// lanes of 64 MACs.
+    /// lanes of 64 MACs. The screening form, [`FusedGroupFacts::cost`] on
+    /// facts memoized per tile, must equal the totals' cost fields bit
+    /// for bit at every one of those points.
     #[test]
     fn totals_from_facts_equal_both_group_paths() {
         let mut scratch = FusedScratch::default();
@@ -522,6 +624,7 @@ mod tests {
                 for group in &fused_groups(&net, &fb) {
                     let facts = group_facts(&net, group);
                     for tile in [8, 16, 32, 64, 128, 256] {
+                        let at_tile = facts.at_tile(tile);
                         for bw in [64.0, 512.0] {
                             for lanes in [8, 256] {
                                 let cfg = FusedLayerConfig {
@@ -540,11 +643,52 @@ mod tests {
                                     "{}",
                                     at()
                                 );
+                                assert_eq!(
+                                    cost_bits(&facts.cost(&at_tile, &cfg, &mut scratch)),
+                                    cost_bits(&FusedGroupCost::of(&totals)),
+                                    "{}",
+                                    at()
+                                );
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Rounding can put a group's posted bytes a hair above what its
+    /// cycles carry (the cycles divide the bytes summed in another
+    /// order); the
+    /// memory step then clamps and scales, and `cost` must follow it.
+    /// (91188 + 94700.9 + 4404.1 B at 3 B/cycle: 63,431 cycles carry
+    /// 190,293 B, and the step's sum is one ulp above.)
+    #[test]
+    fn cost_follows_the_memory_step_when_rounding_oversubscribes_it() {
+        let facts = FusedGroupFacts {
+            input_bytes: 94700.90000000001,
+            ext: 0,
+            output_bytes: 4404.1,
+            weight_bytes: 91188.0,
+            layers: vec![LayerFacts {
+                weight_bytes: 91188.0,
+                dense_macs: 1.0,
+                ext: 0,
+            }],
+        };
+        let cfg = FusedLayerConfig {
+            dram_bytes_per_cycle: 3.0,
+            ..FusedLayerConfig::default()
+        };
+        let at = facts.at_tile(cfg.tile);
+        let (cycles, _) = facts.cycles(&at, &cfg);
+        let demand = facts.weight_bytes + at.input_bytes + facts.output_bytes;
+        assert!(demand > cfg.dram_bytes_per_cycle * cycles as f64);
+        let mut scratch = FusedScratch::default();
+        let totals = facts.totals(&cfg, &mut scratch);
+        assert_eq!(
+            cost_bits(&facts.cost(&at, &cfg, &mut scratch)),
+            cost_bits(&FusedGroupCost::of(&totals))
+        );
     }
 }

@@ -43,6 +43,7 @@ pub use sparten::SpartenConfig;
 // interpreter in `isos-explore` lowers onto these exact functions.
 pub use fused_layer::{
     group_facts as fused_group_facts, group_metrics as fused_group_metrics,
-    group_totals as fused_group_totals, FusedGroupFacts, FusedGroupRun, FusedScratch,
+    group_totals as fused_group_totals, FusedGroupCost, FusedGroupFacts, FusedGroupRun,
+    FusedScratch, FusedTileFacts,
 };
 pub use sparten::{layer_metrics as sparten_layer_metrics, OsKey};

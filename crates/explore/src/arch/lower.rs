@@ -27,7 +27,7 @@ use crate::model::{
 };
 use isos_baselines::{
     fused_group_facts, fused_group_metrics, fused_groups, sparten_layer_metrics, FusedGroupFacts,
-    FusedLayerConfig, FusedScratch, OsKey, SpartenConfig,
+    FusedLayerConfig, FusedScratch, FusedTileFacts, OsKey, SpartenConfig,
 };
 use isos_nn::graph::Network;
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
@@ -112,7 +112,8 @@ pub fn lower(desc: &ArchDesc) -> Result<Lowered, ArchError> {
             dram_bytes_per_cycle: desc.memory.dram_bytes_per_cycle,
             k_per_pass: desc
                 .dataflow
-                .tile_of("K")
+                .loop_nest
+                .tile("K")
                 .expect("validate requires a K tile for output-stationary")
                 as usize,
             compute_efficiency: desc.compute.efficiency,
@@ -124,7 +125,8 @@ pub fn lower(desc: &ArchDesc) -> Result<Lowered, ArchError> {
             dram_bytes_per_cycle: desc.memory.dram_bytes_per_cycle,
             tile: desc
                 .dataflow
-                .tile_of("P")
+                .loop_nest
+                .tile("P")
                 .expect("validate requires matching P/Q tiles for fused-tile")
                 as usize,
             compute_efficiency: desc.compute.efficiency,
@@ -274,7 +276,10 @@ pub(crate) fn desc_area_mm2(desc: &ArchDesc) -> f64 {
 ///   reads; the buffer sizes are not among them) and reuse the totals;
 /// - fused-tile points reuse the [`FusedGroupFacts`] of every group per
 ///   filter-buffer size (the only field fusion reads; the facts read no
-///   field at all) and sum [`FusedGroupFacts::totals`].
+///   field at all), and each group's halo-inflated MACs and input bytes
+///   ([`FusedTileFacts`]) per (filter-buffer size, tile), and sum
+///   [`FusedGroupFacts::cost`]: a division, a `ceil` and the traffic sum
+///   per group.
 ///
 /// Every family accumulates the same per-group functions
 /// [`ArchAccel::estimate`] runs through [`EstimateTotals::add_group`], so
@@ -285,6 +290,7 @@ pub(crate) struct ArchScreen<'a> {
     is_os: IsOsScreen<'a>,
     os: HashMap<OsKey, EstimateTotals>,
     fused: HashMap<u64, Vec<FusedGroupFacts>>,
+    fused_tiles: HashMap<(u64, usize), Vec<FusedTileFacts>>,
     scratch: FusedScratch,
 }
 
@@ -296,6 +302,7 @@ impl<'a> ArchScreen<'a> {
             is_os: IsOsScreen::new(net),
             os: HashMap::new(),
             fused: HashMap::new(),
+            fused_tiles: HashMap::new(),
             scratch: FusedScratch::default(),
         }
     }
@@ -329,9 +336,19 @@ impl<'a> ArchScreen<'a> {
                             .map(|group| fused_group_facts(net, group))
                             .collect()
                     });
+                let tiles = self
+                    .fused_tiles
+                    .entry((cfg.filter_buffer_bytes, cfg.tile))
+                    .or_insert_with(|| facts.iter().map(|f| f.at_tile(cfg.tile)).collect());
                 let mut out = EstimateTotals::default();
-                for f in facts.iter() {
-                    add_metrics(&mut out, &f.totals(&cfg, &mut self.scratch));
+                for (f, at) in facts.iter().zip(tiles.iter()) {
+                    let c = f.cost(at, &cfg, &mut self.scratch);
+                    out.add_group(
+                        c.cycles as f64,
+                        c.weight_traffic,
+                        c.act_traffic,
+                        c.effectual_macs,
+                    );
                 }
                 out
             }

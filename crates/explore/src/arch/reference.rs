@@ -12,7 +12,7 @@
 //! machine's sizing rationale.
 
 use super::schema::{
-    ArchDesc, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, MemoryDesc,
+    ArchDesc, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, LoopNest, MemoryDesc,
     PipelinePolicy, TensorBinding, TensorFormat, TensorKind,
 };
 
@@ -30,8 +30,8 @@ fn binding(
     }
 }
 
-fn nest(dims: &[&str]) -> Vec<String> {
-    dims.iter().map(|d| d.to_string()).collect()
+fn nest(entries: &[&str]) -> LoopNest {
+    LoopNest::parse(entries.iter().copied()).expect("reference loop nests are well-formed")
 }
 
 /// The full ISOSceles machine (Table I) with inter-layer pipelining.

@@ -187,13 +187,12 @@ impl Gating {
 }
 
 /// The dataflow of a description.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DataflowDesc {
     /// Dataflow family.
     pub style: DataflowStyle,
-    /// Loop nest, outermost first. Each entry is a dimension from
-    /// `{N, K, P, Q, C, R, S}`, optionally tiled as `"K/64"`.
-    pub loop_nest: Vec<String>,
+    /// Loop nest, outermost first.
+    pub loop_nest: LoopNest,
     /// Inter-layer pipelining policy.
     pub pipeline: PipelinePolicy,
 }
@@ -245,7 +244,7 @@ impl PipelinePolicy {
 /// The dimensions a loop nest may name, in canonical order.
 pub const LOOP_DIMS: [&str; 7] = ["N", "K", "P", "Q", "C", "R", "S"];
 
-/// One parsed loop-nest entry: dimension plus optional tile bound.
+/// One loop-nest entry: dimension plus optional tile bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoopDim {
     /// Dimension letter, one of [`LOOP_DIMS`].
@@ -254,67 +253,146 @@ pub struct LoopDim {
     pub tile: Option<u64>,
 }
 
-impl DataflowDesc {
-    /// Parses the loop nest into `(dim, tile)` entries.
+impl std::fmt::Display for LoopDim {
+    /// The wire spelling: `"K"`, or `"K/64"` when tiled.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.tile {
+            Some(tile) => write!(f, "{}/{tile}", self.dim),
+            None => f.write_str(self.dim),
+        }
+    }
+}
+
+/// A loop nest, outermost first: each dimension of [`LOOP_DIMS`] at most
+/// once, each optionally tiled by a positive bound.
+///
+/// A nest is parsed once, where a description is read
+/// ([`LoopNest::parse`]), so every value is well-formed: validation and
+/// lowering read its tiles without parsing strings. It is stored inline
+/// (a description's nest allocates nothing) and serializes to the
+/// strings it was parsed from, so a description's JSON, and the cache
+/// key hashed from it, do not depend on this representation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LoopNest {
+    /// Entries in use, at least 1.
+    len: u8,
+    /// Per entry, its dimension's index in [`LOOP_DIMS`].
+    dims: [u8; LOOP_DIMS.len()],
+    /// Per entry, its tile bound; 0 when untiled (a bound is at least 1).
+    /// Unused slots stay 0 in both arrays, so equality is by entries.
+    tiles: [u64; LOOP_DIMS.len()],
+}
+
+impl LoopNest {
+    /// Parses loop-nest entries, outermost first, each a dimension from
+    /// [`LOOP_DIMS`] optionally tiled as `"K/64"`.
     ///
     /// # Errors
     ///
-    /// Rejects unknown dimensions, duplicates (a rank mismatch: each
-    /// dimension may appear at most once), bad tile syntax, and an
-    /// empty nest.
-    pub fn parsed_loop_nest(&self) -> Result<Vec<LoopDim>, ArchError> {
-        if self.loop_nest.is_empty() {
+    /// Rejects an empty nest, bad tile syntax or a zero tile, unknown
+    /// dimensions, and duplicates (a rank mismatch: each dimension may
+    /// appear at most once), naming the offending entry.
+    pub fn parse<'a>(entries: impl IntoIterator<Item = &'a str>) -> Result<Self, ArchError> {
+        let mut nest = Self {
+            len: 0,
+            dims: [0; LOOP_DIMS.len()],
+            tiles: [0; LOOP_DIMS.len()],
+        };
+        for entry in entries {
+            nest.push(entry)?;
+        }
+        if nest.len == 0 {
             return Err(ArchError::new(
                 "dataflow rank mismatch: `loop_nest` is empty (list dimensions outermost first, \
                  e.g. [\"K/64\", \"P\", \"Q\", \"C\", \"R\", \"S\"])",
             ));
         }
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut out = Vec::with_capacity(self.loop_nest.len());
-        for entry in &self.loop_nest {
-            let (dim_str, tile) = match entry.split_once('/') {
-                Some((d, t)) => {
-                    let tile: u64 = t.parse().map_err(|_| {
-                        ArchError::new(format!(
-                            "bad loop tile `{entry}`: the part after `/` must be a positive \
-                             integer"
-                        ))
-                    })?;
-                    if tile == 0 {
-                        return Err(ArchError::new(format!(
-                            "bad loop tile `{entry}`: tile bound must be at least 1"
-                        )));
-                    }
-                    (d, Some(tile))
-                }
-                None => (entry.as_str(), None),
-            };
-            let Some(&dim) = LOOP_DIMS.iter().find(|&&d| d == dim_str) else {
-                return Err(ArchError::new(format!(
-                    "dataflow rank mismatch: unknown dimension `{dim_str}` in loop_nest \
-                     (expected one of {})",
-                    LOOP_DIMS.join(", ")
-                )));
-            };
-            if seen.contains(&dim) {
-                return Err(ArchError::new(format!(
-                    "dataflow rank mismatch: dimension `{dim}` appears more than once in \
-                     loop_nest"
-                )));
-            }
-            seen.push(dim);
-            out.push(LoopDim { dim, tile });
-        }
-        Ok(out)
+        Ok(nest)
     }
 
-    /// The tile bound of dimension `dim`, if the loop nest tiles it.
-    pub fn tile_of(&self, dim: &str) -> Option<u64> {
-        self.parsed_loop_nest()
-            .ok()?
-            .into_iter()
-            .find(|l| l.dim == dim)
-            .and_then(|l| l.tile)
+    /// Appends one entry. A full nest names every dimension, so an entry
+    /// past the last slot is a duplicate or unknown and never stored.
+    fn push(&mut self, entry: &str) -> Result<(), ArchError> {
+        let (dim_str, tile) = match entry.split_once('/') {
+            Some((d, t)) => {
+                let tile: u64 = t.parse().map_err(|_| {
+                    ArchError::new(format!(
+                        "bad loop tile `{entry}`: the part after `/` must be a positive integer"
+                    ))
+                })?;
+                if tile == 0 {
+                    return Err(ArchError::new(format!(
+                        "bad loop tile `{entry}`: tile bound must be at least 1"
+                    )));
+                }
+                (d, tile)
+            }
+            None => (entry, 0),
+        };
+        let Some(dim) = LOOP_DIMS.iter().position(|&d| d == dim_str) else {
+            return Err(ArchError::new(format!(
+                "dataflow rank mismatch: unknown dimension `{dim_str}` in loop_nest (expected \
+                 one of {})",
+                LOOP_DIMS.join(", ")
+            )));
+        };
+        let len = usize::from(self.len);
+        if self.dims[..len].contains(&(dim as u8)) {
+            return Err(ArchError::new(format!(
+                "dataflow rank mismatch: dimension `{dim_str}` appears more than once in \
+                 loop_nest"
+            )));
+        }
+        self.dims[len] = dim as u8;
+        self.tiles[len] = tile;
+        self.len += 1;
+        Ok(())
+    }
+
+    /// The entries, outermost first.
+    pub fn iter(&self) -> impl Iterator<Item = LoopDim> + '_ {
+        let len = usize::from(self.len);
+        self.dims[..len]
+            .iter()
+            .zip(&self.tiles[..len])
+            .map(|(&dim, &tile)| LoopDim {
+                dim: LOOP_DIMS[usize::from(dim)],
+                tile: (tile > 0).then_some(tile),
+            })
+    }
+
+    /// The slot of dimension `dim`, if the nest names it.
+    fn slot(&self, dim: &str) -> Option<usize> {
+        let len = usize::from(self.len);
+        self.dims[..len]
+            .iter()
+            .position(|&d| LOOP_DIMS[usize::from(d)] == dim)
+    }
+
+    /// The tile bound of dimension `dim`, if the nest tiles it.
+    pub fn tile(&self, dim: &str) -> Option<u64> {
+        let tile = self.tiles[self.slot(dim)?];
+        (tile > 0).then_some(tile)
+    }
+
+    /// Tiles dimension `dim` by `tile`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the nest does not name `dim` or `tile` is 0: both are
+    /// mistakes in the caller's code, not in a description.
+    pub fn set_tile(&mut self, dim: &str, tile: u64) {
+        assert!(tile > 0, "loop tile bound must be at least 1");
+        let slot = self
+            .slot(dim)
+            .unwrap_or_else(|| panic!("loop nest has no `{dim}` dimension"));
+        self.tiles[slot] = tile;
+    }
+}
+
+impl Serialize for LoopNest {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(|l| Value::Str(l.to_string())).collect())
     }
 }
 
@@ -423,7 +501,7 @@ impl ArchDesc {
                 }
             }
         }
-        let nest = self.dataflow.parsed_loop_nest()?;
+        let nest = &self.dataflow.loop_nest;
         if self.shared_level_for(TensorKind::Weights).is_none() {
             return Err(ArchError::new(
                 "no shared buffer level stores `weights`; the interpreter needs a filter buffer \
@@ -458,7 +536,7 @@ impl ArchDesc {
                          = \"none\"",
                     ));
                 }
-                if !nest.iter().any(|l| l.dim == "K" && l.tile.is_some()) {
+                if nest.tile("K").is_none() {
                     return Err(ArchError::new(
                         "output-stationary dataflow needs a tiled K loop (e.g. \"K/64\") to set \
                          the output channels per input pass",
@@ -472,9 +550,7 @@ impl ArchDesc {
                          dataflow.pipeline = \"none\"",
                     ));
                 }
-                let p = nest.iter().find(|l| l.dim == "P").and_then(|l| l.tile);
-                let q = nest.iter().find(|l| l.dim == "Q").and_then(|l| l.tile);
-                match (p, q) {
+                match (nest.tile("P"), nest.tile("Q")) {
                     (Some(p), Some(q)) if p == q => {}
                     _ => {
                         return Err(ArchError::new(
@@ -744,19 +820,17 @@ fn dataflow_from(value: &Value) -> Result<DataflowDesc, JsonError> {
     let ctx = "dataflow";
     let pairs = obj_fields(value, ctx, &["style", "loop_nest", "pipeline"])?;
     let nest_value = req(pairs, ctx, "loop_nest")?;
-    let nest = nest_value
+    let entries = nest_value
         .as_arr()
-        .map_err(|_| JsonError::new(format!("{ctx}: `loop_nest` must be an array of strings")))?
-        .iter()
-        .map(|v| {
-            v.as_str().map(str::to_string).ok_or_else(|| {
-                JsonError::new(format!(
-                    "{ctx}: loop_nest entries must be strings like \"K/64\", got {}",
-                    v.kind()
-                ))
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+        .map_err(|_| JsonError::new(format!("{ctx}: `loop_nest` must be an array of strings")))?;
+    if let Some(v) = entries.iter().find(|v| v.as_str().is_none()) {
+        return Err(JsonError::new(format!(
+            "{ctx}: loop_nest entries must be strings like \"K/64\", got {}",
+            v.kind()
+        )));
+    }
+    let nest = LoopNest::parse(entries.iter().filter_map(Value::as_str))
+        .map_err(|e| JsonError::new(e.message()))?;
     Ok(DataflowDesc {
         style: style_from(req(pairs, ctx, "style")?, ctx)?,
         loop_nest: nest,
@@ -868,17 +942,7 @@ impl Serialize for ArchDesc {
                 "dataflow",
                 obj(vec![
                     ("style", Value::Str(self.dataflow.style.label().into())),
-                    (
-                        "loop_nest",
-                        Value::Arr(
-                            self.dataflow
-                                .loop_nest
-                                .iter()
-                                .cloned()
-                                .map(Value::Str)
-                                .collect(),
-                        ),
-                    ),
+                    ("loop_nest", self.dataflow.loop_nest.to_value()),
                     (
                         "pipeline",
                         Value::Str(self.dataflow.pipeline.label().into()),
@@ -913,17 +977,80 @@ mod tests {
         assert!(err.message().contains(&desc.levels[0].name), "{err}");
     }
 
+    /// `desc` as JSON text with its `loop_nest` replaced by `nest`, read
+    /// back through [`ArchDesc::from_config_str`].
+    fn with_nest(desc: &ArchDesc, nest: Value) -> Result<ArchDesc, ArchError> {
+        let mut value = desc.to_value();
+        let Value::Obj(pairs) = &mut value else {
+            panic!()
+        };
+        let dataflow = pairs.iter_mut().find(|(k, _)| k == "dataflow").unwrap();
+        let Value::Obj(dataflow) = &mut dataflow.1 else {
+            panic!()
+        };
+        dataflow
+            .iter_mut()
+            .find(|(k, _)| k == "loop_nest")
+            .unwrap()
+            .1 = nest;
+        ArchDesc::from_config_str(&value.render())
+    }
+
+    fn strings(entries: &[&str]) -> Value {
+        Value::Arr(entries.iter().map(|e| Value::Str(e.to_string())).collect())
+    }
+
     #[test]
     fn duplicate_and_unknown_loop_dims_are_rank_mismatches() {
-        let mut desc = reference::sparten();
-        desc.dataflow.loop_nest = vec!["K/64".into(), "K".into()];
-        let err = desc.validate().unwrap_err();
+        let desc = reference::sparten();
+        let err = with_nest(&desc, strings(&["K/64", "K"])).unwrap_err();
         assert!(err.message().contains("rank mismatch"), "{err}");
         assert!(err.message().contains("more than once"), "{err}");
 
-        desc.dataflow.loop_nest = vec!["Z".into()];
-        let err = desc.validate().unwrap_err();
+        let err = with_nest(&desc, strings(&["Z"])).unwrap_err();
         assert!(err.message().contains("unknown dimension `Z`"), "{err}");
+    }
+
+    /// Every malformed nest is an error naming its entry, never a panic.
+    #[test]
+    fn hostile_loop_nests_are_errors_naming_the_entry() {
+        let desc = reference::sparten();
+        let cases: &[(&[&str], &str)] = &[
+            (&[], "`loop_nest` is empty"),
+            (&[""], "unknown dimension ``"),
+            (&["/"], "bad loop tile `/`"),
+            (
+                &["K/"],
+                "bad loop tile `K/`: the part after `/` must be a positive integer",
+            ),
+            (
+                &["K/0"],
+                "bad loop tile `K/0`: tile bound must be at least 1",
+            ),
+            (&["K/-1"], "bad loop tile `K/-1`: the part after `/`"),
+            (
+                &["K/18446744073709551616"],
+                "bad loop tile `K/18446744073709551616`: the part after `/`",
+            ),
+            (&["Z"], "unknown dimension `Z`"),
+            (
+                &["K/64", "P", "K/32"],
+                "dimension `K` appears more than once",
+            ),
+            (
+                &["N", "K/64", "P", "Q", "C", "R", "S", "N"],
+                "dimension `N` appears more than once",
+            ),
+        ];
+        for &(nest, expected) in cases {
+            let err = with_nest(&desc, strings(nest)).unwrap_err();
+            assert!(err.message().contains(expected), "{nest:?}: {err}");
+        }
+        let err = with_nest(&desc, Value::Arr(vec![Value::U64(64)])).unwrap_err();
+        assert!(err.message().contains("entries must be strings"), "{err}");
+        // All seven dimensions fit the inline nest.
+        let full = with_nest(&desc, strings(&["N", "K/64", "P", "Q", "C", "R", "S"])).unwrap();
+        assert_eq!(full.dataflow.loop_nest.iter().count(), LOOP_DIMS.len());
     }
 
     #[test]
@@ -980,14 +1107,11 @@ mod tests {
 
     #[test]
     fn os_without_k_tile_and_fused_without_pq_tiles_are_rejected() {
-        let mut os = reference::sparten();
-        os.dataflow.loop_nest = vec!["K".into(), "P".into(), "Q".into()];
-        let err = os.validate().unwrap_err();
+        let err = with_nest(&reference::sparten(), strings(&["K", "P", "Q"])).unwrap_err();
         assert!(err.message().contains("tiled K loop"), "{err}");
 
-        let mut fused = reference::fused_layer();
-        fused.dataflow.loop_nest = vec!["P/32".into(), "Q/16".into(), "K".into()];
-        let err = fused.validate().unwrap_err();
+        let err =
+            with_nest(&reference::fused_layer(), strings(&["P/32", "Q/16", "K"])).unwrap_err();
         assert!(err.message().contains("matching P and Q tiles"), "{err}");
     }
 
@@ -1015,10 +1139,19 @@ mod tests {
 
     #[test]
     fn loop_nest_helpers_expose_tiles() {
-        let desc = reference::sparten();
-        assert_eq!(desc.dataflow.tile_of("K"), Some(64));
-        assert_eq!(desc.dataflow.tile_of("P"), None);
-        let nest = desc.dataflow.parsed_loop_nest().unwrap();
-        assert_eq!(nest[0].dim, "K");
+        let mut nest = reference::sparten().dataflow.loop_nest;
+        assert_eq!(nest.tile("K"), Some(64));
+        assert_eq!(nest.tile("P"), None);
+        assert_eq!(nest.tile("N"), None);
+        let first = nest.iter().next().unwrap();
+        assert_eq!((first.dim, first.tile), ("K", Some(64)));
+        nest.set_tile("P", 8);
+        assert_eq!(nest.tile("P"), Some(8));
+        let spelled: Vec<String> = nest.iter().map(|l| l.to_string()).collect();
+        assert_eq!(spelled, ["K/64", "P/8", "Q", "C", "R", "S"]);
+        assert_eq!(
+            LoopNest::parse(spelled.iter().map(String::as_str)),
+            Ok(nest)
+        );
     }
 }

@@ -131,43 +131,56 @@ impl ArchSpace {
     /// Every yielded description is valid by construction (asserted in
     /// tests): the templates validate and the sweep only touches fields
     /// validation constrains jointly with nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile bound is 0 (a loop nest cannot hold it).
     pub fn enumerate(&self) -> Vec<ArchPoint> {
+        let templates = [
+            reference::isosceles(),
+            reference::sparten(),
+            reference::fused_layer(),
+        ];
+        let [isos, os, fused] = &templates;
         let mut points = Vec::with_capacity(self.len());
         for &lanes in &self.lanes {
             for &kb in &self.shared_kb {
                 for &bw in &self.dram_bytes_per_cycle {
+                    // The sizing every family sweeps, and its label part.
+                    let sizing = format!("l{lanes}-fb{kb}-bw{bw:.0}");
+                    let stamp = |template: &ArchDesc, name: String| {
+                        let mut desc = ArchDesc {
+                            name,
+                            levels: template.levels.clone(),
+                            ..*template
+                        };
+                        desc.compute.lanes = lanes;
+                        desc.memory.dram_bytes_per_cycle = bw;
+                        desc.levels[0].bytes = kb * 1024;
+                        desc
+                    };
+                    let mut push = |desc: ArchDesc| {
+                        points.push(ArchPoint {
+                            label: desc.name.clone(),
+                            desc,
+                        })
+                    };
                     for &radix in &self.merger_radix {
                         for &ctx in &self.contexts {
-                            let mut desc = reference::isosceles();
-                            desc.compute.lanes = lanes;
+                            let mut desc = stamp(isos, format!("isos-{sizing}-r{radix}-c{ctx}"));
                             desc.compute.merger_radix = radix;
                             desc.compute.contexts = ctx;
-                            desc.memory.dram_bytes_per_cycle = bw;
-                            desc.levels[0].bytes = kb * 1024;
-                            let label = format!("isos-l{lanes}-fb{kb}-bw{bw:.0}-r{radix}-c{ctx}");
-                            desc.name = label.clone();
-                            points.push(ArchPoint { label, desc });
+                            push(desc);
                         }
                     }
                     for &tile in &self.tiles {
-                        let mut desc = reference::sparten();
-                        desc.compute.lanes = lanes;
-                        desc.memory.dram_bytes_per_cycle = bw;
-                        desc.levels[0].bytes = kb * 1024;
-                        desc.dataflow.loop_nest[0] = format!("K/{tile}");
-                        let label = format!("os-l{lanes}-fb{kb}-bw{bw:.0}-k{tile}");
-                        desc.name = label.clone();
-                        points.push(ArchPoint { label, desc });
-
-                        let mut desc = reference::fused_layer();
-                        desc.compute.lanes = lanes;
-                        desc.memory.dram_bytes_per_cycle = bw;
-                        desc.levels[0].bytes = kb * 1024;
-                        desc.dataflow.loop_nest[0] = format!("P/{tile}");
-                        desc.dataflow.loop_nest[1] = format!("Q/{tile}");
-                        let label = format!("fused-l{lanes}-fb{kb}-bw{bw:.0}-t{tile}");
-                        desc.name = label.clone();
-                        points.push(ArchPoint { label, desc });
+                        let mut desc = stamp(os, format!("os-{sizing}-k{tile}"));
+                        desc.dataflow.loop_nest.set_tile("K", tile);
+                        push(desc);
+                        let mut desc = stamp(fused, format!("fused-{sizing}-t{tile}"));
+                        desc.dataflow.loop_nest.set_tile("P", tile);
+                        desc.dataflow.loop_nest.set_tile("Q", tile);
+                        push(desc);
                     }
                 }
             }

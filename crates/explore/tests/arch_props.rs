@@ -3,7 +3,7 @@
 //! malformed descriptions are rejected with messages that name the
 //! offending field.
 
-use isos_explore::arch::{load_path, reference, ArchDesc};
+use isos_explore::arch::{load_path, reference, ArchDesc, LoopNest};
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,6 +67,44 @@ proptest! {
         let back = ArchDesc::from_config_str(&json)
             .map_err(|e| TestCaseError::fail(format!("reparse: {e}")))?;
         prop_assert_eq!(back, desc);
+    }
+}
+
+/// Loop-nest entries: a dimension letter (one of them unknown) or
+/// none, then, for two forms in three, a slash and up to three
+/// characters of digits and minus signs.
+fn arb_nest_entries() -> impl Strategy<Value = Vec<String>> {
+    const DIMS: &str = "NKPQCRSZ";
+    const TILE: &[u8] = b"0123456789-";
+    let entry = (
+        0..DIMS.len() + 1,
+        0u8..3,
+        prop::collection::vec(0..TILE.len(), 0..4),
+    )
+        .prop_map(|(d, form, tile)| {
+            let mut entry = DIMS.get(d..d + 1).unwrap_or("").to_string();
+            if form > 0 {
+                entry.push('/');
+                entry.extend(tile.into_iter().map(|i| char::from(TILE[i])));
+            }
+            entry
+        });
+    prop::collection::vec(entry, 0..9)
+}
+
+proptest! {
+    /// Parsing a nest is total: any entries give a nest or an error,
+    /// never a panic, and a parsed nest spells back to entries that
+    /// parse to the same nest.
+    #[test]
+    fn loop_nest_parse_is_total_and_round_trips(entries in arb_nest_entries()) {
+        match LoopNest::parse(entries.iter().map(String::as_str)) {
+            Ok(nest) => {
+                let spelled: Vec<String> = nest.iter().map(|l| l.to_string()).collect();
+                prop_assert_eq!(LoopNest::parse(spelled.iter().map(String::as_str)), Ok(nest));
+            }
+            Err(e) => prop_assert!(!e.message().is_empty()),
+        }
     }
 }
 

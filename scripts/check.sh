@@ -66,6 +66,22 @@ ISOS_CACHE_DIR="$WORK/dse-cache" cargo run --release -q -p isos-explore --bin ds
 [ -s "$WORK/dse-arch/dse-G58.csv" ] \
   || { echo "dse arch smoke: dse-G58.csv missing or empty" >&2; exit 1; }
 
+echo "==> dse --arch-space --smoke, cold then warm (one cache; the warm run recalls every point, and the CSVs match)"
+for run in cold warm; do
+  ISOS_CACHE_DIR="$WORK/dse-space-cache" cargo run --release -q -p isos-explore --bin dse -- \
+    --arch-space --smoke --net G58 --out "$WORK/dse-space-$run" >/dev/null \
+    2>"$WORK/dse-space-$run.stderr"
+done
+[ -s "$WORK/dse-space-cold/dse-G58.csv" ] \
+  || { echo "dse arch-space smoke: dse-G58.csv missing or empty" >&2; exit 1; }
+if ! grep -q '^suite engine:.*, 0 misses' "$WORK/dse-space-warm.stderr"; then
+  echo "dse arch-space smoke: the warm run simulated points instead of recalling them:" >&2
+  cat "$WORK/dse-space-warm.stderr" >&2
+  exit 1
+fi
+cmp "$WORK/dse-space-cold/dse-G58.csv" "$WORK/dse-space-warm/dse-G58.csv" \
+  || { echo "dse arch-space smoke: warm dse-G58.csv differs from the cold run" >&2; exit 1; }
+
 echo "==> trace_run smoke (G58 timeline export, every model)"
 TRACE_OUT="$WORK/traces"
 for MODEL in isosceles isosceles-single sparten fused-layer; do
