@@ -6,7 +6,9 @@
 //! how a description is stored must serialize it exactly as before, or
 //! every cached described point misses. The CSV digests hold the sweep's
 //! ranked, simulated output (the CSV carries no wall time; the markdown
-//! and JSON do, so they are not pinned).
+//! and JSON do, so they are not pinned): the `dse --arch-space` spaces,
+//! and the IS-OS slice plain `dse` sweeps, whose points all go through
+//! the mapper.
 
 use std::path::Path;
 
@@ -86,10 +88,15 @@ fn arch_space_csv_is_pinned() {
             "G58 smoke",
             csv_digest("G58", &ArchSpace::smoke().enumerate()),
         ),
+        (
+            "R96 is_os",
+            csv_digest("R96", &ArchSpace::is_os().enumerate()),
+        ),
     ];
     let pinned = [
         ("R96 default", 0x801c920c197d34ea),
         ("G58 smoke", 0x49fe11489ed39f31),
+        ("R96 is_os", 0x1e6a6f95f3dd2285),
     ];
     assert_eq!(got, pinned, "dse --arch-space CSV moved");
 }
