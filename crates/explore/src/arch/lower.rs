@@ -19,11 +19,10 @@
 //! `ArchScreen` produces its totals alone, which is what lets the DSE
 //! screen thousands of described points analytically.
 
-use std::collections::HashMap;
-
 use super::schema::{ArchDesc, ArchError, DataflowStyle, PipelinePolicy, TensorKind};
 use crate::model::{
-    estimate_mapping, EstimateTotals, GroupEstimate, IsOsScreen, LayerEstimate, NetworkEstimate,
+    estimate_mapping, EstimateTotals, GroupEstimate, IsOsScreen, LayerEstimate, Memo,
+    NetworkEstimate,
 };
 use isos_baselines::{
     fused_group_facts, fused_group_metrics, fused_groups, sparten_layer_metrics, FusedGroupFacts,
@@ -268,9 +267,9 @@ pub(crate) fn desc_area_mm2(desc: &ArchDesc) -> f64 {
 ///
 /// Work that depends only on the workload is done once per screen, and
 /// each point costs a closed form over it:
-/// - IS-OS points go through [`IsOsScreen`]: one mapping per distinct
+/// - IS-OS points go through [`IsOsScreen`]: one plan per distinct
 ///   [`MapKey`](isosceles::mapping::MapKey), its group work summed once,
-///   then `group_cycles` per group;
+///   then `group_cycles` per group once per distinct totals key;
 /// - output-stationary points sum `sparten_layer_metrics` over the
 ///   layers once per distinct [`OsKey`] (the fields the closed form
 ///   reads; the buffer sizes are not among them) and reuse the totals;
@@ -288,9 +287,9 @@ pub(crate) fn desc_area_mm2(desc: &ArchDesc) -> f64 {
 pub(crate) struct ArchScreen<'a> {
     net: &'a Network,
     is_os: IsOsScreen<'a>,
-    os: HashMap<OsKey, EstimateTotals>,
-    fused: HashMap<u64, Vec<FusedGroupFacts>>,
-    fused_tiles: HashMap<(u64, usize), Vec<FusedTileFacts>>,
+    os: Memo<OsKey, EstimateTotals>,
+    fused: Memo<u64, Vec<FusedGroupFacts>>,
+    fused_tiles: Memo<(u64, usize), Vec<FusedTileFacts>>,
     scratch: FusedScratch,
 }
 
@@ -300,9 +299,9 @@ impl<'a> ArchScreen<'a> {
         Self {
             net,
             is_os: IsOsScreen::new(net),
-            os: HashMap::new(),
-            fused: HashMap::new(),
-            fused_tiles: HashMap::new(),
+            os: Memo::default(),
+            fused: Memo::default(),
+            fused_tiles: Memo::default(),
             scratch: FusedScratch::default(),
         }
     }

@@ -36,7 +36,7 @@ pub(crate) use lower::{desc_area_mm2, ArchScreen};
 pub use lower::{lower, ArchAccel, Lowered};
 pub use schema::{
     ArchDesc, ArchError, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, LoopDim,
-    LoopNest, MemoryDesc, PipelinePolicy, TensorBinding, TensorFormat, TensorKind,
+    LoopNest, MemoryDesc, PipelinePolicy, Stores, TensorBinding, TensorFormat, TensorKind,
 };
 
 use std::path::Path;

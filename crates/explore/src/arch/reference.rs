@@ -13,7 +13,7 @@
 
 use super::schema::{
     ArchDesc, BufferLevel, ComputeDesc, DataflowDesc, DataflowStyle, Gating, LoopNest, MemoryDesc,
-    PipelinePolicy, TensorBinding, TensorFormat, TensorKind,
+    PipelinePolicy, Stores, TensorBinding, TensorFormat, TensorKind,
 };
 
 fn binding(
@@ -28,6 +28,10 @@ fn binding(
         skipping,
         gating,
     }
+}
+
+fn stores(bindings: &[TensorBinding]) -> Stores {
+    bindings.iter().copied().collect()
 }
 
 fn nest(entries: &[&str]) -> LoopNest {
@@ -65,12 +69,12 @@ pub fn isosceles() -> ArchDesc {
                 banks: 64,
                 per_lane: false,
                 alloc_overhead: 1.5,
-                stores: vec![binding(
+                stores: stores(&[binding(
                     TensorKind::Weights,
                     TensorFormat::Csf,
                     true,
                     Gating::None,
-                )],
+                )]),
             },
             BufferLevel {
                 name: "context-arrays".into(),
@@ -78,12 +82,12 @@ pub fn isosceles() -> ArchDesc {
                 banks: 1,
                 per_lane: true,
                 alloc_overhead: 1.0,
-                stores: vec![binding(
+                stores: stores(&[binding(
                     TensorKind::Outputs,
                     TensorFormat::Csf,
                     false,
                     Gating::None,
-                )],
+                )]),
             },
             BufferLevel {
                 name: "queues".into(),
@@ -91,12 +95,12 @@ pub fn isosceles() -> ArchDesc {
                 banks: 1,
                 per_lane: true,
                 alloc_overhead: 1.0,
-                stores: vec![binding(
+                stores: stores(&[binding(
                     TensorKind::Inputs,
                     TensorFormat::Csf,
                     true,
                     Gating::None,
-                )],
+                )]),
             },
         ],
         dataflow: DataflowDesc {
@@ -152,12 +156,12 @@ pub fn sparten() -> ArchDesc {
                 banks: 64,
                 per_lane: false,
                 alloc_overhead: 1.0,
-                stores: vec![binding(
+                stores: stores(&[binding(
                     TensorKind::Weights,
                     TensorFormat::Bitmask,
                     true,
                     Gating::None,
-                )],
+                )]),
             },
             BufferLevel {
                 name: "cluster-buffers".into(),
@@ -165,7 +169,7 @@ pub fn sparten() -> ArchDesc {
                 banks: 1,
                 per_lane: true,
                 alloc_overhead: 1.0,
-                stores: vec![
+                stores: stores(&[
                     binding(
                         TensorKind::Inputs,
                         TensorFormat::Bitmask,
@@ -178,7 +182,7 @@ pub fn sparten() -> ArchDesc {
                         false,
                         Gating::None,
                     ),
-                ],
+                ]),
             },
         ],
         dataflow: DataflowDesc {
@@ -221,12 +225,12 @@ pub fn fused_layer() -> ArchDesc {
                 banks: 64,
                 per_lane: false,
                 alloc_overhead: 1.0,
-                stores: vec![binding(
+                stores: stores(&[binding(
                     TensorKind::Weights,
                     TensorFormat::Dense,
                     false,
                     Gating::None,
-                )],
+                )]),
             },
             BufferLevel {
                 name: "tile-buffer".into(),
@@ -234,7 +238,7 @@ pub fn fused_layer() -> ArchDesc {
                 banks: 8,
                 per_lane: false,
                 alloc_overhead: 1.0,
-                stores: vec![
+                stores: stores(&[
                     binding(TensorKind::Inputs, TensorFormat::Dense, false, Gating::None),
                     binding(
                         TensorKind::Outputs,
@@ -242,7 +246,7 @@ pub fn fused_layer() -> ArchDesc {
                         false,
                         Gating::None,
                     ),
-                ],
+                ]),
             },
         ],
         dataflow: DataflowDesc {

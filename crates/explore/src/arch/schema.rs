@@ -13,6 +13,8 @@
 //! unknown sparsity features, and type mismatches all name the offending
 //! key and list the accepted values.
 
+use std::borrow::Cow;
+
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 
@@ -89,10 +91,15 @@ pub struct MemoryDesc {
 }
 
 /// One level of the on-chip buffer hierarchy.
+///
+/// Its bindings are stored inline and the reference templates' names are
+/// borrowed, so cloning a template's level (as `ArchSpace::enumerate`
+/// does for every point) copies it and allocates nothing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BufferLevel {
-    /// Level name (e.g. `"filter-buffer"`).
-    pub name: String,
+    /// Level name (e.g. `"filter-buffer"`): borrowed for the reference
+    /// templates, owned when read from JSON.
+    pub name: Cow<'static, str>,
     /// Capacity in bytes (per instance: total if shared, per lane if
     /// `per_lane`).
     pub bytes: u64,
@@ -104,7 +111,7 @@ pub struct BufferLevel {
     /// bank alignment; 1.0 = none).
     pub alloc_overhead: f64,
     /// Tensors bound at this level, with their sparsity features.
-    pub stores: Vec<TensorBinding>,
+    pub stores: Stores,
 }
 
 /// One tensor bound at a buffer level, with its sparse-acceleration
@@ -120,6 +127,86 @@ pub struct TensorBinding {
     pub skipping: bool,
     /// Whether ineffectual *fetches* of this operand are gated.
     pub gating: Gating,
+}
+
+/// The tensors bound at one buffer level, in the order written: at most
+/// one binding per [`TensorKind`], stored inline.
+///
+/// Reading a description rejects a level that binds one tensor twice,
+/// and [`Stores::set`] replaces a tensor's binding in place, so no value
+/// holds two bindings of a tensor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stores {
+    /// Bindings in use.
+    len: u8,
+    /// The bindings, in order, one slot per [`TensorKind`]. Unused slots
+    /// hold [`Stores::UNUSED`], so equality is by bindings.
+    slots: [TensorBinding; 3],
+}
+
+impl Stores {
+    /// What an unused slot holds.
+    const UNUSED: TensorBinding = TensorBinding {
+        tensor: TensorKind::Weights,
+        format: TensorFormat::Dense,
+        skipping: false,
+        gating: Gating::None,
+    };
+
+    /// The bindings, in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, TensorBinding> {
+        self.slots[..usize::from(self.len)].iter()
+    }
+
+    /// The binding of `tensor`, if the level binds it.
+    pub fn get(&self, tensor: TensorKind) -> Option<&TensorBinding> {
+        self.iter().find(|b| b.tensor == tensor)
+    }
+
+    /// Binds `binding.tensor` as `binding`: replaces the tensor's binding
+    /// in place if it has one, else appends it.
+    pub fn set(&mut self, binding: TensorBinding) {
+        let len = usize::from(self.len);
+        let slot = self.slots[..len]
+            .iter()
+            .position(|b| b.tensor == binding.tensor)
+            .unwrap_or(len);
+        self.slots[slot] = binding;
+        if slot == len {
+            self.len += 1;
+        }
+    }
+}
+
+/// No bindings.
+impl Default for Stores {
+    fn default() -> Self {
+        Self {
+            len: 0,
+            slots: [Self::UNUSED; 3],
+        }
+    }
+}
+
+/// Collects bindings through [`Stores::set`]: a later binding of a
+/// tensor replaces the earlier one.
+impl FromIterator<TensorBinding> for Stores {
+    fn from_iter<I: IntoIterator<Item = TensorBinding>>(bindings: I) -> Self {
+        let mut stores = Self::default();
+        for binding in bindings {
+            stores.set(binding);
+        }
+        stores
+    }
+}
+
+impl<'a> IntoIterator for &'a Stores {
+    type Item = &'a TensorBinding;
+    type IntoIter = std::slice::Iter<'a, TensorBinding>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 /// The tensors a buffer level can bind.
@@ -786,17 +873,23 @@ fn level_from(value: &Value, index: usize) -> Result<BufferLevel, JsonError> {
     )?;
     let name = as_text(req(pairs, &ctx, "name")?, &ctx, "name")?;
     let ctx = format!("level `{name}`");
-    let stores = match get(pairs, "stores") {
-        Some(v) => {
-            let arr = v
-                .as_arr()
-                .map_err(|_| JsonError::new(format!("{ctx}: `stores` must be an array")))?;
-            arr.iter()
-                .map(|b| binding_from(b, &format!("{ctx} stores entry")))
-                .collect::<Result<Vec<_>, _>>()?
+    let mut stores = Stores::default();
+    if let Some(v) = get(pairs, "stores") {
+        let arr = v
+            .as_arr()
+            .map_err(|_| JsonError::new(format!("{ctx}: `stores` must be an array")))?;
+        for b in arr {
+            let binding = binding_from(b, &format!("{ctx} stores entry"))?;
+            if stores.get(binding.tensor).is_some() {
+                return Err(JsonError::new(format!(
+                    "{ctx}: tensor `{}` is bound more than once (a level binds each tensor at \
+                     most once)",
+                    binding.tensor.label()
+                )));
+            }
+            stores.set(binding);
         }
-        None => Vec::new(),
-    };
+    }
     Ok(BufferLevel {
         bytes: as_bytes(req(pairs, &ctx, "bytes")?, &ctx, "bytes")?,
         banks: match get(pairs, "banks") {
@@ -812,7 +905,7 @@ fn level_from(value: &Value, index: usize) -> Result<BufferLevel, JsonError> {
             None => 1.0,
         },
         stores,
-        name,
+        name: name.into(),
     })
 }
 
@@ -912,7 +1005,7 @@ impl Serialize for ArchDesc {
                         .iter()
                         .map(|l| {
                             obj(vec![
-                                ("name", Value::Str(l.name.clone())),
+                                ("name", Value::Str(l.name.to_string())),
                                 ("bytes", Value::U64(l.bytes)),
                                 ("banks", Value::U64(l.banks as u64)),
                                 ("per_lane", Value::Bool(l.per_lane)),
@@ -974,7 +1067,7 @@ mod tests {
         desc.levels[0].bytes = 0;
         let err = desc.validate().unwrap_err();
         assert!(err.message().contains("zero size"), "{err}");
-        assert!(err.message().contains(&desc.levels[0].name), "{err}");
+        assert!(err.message().contains(&*desc.levels[0].name), "{err}");
     }
 
     /// `desc` as JSON text with its `loop_nest` replaced by `nest`, read
@@ -1127,14 +1220,41 @@ mod tests {
     fn gospa_on_weights_is_rejected() {
         let mut desc = reference::sparten();
         for level in &mut desc.levels {
-            for b in &mut level.stores {
-                if b.tensor == TensorKind::Weights {
-                    b.gating = Gating::Gospa;
-                }
+            if let Some(&b) = level.stores.get(TensorKind::Weights) {
+                level.stores.set(TensorBinding {
+                    gating: Gating::Gospa,
+                    ..b
+                });
             }
         }
         let err = desc.validate().unwrap_err();
         assert!(err.message().contains("gospa gating"), "{err}");
+    }
+
+    #[test]
+    fn stores_keep_one_binding_per_tensor_in_written_order() {
+        let inputs = TensorBinding {
+            tensor: TensorKind::Inputs,
+            format: TensorFormat::Bitmask,
+            skipping: true,
+            gating: Gating::Gospa,
+        };
+        let outputs = TensorBinding {
+            tensor: TensorKind::Outputs,
+            ..inputs
+        };
+        let mut stores: Stores = [outputs, inputs].into_iter().collect();
+        let dense = TensorBinding {
+            format: TensorFormat::Dense,
+            ..outputs
+        };
+        stores.set(dense);
+        let order: Vec<TensorBinding> = stores.iter().copied().collect();
+        assert_eq!(order, [dense, inputs]);
+        assert_eq!(stores.get(TensorKind::Outputs), Some(&dense));
+        assert_eq!(stores.get(TensorKind::Weights), None);
+        assert_eq!(stores, [dense, inputs].into_iter().collect());
+        assert_ne!(stores, [inputs, dense].into_iter().collect());
     }
 
     #[test]

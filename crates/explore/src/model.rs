@@ -36,11 +36,14 @@
 //! percent on most; see DESIGN.md).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use isos_nn::graph::{ConsumerIndex, Network, NodeId};
 use isos_sim::area::{area_of, AreaConfig, AreaParams};
 use isos_sim::energy::{energy_of, Activity, EnergyBreakdown, EnergyParams};
-use isosceles::mapping::{map_network, ExecMode, MapKey, Mapping, PipelineGroup};
+use isosceles::mapping::{
+    map_network, ExecMode, GroupView, MapKey, Mapper, Mapping, PipelineGroup, Plan,
+};
 use isosceles::IsoscelesConfig;
 use serde::{Deserialize, Serialize};
 
@@ -275,21 +278,23 @@ pub(crate) struct LayerWork {
 ///
 /// Activation traffic follows the simulator's stream accounting: external
 /// input streams are deduplicated per producer exactly as the simulator's
-/// `ext_index` does (network inputs get a synthetic key so two root
-/// layers don't share a stream) and charged at `k_tiles × (1 + halo)`;
-/// outputs leaving the group write back to DRAM once.
+/// `ext_index` does (a network input is a stream of its own, so two root
+/// layers don't share one) and charged at `k_tiles × (1 + halo)`; outputs
+/// leaving the group write back to DRAM once. A producer's stream is
+/// already charged if an earlier member, or an earlier input of the same
+/// member, reads it, so the deduplication rescans the few members before
+/// instead of keeping a set.
 pub(crate) fn group_work(
     facts: &NetFacts,
-    group: &PipelineGroup,
+    group: GroupView,
     mut each_layer: impl FnMut(LayerWork),
 ) -> GroupWork {
     let mut weight_bytes = 0.0;
     let mut macs = 0.0;
     let mut in_bytes = 0.0;
     let mut out_bytes = 0.0;
-    let mut seen_ext: Vec<usize> = Vec::new();
 
-    for &id in &group.layers {
+    for (i, &id) in group.layers.iter().enumerate() {
         let layer = &facts.layers[id];
         weight_bytes += layer.weight_bytes;
         macs += layer.macs;
@@ -301,19 +306,21 @@ pub(crate) fn group_work(
         };
         let scale = group.k_tiles as f64 * (1.0 + halo_frac);
         let mut layer_act = 0.0;
-        if layer.producers.is_empty() && !seen_ext.contains(&(id + 1_000_000)) {
-            seen_ext.push(id + 1_000_000);
+        if layer.producers.is_empty() {
             layer_act += layer.in_act_bytes * scale;
         }
-        for &p in &layer.producers {
-            if !group.layers.contains(&p) && !seen_ext.contains(&p) {
-                seen_ext.push(p);
+        for (j, &p) in layer.producers.iter().enumerate() {
+            let charged = layer.producers[..j].contains(&p)
+                || group.layers[..i]
+                    .iter()
+                    .any(|&m| facts.layers[m].producers.contains(&p));
+            if !group.layers.contains(&p) && !charged {
                 layer_act += layer.in_act_bytes * scale;
             }
         }
         in_bytes += layer_act;
 
-        if facts.consumers.written_off_chip(id, &group.layers) {
+        if facts.consumers.written_off_chip(id, group.layers) {
             let leaving = layer.out_act_bytes;
             out_bytes += leaving;
             layer_act += leaving;
@@ -367,7 +374,7 @@ pub(crate) fn estimate_group(
     group: &PipelineGroup,
 ) -> GroupEstimate {
     let mut layer_ests: Vec<LayerEstimate> = Vec::with_capacity(group.layers.len());
-    let work = group_work(facts, group, |l| {
+    let work = group_work(facts, group.view(), |l| {
         layer_ests.push(LayerEstimate {
             name: net.layer(l.id).name.clone(),
             cycles: 0.0,
@@ -419,36 +426,109 @@ pub fn estimate_mapping(
     out
 }
 
-/// Memoized IS-OS screening of one network: the workload facts, gathered
-/// once, and the group work of every distinct mapping, keyed by the
-/// [`MapKey`] that fixes it. A point then costs one hash lookup plus
-/// [`group_cycles`] per group — the same functions [`estimate_mapping`]
-/// runs, so the totals are bit-identical to it.
+/// A screening memo table. Its keys are a few machine words of trusted
+/// configuration, looked up once or twice per screened point, so it
+/// hashes with [`WordHasher`] rather than the default flood-resistant
+/// SipHash.
+pub(crate) type Memo<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The multiply-rotate word hash of `rustc`'s `FxHasher`: one rotate,
+/// xor and multiply per word written.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Memoized IS-OS screening of one network: one [`Mapper`] and the
+/// workload facts, gathered once, the group work of every distinct
+/// mapping, keyed by the [`MapKey`] that fixes it, and the totals of
+/// every distinct [`TotalsKey`]. A point then costs one hash lookup, plus
+/// [`group_cycles`] per group the first time its totals key is seen —
+/// the same functions [`estimate_mapping`] runs, so the totals are
+/// bit-identical to it.
 #[derive(Debug)]
 pub(crate) struct IsOsScreen<'a> {
-    net: &'a Network,
+    mapper: Mapper<'a>,
     facts: NetFacts,
-    plans: HashMap<MapKey, Vec<GroupWork>>,
+    /// The mapper's scratch, reused by every plan.
+    plan: Plan<'a>,
+    plans: Memo<MapKey, Vec<GroupWork>>,
+    totals: Memo<TotalsKey, EstimateTotals>,
+}
+
+/// Everything an IS-OS point's totals read: the [`MapKey`] that fixes
+/// its plan, plus the fields [`group_cycles`] prices the plan with
+/// (bandwidth and PE efficiency by bit pattern). Merger radix, queue
+/// sizes and the other fields no estimate reads are left out, so points
+/// that differ only in them share one entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct TotalsKey {
+    map: MapKey,
+    dram_bytes_per_cycle: u64,
+    total_macs: usize,
+    pe_efficiency: u64,
+    scheduler_interval: u64,
+}
+
+impl TotalsKey {
+    fn of(cfg: &IsoscelesConfig, mode: ExecMode) -> Self {
+        Self {
+            map: MapKey::of(cfg, mode),
+            dram_bytes_per_cycle: cfg.dram_bytes_per_cycle.to_bits(),
+            total_macs: cfg.total_macs(),
+            pe_efficiency: cfg.pe_efficiency.to_bits(),
+            scheduler_interval: cfg.scheduler_interval,
+        }
+    }
 }
 
 impl<'a> IsOsScreen<'a> {
     /// An empty memo over `net`.
     pub(crate) fn new(net: &'a Network) -> Self {
         Self {
-            net,
+            mapper: Mapper::new(net),
             facts: NetFacts::new(net),
-            plans: HashMap::new(),
+            plan: Plan::default(),
+            plans: Memo::default(),
+            totals: Memo::default(),
         }
     }
 
     /// The whole-network totals of [`estimate_mapping`] on the mapper's
     /// plan for `cfg` in `mode`.
     pub(crate) fn totals(&mut self, cfg: &IsoscelesConfig, mode: ExecMode) -> EstimateTotals {
-        let (net, facts) = (self.net, &self.facts);
-        let works = self.plans.entry(MapKey::of(cfg, mode)).or_insert_with(|| {
-            map_network(net, cfg, mode)
-                .groups
-                .iter()
+        let key = TotalsKey::of(cfg, mode);
+        if let Some(&totals) = self.totals.get(&key) {
+            return totals;
+        }
+        let (mapper, facts, plan) = (&self.mapper, &self.facts, &mut self.plan);
+        let works = self.plans.entry(key.map).or_insert_with(|| {
+            mapper.plan(cfg, mode, plan);
+            plan.groups()
                 .map(|g| group_work(facts, g, |_| {}))
                 .collect()
         });
@@ -456,6 +536,7 @@ impl<'a> IsOsScreen<'a> {
         for w in works.iter() {
             out.add_group(group_cycles(w, cfg), w.weight_bytes, w.act_bytes, w.macs);
         }
+        self.totals.insert(key, out);
         out
     }
 }

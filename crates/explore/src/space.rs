@@ -7,6 +7,8 @@
 //! analytic flow and simulated through the same engine. The plain `dse`
 //! sweep is the IS-OS slice of it ([`ArchSpace::is_os`]).
 
+use std::fmt::Write;
+
 use crate::arch::{reference, ArchDesc};
 use serde::{Deserialize, Serialize};
 
@@ -143,14 +145,23 @@ impl ArchSpace {
         ];
         let [isos, os, fused] = &templates;
         let mut points = Vec::with_capacity(self.len());
+        // Each name is written here first, then copied out at its exact
+        // length: one allocation per name.
+        let mut buf = String::new();
         for &lanes in &self.lanes {
             for &kb in &self.shared_kb {
                 for &bw in &self.dram_bytes_per_cycle {
                     // The sizing every family sweeps, and its label part.
                     let sizing = format!("l{lanes}-fb{kb}-bw{bw:.0}");
-                    let stamp = |template: &ArchDesc, name: String| {
+                    // A point's levels clone without allocating their
+                    // names or bindings, so a point owns three blocks:
+                    // its label, its name and its level list.
+                    let mut stamp = |template: &ArchDesc, name: std::fmt::Arguments| {
+                        buf.clear();
+                        buf.write_fmt(name)
+                            .expect("writing to a String cannot fail");
                         let mut desc = ArchDesc {
-                            name,
+                            name: buf.as_str().to_owned(),
                             levels: template.levels.clone(),
                             ..*template
                         };
@@ -167,17 +178,18 @@ impl ArchSpace {
                     };
                     for &radix in &self.merger_radix {
                         for &ctx in &self.contexts {
-                            let mut desc = stamp(isos, format!("isos-{sizing}-r{radix}-c{ctx}"));
+                            let mut desc =
+                                stamp(isos, format_args!("isos-{sizing}-r{radix}-c{ctx}"));
                             desc.compute.merger_radix = radix;
                             desc.compute.contexts = ctx;
                             push(desc);
                         }
                     }
                     for &tile in &self.tiles {
-                        let mut desc = stamp(os, format!("os-{sizing}-k{tile}"));
+                        let mut desc = stamp(os, format_args!("os-{sizing}-k{tile}"));
                         desc.dataflow.loop_nest.set_tile("K", tile);
                         push(desc);
-                        let mut desc = stamp(fused, format!("fused-{sizing}-t{tile}"));
+                        let mut desc = stamp(fused, format_args!("fused-{sizing}-t{tile}"));
                         desc.dataflow.loop_nest.set_tile("P", tile);
                         desc.dataflow.loop_nest.set_tile("Q", tile);
                         push(desc);

@@ -162,3 +162,16 @@ fn rejects_unknown_fields_naming_the_field() {
     let msg = parse_mutated(r#""lanes""#, r#""lames""#);
     assert!(msg.contains("unknown field `lames`"), "{msg}");
 }
+
+/// A level binds each tensor at most once: a second binding of one
+/// tensor is rejected where the description is read, naming the level
+/// and the tensor, instead of being stored beside the first.
+#[test]
+fn rejects_a_tensor_bound_twice_naming_the_level_and_tensor() {
+    let msg = parse_mutated(r#""tensor": "outputs""#, r#""tensor": "inputs""#);
+    assert!(msg.contains("level `cluster-buffers`"), "{msg}");
+    assert!(
+        msg.contains("tensor `inputs` is bound more than once"),
+        "{msg}"
+    );
+}

@@ -50,4 +50,4 @@ pub mod spgemm;
 
 pub use accel::Accelerator;
 pub use config::IsoscelesConfig;
-pub use mapping::{map_network, ExecMode, Mapping, PipelineGroup};
+pub use mapping::{map_network, ExecMode, GroupView, Mapper, Mapping, PipelineGroup, Plan};

@@ -13,7 +13,7 @@ use std::fmt;
 
 use crate::config::IsoscelesConfig;
 use isos_nn::graph::{Network, NodeId};
-use isos_nn::layer::LayerKind;
+use isos_nn::layer::{Layer, LayerKind};
 use serde::{Deserialize, Serialize};
 
 /// How the mapper schedules the network.
@@ -54,28 +54,7 @@ impl PipelineGroup {
     ///
     /// Panics if `layers` is empty or contains an out-of-range id.
     pub fn from_layers(net: &Network, cfg: &IsoscelesConfig, layers: Vec<NodeId>) -> Self {
-        assert!(!layers.is_empty(), "pipeline group must have layers");
-        let first_conv = layers
-            .iter()
-            .copied()
-            .find(|&id| {
-                matches!(
-                    net.layer(id).kind,
-                    LayerKind::Conv { .. } | LayerKind::DwConv { .. }
-                )
-            })
-            .unwrap_or(layers[0]);
-        let name = net.layer(first_conv).name.clone();
-        let occs: Vec<f64> = (0..net.len()).map(|id| weight_occupancy(net, id)).collect();
-        // Tiling reads no mode; any mode gives the same key fields.
-        let key = MapKey::of(cfg, ExecMode::Pipelined);
-        let (p_tiles, k_tiles) = tiling_for(net, &key, &occs, &layers);
-        Self {
-            name,
-            layers,
-            p_tiles,
-            k_tiles,
-        }
+        Mapper::new(net).group(cfg, layers)
     }
 
     /// Number of convolutional layers in the group (the paper's "L"
@@ -95,6 +74,16 @@ impl PipelineGroup {
     /// Whether the group actually pipelines multiple layers.
     pub fn is_pipelined(&self) -> bool {
         self.layers.len() > 1
+    }
+
+    /// The group, borrowed.
+    pub fn view(&self) -> GroupView<'_> {
+        GroupView {
+            name: &self.name,
+            layers: &self.layers,
+            p_tiles: self.p_tiles,
+            k_tiles: self.k_tiles,
+        }
     }
 }
 
@@ -255,9 +244,10 @@ impl Mapping {
         if let Some(missing) = seen.iter().position(|&s| !s) {
             return Err(MappingError::MissingLayer(missing));
         }
+        let mapper = Mapper::new(net);
         let groups = partitions
             .iter()
-            .map(|part| PipelineGroup::from_layers(net, cfg, part.clone()))
+            .map(|part| mapper.group(cfg, part.clone()))
             .collect();
         Ok(Self { groups })
     }
@@ -284,23 +274,52 @@ impl Mapping {
 }
 
 /// A schedulable unit: either one block (with its skip connection) or a
-/// single uncovered layer. It borrows its name and members from the
-/// network, so collecting the units allocates only their list.
+/// single uncovered layer. It borrows its name and a block's members
+/// from the network, so collecting the units allocates only their list.
 #[derive(Clone, Copy, Debug)]
 struct Unit<'a> {
     name: &'a str,
-    members: &'a [NodeId],
+    /// The block's members; `None` for a single uncovered layer.
+    block: Option<&'a [NodeId]>,
+    /// The first member.
+    first: NodeId,
     pipelineable: bool,
 }
 
-/// Everything [`map_network`] reads: the configuration fields the greedy
+impl Unit<'_> {
+    /// The members, in topological order.
+    fn members(&self) -> &[NodeId] {
+        self.block
+            .unwrap_or_else(|| std::slice::from_ref(&self.first))
+    }
+}
+
+/// One layer's entry in a [`Mapper`]: what the constraint checks and the
+/// tiler read of it, so they never go back to the layer.
+#[derive(Clone, Copy, Debug)]
+struct LayerFit {
+    /// Compressed weight bytes (`Layer::weight_csf_bytes`).
+    weight_bytes: f64,
+    /// Accumulator occupancy of its context array ([`weight_occupancy`]).
+    occupancy: f64,
+    /// Output channels `K`.
+    out_c: usize,
+    /// Output rows `P`.
+    out_h: usize,
+    /// Kernel extent `R × S`.
+    kernel_rs: usize,
+    /// Whether the layer is a skip-connection `Add`.
+    is_add: bool,
+}
+
+/// Everything [`Mapper::map`] reads: the configuration fields the greedy
 /// mapper and its tiler consult, plus the execution mode.
 ///
 /// The mapper runs on the key, not on the configuration, so it cannot
 /// read a field the key leaves out: two configurations with equal keys
 /// get equal mappings by construction. Design-space sweeps memoize
-/// [`map_network`] on this key (bandwidth, merger radix, MACs per lane
-/// and PE efficiency do not change the plan).
+/// mappings on this key (bandwidth, merger radix, MACs per lane and PE
+/// efficiency do not change the plan).
 #[derive(Clone, Copy, Debug)]
 pub struct MapKey {
     mode: ExecMode,
@@ -360,112 +379,323 @@ impl std::hash::Hash for MapKey {
     }
 }
 
-/// Builds the execution plan for `net` under `cfg`.
+/// Builds the execution plan for `net` under `cfg`: one
+/// [`Mapper::map`] on a mapper built for the call.
 pub fn map_network(net: &Network, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapping {
-    map_keyed(net, &MapKey::of(cfg, mode))
+    Mapper::new(net).map(cfg, mode)
 }
 
-/// [`map_network`] on a [`MapKey`].
-fn map_keyed(net: &Network, key: &MapKey) -> Mapping {
-    // Every node id, in order: singleton units borrow their one-member
-    // list from here.
-    let ids: Vec<NodeId> = (0..net.len()).collect();
-    let units = collect_units(net, &ids);
-    // The greedy grower re-tests overlapping layer sets against the
-    // context constraint, and the per-layer accumulator occupancy behind
-    // it costs a `powf`; memoizing it per layer keeps the mapping
-    // identical while the constraint checks become table lookups.
-    let occs: Vec<f64> = (0..net.len()).map(|id| weight_occupancy(net, id)).collect();
-    let mut groups: Vec<PipelineGroup> = Vec::new();
-    let mut current: Vec<Unit> = Vec::new();
-    // Flat view of `current`'s members, maintained incrementally (the
-    // grower used to re-flatten the whole prefix for every candidate).
-    let mut current_flat: Vec<NodeId> = Vec::new();
-    let mut candidate: Vec<NodeId> = Vec::new();
+/// The greedy mapper of one network.
+///
+/// What the grouping reads of the network alone (its schedulable units
+/// in order, and each layer's weight footprint, accumulator occupancy,
+/// output shape and kernel) is gathered once, in [`Mapper::new`]; each
+/// [`map`](Self::map) then reads only those facts and the
+/// configuration's [`MapKey`]. A design-space sweep maps one network
+/// under hundreds of configurations through one mapper.
+#[derive(Clone, Debug)]
+pub struct Mapper<'a> {
+    net: &'a Network,
+    /// Blocks (from the graph's hints) plus singleton units for
+    /// uncovered layers, in topological order.
+    units: Vec<Unit<'a>>,
+    /// Per node.
+    layers: Vec<LayerFit>,
+}
 
-    let flush = |current: &mut Vec<Unit>,
-                 current_flat: &mut Vec<NodeId>,
-                 groups: &mut Vec<PipelineGroup>| {
-        if current.is_empty() {
-            return;
-        }
-        let layers = std::mem::take(current_flat);
-        let name = current[0].name.to_owned();
-        let (p_tiles, k_tiles) = tiling_for(net, key, &occs, &layers);
-        groups.push(PipelineGroup {
-            name,
+impl<'a> Mapper<'a> {
+    /// Gathers the facts of `net` the grouping reads.
+    pub fn new(net: &'a Network) -> Self {
+        let layers = net
+            .nodes()
+            .iter()
+            .map(|node| {
+                let layer = &node.layer;
+                let (r, s) = layer.kind.kernel();
+                LayerFit {
+                    weight_bytes: layer.weight_csf_bytes(),
+                    occupancy: weight_occupancy(layer),
+                    out_c: layer.output.c,
+                    out_h: layer.output.h,
+                    kernel_rs: r * s,
+                    is_add: matches!(layer.kind, LayerKind::Add),
+                }
+            })
+            .collect();
+        Self {
+            net,
+            units: collect_units(net),
             layers,
-            p_tiles,
-            k_tiles,
-        });
-        current.clear();
-    };
-
-    for unit in units {
-        let single_only = key.mode == ExecMode::SingleLayer;
-        if !unit.pipelineable || single_only {
-            flush(&mut current, &mut current_flat, &mut groups);
-            push_decomposed(net, key, &occs, unit.members, &mut groups);
-            continue;
         }
-        // Would appending this unit violate a resource constraint?
-        candidate.clear();
-        candidate.extend_from_slice(&current_flat);
-        candidate.extend_from_slice(unit.members);
-        if !current.is_empty() && !fits(net, key, &occs, &candidate) {
-            flush(&mut current, &mut current_flat, &mut groups);
-        }
-        // A unit that doesn't even fit alone runs as single layers
-        // (weights tiled on K as needed).
-        if !fits(net, key, &occs, unit.members) && unit.members.len() > 1 {
-            push_decomposed(net, key, &occs, unit.members, &mut groups);
-            continue;
-        }
-        current_flat.extend_from_slice(unit.members);
-        current.push(unit);
     }
-    flush(&mut current, &mut current_flat, &mut groups);
-    Mapping { groups }
-}
 
-/// Emits layer-by-layer groups for `members`, fusing each `Add` with the
-/// conv that feeds it (the paper models skip-connection adds fused into
-/// the preceding conv when layers run unpipelined, Sec. V).
-fn push_decomposed(
-    net: &Network,
-    key: &MapKey,
-    occs: &[f64],
-    members: &[NodeId],
-    groups: &mut Vec<PipelineGroup>,
-) {
-    for &id in members {
-        let is_add = matches!(net.layer(id).kind, LayerKind::Add);
-        let feeds_last = groups
-            .last()
-            .is_some_and(|g| net.nodes()[id].inputs.iter().any(|p| g.layers.contains(p)));
-        if is_add && feeds_last {
-            let g = groups.last_mut().expect("checked above");
-            g.layers.push(id);
-            continue;
+    /// The execution plan under `cfg` in `mode`: [`plan`](Self::plan)
+    /// into a fresh [`Plan`], copied out as owned groups.
+    pub fn map(&self, cfg: &IsoscelesConfig, mode: ExecMode) -> Mapping {
+        // No buffer outgrows the network: each layer is in one group.
+        let n = self.layers.len();
+        let mut plan = Plan {
+            layers: Vec::with_capacity(n),
+            groups: Vec::with_capacity(n),
+            open: Vec::with_capacity(n),
+            candidate: Vec::with_capacity(n),
+        };
+        self.plan(cfg, mode, &mut plan);
+        Mapping {
+            groups: plan
+                .groups()
+                .map(|g| PipelineGroup {
+                    name: g.name.to_owned(),
+                    layers: g.layers.to_vec(),
+                    p_tiles: g.p_tiles,
+                    k_tiles: g.k_tiles,
+                })
+                .collect(),
         }
-        let layers = vec![id];
-        let (p_tiles, k_tiles) = tiling_for(net, key, occs, &layers);
-        groups.push(PipelineGroup {
-            name: net.layer(id).name.clone(),
+    }
+
+    /// Writes the execution plan under `cfg` in `mode` into `plan`,
+    /// replacing what it held. Reusing one `plan` across calls, a caller
+    /// plans without allocating once its buffers have grown.
+    pub fn plan(&self, cfg: &IsoscelesConfig, mode: ExecMode, plan: &mut Plan<'a>) {
+        let key = MapKey::of(cfg, mode);
+        plan.layers.clear();
+        plan.groups.clear();
+        // The open pipeline: the name of its first unit; its members are
+        // `plan.open`, flattened as units join it.
+        let mut open: Option<&'a str> = None;
+        for unit in &self.units {
+            let members = unit.members();
+            if !unit.pipelineable || key.mode == ExecMode::SingleLayer {
+                self.close(&key, &mut open, plan);
+                self.push_decomposed(&key, members, plan);
+                continue;
+            }
+            // Would appending this unit violate a resource constraint?
+            if open.is_some() {
+                plan.candidate.clear();
+                plan.candidate.extend_from_slice(&plan.open);
+                plan.candidate.extend_from_slice(members);
+                if !self.fits(&key, &plan.candidate) {
+                    self.close(&key, &mut open, plan);
+                }
+            }
+            // A unit that doesn't even fit alone runs as single layers
+            // (weights tiled on K as needed).
+            if !self.fits(&key, members) && members.len() > 1 {
+                self.push_decomposed(&key, members, plan);
+                continue;
+            }
+            plan.open.extend_from_slice(members);
+            open.get_or_insert(unit.name);
+        }
+        self.close(&key, &mut open, plan);
+    }
+
+    /// Ends the open pipeline, if any, as the plan's next group.
+    fn close(&self, key: &MapKey, open: &mut Option<&'a str>, plan: &mut Plan<'a>) {
+        if let Some(name) = open.take() {
+            let (p_tiles, k_tiles) = self.tiling_for(key, &plan.open);
+            plan.layers.extend_from_slice(&plan.open);
+            plan.open.clear();
+            plan.push(name, p_tiles, k_tiles);
+        }
+    }
+
+    /// A group of exactly `layers`, named and tiled as the mapper would
+    /// (see [`PipelineGroup::from_layers`]).
+    fn group(&self, cfg: &IsoscelesConfig, layers: Vec<NodeId>) -> PipelineGroup {
+        assert!(!layers.is_empty(), "pipeline group must have layers");
+        let net = self.net;
+        let first_conv = layers
+            .iter()
+            .copied()
+            .find(|&id| {
+                matches!(
+                    net.layer(id).kind,
+                    LayerKind::Conv { .. } | LayerKind::DwConv { .. }
+                )
+            })
+            .unwrap_or(layers[0]);
+        // Tiling reads no mode; any mode gives the same key fields.
+        let key = MapKey::of(cfg, ExecMode::Pipelined);
+        let (p_tiles, k_tiles) = self.tiling_for(&key, &layers);
+        PipelineGroup {
+            name: net.layer(first_conv).name.clone(),
             layers,
             p_tiles,
             k_tiles,
+        }
+    }
+
+    /// Emits layer-by-layer groups for `members`, fusing each `Add` with
+    /// the conv that feeds it (the paper models skip-connection adds
+    /// fused into the preceding conv when layers run unpipelined,
+    /// Sec. V).
+    fn push_decomposed(&self, key: &MapKey, members: &[NodeId], plan: &mut Plan<'a>) {
+        let net = self.net;
+        for &id in members {
+            let feeds_last = plan
+                .last_layers()
+                .is_some_and(|last| net.nodes()[id].inputs.iter().any(|p| last.contains(p)));
+            plan.layers.push(id);
+            if self.layers[id].is_add && feeds_last {
+                // The last group's members are the tail of `layers`.
+                plan.groups.last_mut().expect("checked above").end += 1;
+                continue;
+            }
+            let (p_tiles, k_tiles) = self.tiling_for(key, std::slice::from_ref(&id));
+            plan.push(&net.layer(id).name, p_tiles, k_tiles);
+        }
+    }
+
+    /// Checks the three on-chip constraints for co-residency: filter
+    /// buffer, per-lane context arrays, and context (layer) count.
+    fn fits(&self, key: &MapKey, layers: &[NodeId]) -> bool {
+        if layers.len() > key.max_contexts {
+            return false;
+        }
+        let fb: f64 = layers
+            .iter()
+            .map(|&id| key.filter_buffer_occupancy(self.layers[id].weight_bytes))
+            .sum();
+        if fb > key.filter_buffer_bytes as f64 {
+            return false;
+        }
+        // Context arrays: assume maximal P tiling is allowed to shrink the
+        // requirement; check at the tiling the group would actually use.
+        let (p_tiles, _) = self.tiling_for(key, layers);
+        self.context_bytes(key, layers, p_tiles) <= key.context_bytes_per_lane as f64
+    }
+
+    /// The summed per-lane context requirement of `layers` at `p_tiles`.
+    fn context_bytes(&self, key: &MapKey, layers: &[NodeId], p_tiles: usize) -> f64 {
+        layers
+            .iter()
+            .map(|&id| context_bytes_per_lane(key, &self.layers[id], p_tiles))
+            .sum()
+    }
+
+    /// Chooses the `P` and `K` tiling for a group.
+    fn tiling_for(&self, key: &MapKey, layers: &[NodeId]) -> (usize, usize) {
+        // P tiling: required when rows exceed lanes, or to shrink contexts.
+        let max_p = layers
+            .iter()
+            .map(|&id| self.layers[id].out_h)
+            .max()
+            .unwrap_or(1);
+        let mut p_tiles = max_p.div_ceil(key.lanes).max(1);
+        // For single layers, grow P tiling until the context fits
+        // (V90-style mid-network tiling), bounded to avoid infinite loops
+        // on impossible configs. Multi-layer groups must fit at their
+        // natural tiling — the greedy mapper shrinks the group instead.
+        if layers.len() == 1 {
+            for _ in 0..8 {
+                if self.context_bytes(key, layers, p_tiles) <= key.context_bytes_per_lane as f64 {
+                    break;
+                }
+                p_tiles *= 2;
+            }
+        }
+        // K tiling: only for single layers whose weights overflow the
+        // buffer.
+        let k_tiles = if layers.len() == 1 {
+            let occ = key.filter_buffer_occupancy(self.layers[layers[0]].weight_bytes);
+            (occ / key.filter_buffer_bytes as f64).ceil().max(1.0) as usize
+        } else {
+            1
+        };
+        (p_tiles, k_tiles)
+    }
+}
+
+/// An execution plan in flat form, written by [`Mapper::plan`]: every
+/// group's members back to back, and per group its name, extent and
+/// tiling, all borrowed or copied from the mapper's network. A caller
+/// that plans many configurations reuses one `Plan`, so planning
+/// allocates nothing once the buffers have grown; [`Mapper::map`] copies
+/// one out as a [`Mapping`].
+#[derive(Clone, Debug, Default)]
+pub struct Plan<'a> {
+    /// Every group's members, group after group.
+    layers: Vec<NodeId>,
+    /// Per group, in execution order.
+    groups: Vec<Span<'a>>,
+    /// Scratch: the members of the pipeline the mapper is growing.
+    open: Vec<NodeId>,
+    /// Scratch: `open` plus the unit it is tested against.
+    candidate: Vec<NodeId>,
+}
+
+/// One group's entry in a [`Plan`].
+#[derive(Clone, Copy, Debug)]
+struct Span<'a> {
+    name: &'a str,
+    /// Where its members end in [`Plan::layers`]; they start where the
+    /// previous group's end.
+    end: usize,
+    p_tiles: usize,
+    k_tiles: usize,
+}
+
+/// One group of a [`Plan`] or a [`Mapping`], borrowed: what the cost
+/// models read of a [`PipelineGroup`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GroupView<'p> {
+    /// Group name (see [`PipelineGroup::name`]).
+    pub name: &'p str,
+    /// Member layers, topological.
+    pub layers: &'p [NodeId],
+    /// Tiles along the output-row dimension `P` (1 = untiled).
+    pub p_tiles: usize,
+    /// Tiles along the output-channel dimension `K` (1 = untiled).
+    pub k_tiles: usize,
+}
+
+impl<'a> Plan<'a> {
+    /// The groups, in execution order.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = GroupView<'_>> + '_ {
+        let mut start = 0;
+        self.groups.iter().map(move |g| {
+            let layers = &self.layers[start..g.end];
+            start = g.end;
+            GroupView {
+                name: g.name,
+                layers,
+                p_tiles: g.p_tiles,
+                k_tiles: g.k_tiles,
+            }
+        })
+    }
+
+    /// Ends a group at the current end of `layers`.
+    fn push(&mut self, name: &'a str, p_tiles: usize, k_tiles: usize) {
+        self.groups.push(Span {
+            name,
+            end: self.layers.len(),
+            p_tiles,
+            k_tiles,
         });
+    }
+
+    /// The members of the last group, if any.
+    fn last_layers(&self) -> Option<&[NodeId]> {
+        let last = self.groups.last()?;
+        let start = self
+            .groups
+            .len()
+            .checked_sub(2)
+            .map_or(0, |i| self.groups[i].end);
+        Some(&self.layers[start..last.end])
     }
 }
 
 /// Partitions the network into blocks (from the graph's hints) plus
-/// singleton units for uncovered layers, in topological order. `ids` is
-/// every node id in order.
+/// singleton units for uncovered layers, in topological order.
 #[allow(clippy::needless_range_loop)] // id doubles as the NodeId
-fn collect_units<'a>(net: &'a Network, ids: &'a [NodeId]) -> Vec<Unit<'a>> {
+fn collect_units(net: &Network) -> Vec<Unit<'_>> {
     let mut covered = vec![false; net.len()];
-    let mut units: Vec<(NodeId, Unit)> = Vec::new();
+    let mut units: Vec<Unit> = Vec::new();
     for block in net.blocks() {
         for &m in &block.members {
             covered[m] = true;
@@ -474,29 +704,25 @@ fn collect_units<'a>(net: &'a Network, ids: &'a [NodeId]) -> Vec<Unit<'a>> {
             .members
             .iter()
             .all(|&m| net.layer(m).kind.is_pipelineable());
-        units.push((
-            block.members[0],
-            Unit {
-                name: block_display_name(net, block.members[0], &block.name),
-                members: &block.members,
-                pipelineable,
-            },
-        ));
+        units.push(Unit {
+            name: block_display_name(net, block.members[0], &block.name),
+            block: Some(&block.members),
+            first: block.members[0],
+            pipelineable,
+        });
     }
     for id in 0..net.len() {
         if !covered[id] {
-            units.push((
-                id,
-                Unit {
-                    name: &net.layer(id).name,
-                    members: &ids[id..=id],
-                    pipelineable: net.layer(id).kind.is_pipelineable(),
-                },
-            ));
+            units.push(Unit {
+                name: &net.layer(id).name,
+                block: None,
+                first: id,
+                pipelineable: net.layer(id).kind.is_pipelineable(),
+            });
         }
     }
-    units.sort_by_key(|&(first, _)| first);
-    units.into_iter().map(|(_, u)| u).collect()
+    units.sort_by_key(|u| u.first);
+    units
 }
 
 /// Table IV names pipelines after the first conv layer of the group.
@@ -509,36 +735,12 @@ fn block_display_name<'a>(net: &'a Network, first: NodeId, fallback: &'a str) ->
     }
 }
 
-/// Checks the three on-chip constraints for co-residency: filter buffer,
-/// per-lane context arrays, and context (layer) count.
-fn fits(net: &Network, key: &MapKey, occs: &[f64], layers: &[NodeId]) -> bool {
-    if layers.len() > key.max_contexts {
-        return false;
-    }
-    let fb: f64 = layers
-        .iter()
-        .map(|&id| key.filter_buffer_occupancy(net.layer(id).weight_csf_bytes()))
-        .sum();
-    if fb > key.filter_buffer_bytes as f64 {
-        return false;
-    }
-    // Context arrays: assume maximal P tiling is allowed to shrink the
-    // requirement; check at the tiling the group would actually use.
-    let (p_tiles, _) = tiling_for(net, key, occs, layers);
-    let ctx: f64 = layers
-        .iter()
-        .map(|&id| context_bytes_per_lane(net, key, occs[id], id, p_tiles))
-        .sum();
-    ctx <= key.context_bytes_per_lane as f64
-}
-
 /// Accumulator occupancy of one layer's context array. A slot `(r, k, s)`
 /// is live only if any of the C input channels contributes a nonzero
 /// product, so occupancy falls with weight/activation sparsity — this is
 /// what lets sparser networks pipeline more layers (Sec. VI-A). Depends
-/// only on the layer (not the tiling), so [`map_network`] memoizes it.
-fn weight_occupancy(net: &Network, id: NodeId) -> f64 {
-    let layer = net.layer(id);
+/// only on the layer (not the tiling), so a [`Mapper`] computes it once.
+fn weight_occupancy(layer: &Layer) -> f64 {
     let c = layer.input.c.max(1) as f64;
     let p_hit = (layer.weight_density * layer.in_act_density).clamp(0.0, 1.0);
     (1.0 - (1.0 - p_hit).powf(c)).clamp(0.05, 1.0)
@@ -547,72 +749,27 @@ fn weight_occupancy(net: &Network, id: NodeId) -> f64 {
 /// Per-lane context requirement of one layer (paper Sec. III-A: partial
 /// state is ~`K x R x S` accumulators per lane, double-buffered;
 /// Sec. IV-C: small layers split `K` across lanes, large layers stack
-/// rows per lane). `occupancy` is the layer's [`weight_occupancy`].
-fn context_bytes_per_lane(
-    net: &Network,
-    key: &MapKey,
-    occupancy: f64,
-    id: NodeId,
-    p_tiles: usize,
-) -> f64 {
-    let layer = net.layer(id);
-    let k = layer.output.c;
-    let p = layer.output.h;
-    let rows_per_tile = p.div_ceil(p_tiles).max(1);
+/// rows per lane).
+fn context_bytes_per_lane(key: &MapKey, layer: &LayerFit, p_tiles: usize) -> f64 {
+    let rows_per_tile = layer.out_h.div_ceil(p_tiles).max(1);
     let rows_per_lane = rows_per_tile.div_ceil(key.lanes).max(1);
     let k_split = if rows_per_tile < key.lanes {
         (key.lanes / rows_per_tile).max(1)
     } else {
         1
     };
-    let k_per_lane = k.div_ceil(k_split).max(1);
+    let k_per_lane = layer.out_c.div_ceil(k_split).max(1);
     let acc = key.accumulator_bytes as f64;
-    if matches!(layer.kind, LayerKind::Add) {
+    if layer.is_add {
         // Adds run on the merger path; they only stage one output
         // wavefront.
         return (k_per_lane as f64) * acc;
     }
-    let (r, s) = layer.kind.kernel();
     // Partial results are stored *compressed* in the context array
     // (Sec. IV-A: T1 is never materialized dense); see
     // [`weight_occupancy`]. 1.5x covers coordinate metadata and staging
     // slack.
-    1.5 * occupancy * (k_per_lane * r * s * rows_per_lane) as f64 * acc
-}
-
-/// Chooses the `P` and `K` tiling for a group.
-fn tiling_for(net: &Network, key: &MapKey, occs: &[f64], layers: &[NodeId]) -> (usize, usize) {
-    // P tiling: required when rows exceed lanes, or to shrink contexts.
-    let max_p = layers
-        .iter()
-        .map(|&id| net.layer(id).output.h)
-        .max()
-        .unwrap_or(1);
-    let mut p_tiles = max_p.div_ceil(key.lanes).max(1);
-    // For single layers, grow P tiling until the context fits (V90-style
-    // mid-network tiling), bounded to avoid infinite loops on impossible
-    // configs. Multi-layer groups must fit at their natural tiling — the
-    // greedy mapper shrinks the group instead.
-    if layers.len() == 1 {
-        for _ in 0..8 {
-            let ctx: f64 = layers
-                .iter()
-                .map(|&id| context_bytes_per_lane(net, key, occs[id], id, p_tiles))
-                .sum();
-            if ctx <= key.context_bytes_per_lane as f64 {
-                break;
-            }
-            p_tiles *= 2;
-        }
-    }
-    // K tiling: only for single layers whose weights overflow the buffer.
-    let k_tiles = if layers.len() == 1 {
-        let occ = key.filter_buffer_occupancy(net.layer(layers[0]).weight_csf_bytes());
-        (occ / key.filter_buffer_bytes as f64).ceil().max(1.0) as usize
-    } else {
-        1
-    };
-    (p_tiles, k_tiles)
+    1.5 * layer.occupancy * (k_per_lane * layer.kernel_rs * rows_per_lane) as f64 * acc
 }
 
 #[cfg(test)]
