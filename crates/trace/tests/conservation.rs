@@ -155,15 +155,18 @@ fn tracing_does_not_perturb_the_metrics() {
 }
 
 /// The events themselves, not only their sums, are pinned: an FNV-1a
-/// hash of the Perfetto export for two networks on every model, captured
-/// from a known-good build. A change to how any model emits its compute
-/// or DRAM events (order, timestamps, demand, grants, attribution) shows
-/// here even when every conservation law above still holds.
+/// hash of the Perfetto export for three networks on every model,
+/// captured from a known-good build. A change to how any model emits its
+/// compute or DRAM events (order, timestamps, demand, grants,
+/// attribution) shows here even when every conservation law above still
+/// holds. V68 is here for its long single-layer phases: thousands of its
+/// ISOSceles intervals have one layer computing against idle memory,
+/// a state G58 and R96 barely reach.
 #[test]
 fn perfetto_exports_are_pinned() {
     use isos_trace::export::perfetto_json;
     use isosceles::accel::{fnv1a, FNV_OFFSET};
-    let pinned: [(&str, [u64; 4]); 2] = [
+    let pinned: [(&str, [u64; 4]); 3] = [
         (
             "G58",
             [
@@ -180,6 +183,15 @@ fn perfetto_exports_are_pinned() {
                 0xc5f5400d58e39bf0,
                 0x41e1facd4da56e07,
                 0x6dc4913ee581bdea,
+            ],
+        ),
+        (
+            "V68",
+            [
+                0xe4eb2c4e9b15e41a,
+                0x25ac340d02870d52,
+                0xf8cea571f78dd1c1,
+                0x483aa8f221b2c86b,
             ],
         ),
     ];
