@@ -82,10 +82,12 @@ fn main() {
     let addr = opts.addr.clone();
     let server = Server::bind(opts)
         .unwrap_or_else(|e| args.fail(&format!("--addr {addr}: bind failed: {e}")));
+    // The handlers go in before the `listening` line: a client may send
+    // SIGTERM as soon as it reads that line, and the default action
+    // would kill the process instead of draining it.
+    install_signal_bridge(server.stop_flag());
     println!("{}", Response::listening(&server.local_addr().to_string()));
     let _ = std::io::stdout().flush();
-
-    install_signal_bridge(server.stop_flag());
     server.run();
     eprintln!("serve: drained and stopped");
 }
