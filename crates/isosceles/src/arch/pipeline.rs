@@ -72,16 +72,27 @@ struct ExtStream {
     owner: usize,
     /// Bytes granted so far (per-layer traffic attribution).
     granted: f64,
+    /// The raw bytes of the prefetch window that starts at column
+    /// `window_at`. The window moves only when a column is fetched, so a
+    /// stream throttled below a column per interval reuses the sum
+    /// instead of re-adding it.
+    window_at: usize,
+    window: f64,
 }
 
 impl ExtStream {
-    fn remaining_bytes_to(&self, bytes_per_col: &[f64], target_col: usize) -> f64 {
-        let target = target_col.min(bytes_per_col.len());
+    /// Bytes still to fetch for the `prefetch` columns past
+    /// `fetched_cols`.
+    fn remaining_bytes(&mut self, bytes_per_col: &[f64], prefetch: usize) -> f64 {
+        let target = (self.fetched_cols + prefetch).min(bytes_per_col.len());
         if self.fetched_cols >= target {
             return 0.0;
         }
-        let raw: f64 = bytes_per_col[self.fetched_cols..target].iter().sum();
-        let rem = raw * self.scale - self.byte_progress;
+        if self.window_at != self.fetched_cols {
+            self.window = bytes_per_col[self.fetched_cols..target].iter().sum();
+            self.window_at = self.fetched_cols;
+        }
+        let rem = self.window * self.scale - self.byte_progress;
         if rem < 1e-6 {
             0.0
         } else {
@@ -114,9 +125,15 @@ impl ExtStream {
 /// and overwritten every interval. Once it has grown to the largest
 /// group, a simulation touches the heap only for the metrics it returns.
 ///
+/// The interval loop works on live sets (DESIGN.md §10): `live` lists
+/// the members that can compute, and `weights`, `acts` and `writers` the
+/// memory requesters that can demand bytes. A member or requester leaves
+/// its set only once every term it would add is an exact zero, so the
+/// sets shrink without changing a bit of the result.
+///
 /// Nothing carries over from one group to the next: every live entry is
-/// rewritten and the scheduler history is reset, so the results are
-/// bit-identical to a fresh scratch per group.
+/// rewritten, the sets are rebuilt and the scheduler history is reset,
+/// so the results are bit-identical to a fresh scratch per group.
 #[derive(Default)]
 struct IntervalScratch {
     /// Member-layer state, pooled: entries `..n` belong to the current
@@ -130,37 +147,151 @@ struct IntervalScratch {
     /// one configuration) and reset at every group.
     sched: Option<DynamicScheduler>,
     split: GroupSplit,
+    frame: Frame,
+    /// Members neither finished nor weight-gated, ascending (the order
+    /// the advance pass sums their MACs in).
+    live: Vec<usize>,
+    /// Weight streams with bytes left, per member layer.
+    weights: Requesters,
+    /// External input streams not fully fetched.
+    acts: Requesters,
+    /// Members whose output goes off-chip (one writeback queue each).
+    writers: Requesters,
+    /// Consumer adjacency (who reads layer `i`'s output), rebuilt per
+    /// group; the inner vectors keep their allocations across groups.
+    consumers: Vec<Vec<usize>>,
+    /// Trace unit id per member layer, rebuilt per group when tracing.
+    unit_ids: Vec<UnitId>,
+}
+
+/// Per-member values of the current interval, indexed by group-local
+/// layer. A member outside the live set keeps the values the full pass
+/// would give it: `demand`, `used_per` and `unmet` zero, `ready` at
+/// `out_cols` once finished and at `cols_done` while gated.
+#[derive(Default)]
+struct Frame {
     ready: Vec<usize>,
-    r_inputs: Vec<usize>,
-    r_bps: Vec<usize>,
-    gated: Vec<bool>,
-    done_before: Vec<bool>,
     demand: Vec<f64>,
     alloc: Vec<f64>,
     unmet: Vec<f64>,
     used_per: Vec<f64>,
+    /// Whether the member had finished, or was waiting for weights, when
+    /// the interval began. Updated only when a member changes state.
+    done_before: Vec<bool>,
+    gated: Vec<bool>,
+    /// Stall snapshots, written only when tracing: the input frontier,
+    /// the backpressure bound and the redistributed budget.
+    r_inputs: Vec<usize>,
+    r_bps: Vec<usize>,
     extra_share: Vec<f64>,
-    /// Memory demand, granted in place by [`MemHarness::step`]: per-layer
-    /// weight demand, per-external-stream activation demand and per-layer
-    /// writeback.
-    weight_reads: Vec<f64>,
-    act_reads: Vec<f64>,
-    write_pending: Vec<f64>,
-    /// Consumer adjacency (who reads layer `i`'s output), rebuilt per
-    /// group; the inner vectors keep their allocations across groups.
-    consumers: Vec<Vec<usize>>,
-    /// Trace unit ids per member layer, and per external stream (its
-    /// owner's), rebuilt per group.
-    unit_ids: Vec<UnitId>,
-    stream_units: Vec<UnitId>,
 }
 
-/// Resets a pooled buffer to `n` copies of `fill`, discarding whatever a
-/// previous group left behind (the clear makes reuse indistinguishable
-/// from a fresh allocation).
-fn clear_resize<T: Clone>(buf: &mut Vec<T>, n: usize, fill: T) {
-    buf.clear();
-    buf.resize(n, fill);
+impl Frame {
+    /// Grows every buffer to at least `n` entries (the trace snapshots
+    /// only when `tracing`). Entries `..n` are rewritten at every group
+    /// start (see `simulate_group_into`), so nothing is filled here: the
+    /// buffers only ever grow.
+    fn grow(&mut self, n: usize, tracing: bool) {
+        if self.ready.len() < n {
+            self.ready.resize(n, 0);
+            self.demand.resize(n, 0.0);
+            self.unmet.resize(n, 0.0);
+            self.used_per.resize(n, 0.0);
+            self.done_before.resize(n, false);
+            self.gated.resize(n, false);
+        }
+        if tracing && self.r_inputs.len() < n {
+            self.r_inputs.resize(n, 0);
+            self.r_bps.resize(n, usize::MAX);
+            self.extra_share.resize(n, 0.0);
+        }
+    }
+}
+
+/// One class of memory requesters, compacted to those that can still
+/// demand bytes: [`MemHarness::step`] is posted `bytes` and grants them
+/// in place, and `units` tags their trace events (empty when untraced).
+#[derive(Default)]
+struct Requesters {
+    /// Member layer or external stream of each requester, ascending.
+    idx: Vec<usize>,
+    units: Vec<UnitId>,
+    bytes: Vec<f64>,
+}
+
+impl Requesters {
+    fn clear(&mut self) {
+        self.idx.clear();
+        self.units.clear();
+        self.bytes.clear();
+    }
+
+    /// Adds requester `i`, tagged `unit` when tracing.
+    fn push(&mut self, i: usize, unit: Option<UnitId>) {
+        self.idx.push(i);
+        self.units.extend(unit);
+        self.bytes.push(0.0);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.idx.is_empty()
+    }
+
+    /// Writes each requester's demand.
+    fn post(&mut self, mut demand: impl FnMut(usize) -> f64) {
+        for (b, &i) in self.bytes.iter_mut().zip(&self.idx) {
+            *b = demand(i);
+        }
+    }
+
+    /// Hands each requester its grant, in order, and keeps those for
+    /// which `settle` returns true.
+    fn settle(&mut self, mut settle: impl FnMut(usize, f64) -> bool) {
+        let mut kept = 0;
+        for j in 0..self.idx.len() {
+            if settle(self.idx[j], self.bytes[j]) {
+                if kept != j {
+                    self.idx[kept] = self.idx[j];
+                    if let Some(&unit) = self.units.get(j) {
+                        self.units[kept] = unit;
+                    }
+                }
+                kept += 1;
+            }
+        }
+        if kept < self.idx.len() {
+            self.idx.truncate(kept);
+            self.units.truncate(kept);
+            self.bytes.truncate(kept);
+        }
+    }
+}
+
+/// A group's per-interval constants.
+#[derive(Clone, Copy)]
+struct Pace {
+    /// Scheduler interval, in cycles.
+    interval: u64,
+    /// MACs one PE completes in an interval (`interval * pe_efficiency`).
+    capacity: f64,
+    pe_efficiency: f64,
+    total_macs: f64,
+    /// Table I's 4096 MACs are a power of two, so the per-interval
+    /// utilization ratio can use a multiply (see `exact_recip`).
+    inv_total_macs: Option<f64>,
+}
+
+impl Pace {
+    /// Closes an interval in which `executed` MACs ran.
+    fn account(&self, metrics: &mut RunMetrics, executed: f64) {
+        metrics.cycles += self.interval;
+        let mac_ratio = match self.inv_total_macs {
+            Some(inv) => executed * inv,
+            None => executed / self.total_macs,
+        };
+        metrics.mac_util.add(mac_ratio, self.interval);
+        metrics.effectual_macs += executed;
+    }
 }
 
 /// Result of simulating one pipeline group: the group totals plus the
@@ -187,7 +318,7 @@ pub fn simulate_group(
     seed: u64,
 ) -> GroupRun {
     let mut out = NetworkMetrics::default();
-    simulate_group_into(
+    simulate_group_into::<false>(
         net,
         cfg,
         group,
@@ -223,8 +354,12 @@ pub fn simulate_group(
 /// per group. It carries no state between groups (see
 /// [`IntervalScratch`]), so the results are bit-identical to a fresh
 /// scratch.
+///
+/// `TRACING` is `sink.enabled()`, fixed at compile time: the loop is
+/// one source, and the untraced copy compiles without its `if tracing`
+/// branches and sink calls.
 #[allow(clippy::too_many_arguments)]
-fn simulate_group_into(
+fn simulate_group_into<const TRACING: bool>(
     net: &Network,
     cfg: &IsoscelesConfig,
     group: &PipelineGroup,
@@ -239,8 +374,15 @@ fn simulate_group_into(
     let n = group.layers.len();
     let layers = &mut sc.layers[..n];
     let ext_streams = &mut sc.ext_streams[..];
-    let interval = cfg.scheduler_interval;
     let total_macs = cfg.total_macs() as f64;
+    let pace = Pace {
+        interval: cfg.scheduler_interval,
+        capacity: cfg.scheduler_interval as f64 * cfg.pe_efficiency,
+        pe_efficiency: cfg.pe_efficiency,
+        total_macs,
+        inv_total_macs: exact_recip(total_macs),
+    };
+    let interval = pace.interval;
     let mut mem = MemHarness::new(cfg.dram_bytes_per_cycle);
     let sched = sc
         .sched
@@ -248,16 +390,16 @@ fn simulate_group_into(
     sched.reset();
     let mut metrics = RunMetrics::default();
 
-    let tracing = sink.enabled();
+    let tracing = TRACING;
+    debug_assert_eq!(tracing, sink.enabled());
     sc.unit_ids.clear();
-    sc.unit_ids.extend(
-        layers
-            .iter()
-            .map(|l| sink.unit(&l.work.name, UnitKind::Layer)),
-    );
-    sc.stream_units.clear();
-    sc.stream_units
-        .extend(ext_streams.iter().map(|s| sc.unit_ids[s.owner]));
+    if tracing {
+        sc.unit_ids.extend(
+            layers
+                .iter()
+                .map(|l| sink.unit(&l.work.name, UnitKind::Layer)),
+        );
+    }
 
     let safety_cycles: u64 = 500_000_000_000;
     let mut stalled_intervals = 0u32;
@@ -276,160 +418,219 @@ fn simulate_group_into(
             }
         }
     }
-    clear_resize(&mut sc.ready, n, 0);
-    clear_resize(&mut sc.r_inputs, n, 0);
-    clear_resize(&mut sc.r_bps, n, usize::MAX);
-    clear_resize(&mut sc.gated, n, false);
-    clear_resize(&mut sc.done_before, n, false);
-    clear_resize(&mut sc.demand, n, 0.0);
-    clear_resize(&mut sc.unmet, n, 0.0);
-    clear_resize(&mut sc.used_per, n, 0.0);
-    clear_resize(&mut sc.extra_share, n, 0.0);
-    clear_resize(&mut sc.write_pending, n, 0.0);
-    clear_resize(&mut sc.weight_reads, n, 0.0);
-    clear_resize(&mut sc.act_reads, ext_streams.len(), 0.0);
-    let interval_capacity = interval as f64 * cfg.pe_efficiency;
-    // Table I's 4096 MACs are a power of two, so the per-interval
-    // utilization ratio can use a multiply (see `exact_recip`).
-    let inv_total_macs = exact_recip(total_macs);
+
+    // The live sets (see `IntervalScratch`).
+    let f = &mut sc.frame;
+    f.grow(n, tracing);
+    sc.live.clear();
+    sc.weights.clear();
+    sc.acts.clear();
+    sc.writers.clear();
+    let mut unfinished = 0usize;
+    for (i, l) in layers.iter().enumerate() {
+        let done = l.cols_done >= l.work.out_cols;
+        f.done_before[i] = done;
+        f.gated[i] = l.weight_left > 0.0;
+        f.ready[i] = if done { l.work.out_cols } else { l.cols_done };
+        f.demand[i] = 0.0;
+        f.unmet[i] = 0.0;
+        f.used_per[i] = 0.0;
+        if tracing {
+            f.r_inputs[i] = 0;
+            f.r_bps[i] = usize::MAX;
+            f.extra_share[i] = 0.0;
+        }
+        if !done {
+            unfinished += 1;
+            if !f.gated[i] {
+                sc.live.push(i);
+            }
+        }
+        if l.weight_left > 0.0 {
+            sc.weights.push(i, tracing.then(|| sc.unit_ids[i]));
+        }
+        if l.writes_extern {
+            sc.writers.push(i, tracing.then(|| sc.unit_ids[i]));
+        }
+    }
+    for (e, s) in ext_streams.iter().enumerate() {
+        if s.fetched_cols < s.cols {
+            sc.acts.push(e, tracing.then(|| sc.unit_ids[s.owner]));
+        }
+    }
+    // Whether the next interval posts no DRAM demand, unless a writer
+    // completes a column in it.
+    let mut quiet = false;
+    let prefetch = 8usize;
     loop {
+        // 0. Run-ahead. One live member that is also the only one with
+        // demand history, against idle memory: until it reaches a column
+        // boundary, an interval changes nothing but that member's column
+        // progress, the scheduler history and the run totals. Every
+        // other term of the full body below is an exact zero there (no
+        // other member has demand or a PE share, no requester posts a
+        // byte, nothing finishes), so the interval reduces to this
+        // recurrence, with the same float operations in the same order.
+        // The frontier is fixed meanwhile: every producer and consumer
+        // has finished and every stream is fetched.
+        let lone = match sc.live.as_slice() {
+            &[i] if quiet => sched.lone_history(i, n).map(|h| (i, h)),
+            _ => None,
+        };
+        if let Some((i, mut h)) = lone {
+            let c = layers[i].cols_done;
+            // The frontier, computed at the first interval that runs.
+            let mut ready = None;
+            let mut ran = false;
+            loop {
+                let a = sched.lone_share(n, h);
+                let offered = a * pace.capacity;
+                // The budget is at most `offered`: one that may finish the
+                // column hands back to the full body (the column's
+                // writeback and the new frontier need it).
+                if offered + 1e-4 >= layers[i].work.macs_per_col[c] - layers[i].col_progress {
+                    break;
+                }
+                let r = *ready.get_or_insert_with(|| {
+                    let (r_input, r_bp) = frontier(layers, ext_streams, &sc.consumers, i);
+                    let r = r_input.min(r_bp).clamp(c, layers[i].work.out_cols);
+                    f.ready[i] = r;
+                    if tracing {
+                        f.r_inputs[i] = r_input;
+                        f.r_bps[i] = r_bp;
+                        f.extra_share[i] = 0.0;
+                    }
+                    r
+                });
+                let l = &mut layers[i];
+                let d = (l.cum_macs[r] - l.cum_macs[c] - l.col_progress).max(0.0);
+                let budget = d.min(offered);
+                // So do a blocked frontier and a budget too small to count
+                // as progress (the stall check needs them). Otherwise
+                // `offered - used` and `d - used` are never both positive,
+                // so no PEs are redistributed.
+                if r <= c || budget <= 1e-9 {
+                    break;
+                }
+                // `advance_layer(l, budget, r)` inside column `c`: all of
+                // the budget is used.
+                l.col_progress += budget;
+                l.macs_executed += budget;
+                h = d;
+                f.demand[i] = d;
+                f.alloc[i] = a;
+                f.used_per[i] = budget;
+                if tracing {
+                    emit_compute_events(sink, layers, f, &sc.unit_ids, t0 + metrics.cycles, pace);
+                }
+                mem.idle(interval);
+                pace.account(&mut metrics, budget);
+                assert!(metrics.cycles < safety_cycles, "runaway simulation");
+                ran = true;
+            }
+            if ran {
+                sched.record_demand(i, h);
+                stalled_intervals = 0;
+            }
+        }
+
         let t_start = t0 + metrics.cycles;
-        // 1. Wavefront-dependency analysis: how far may each layer run?
-        // `done_before`/`gated`/`r_inputs`/`r_bps` snapshot why, for the
-        // stall attribution below. Only the trace block reads them, so
-        // they (and `extra_share`) are recorded only when tracing: the
-        // writes alone cost about 6% of an untraced simulation. No state
-        // update depends on `tracing`. The trace block branches on `done_before`, then
-        // `gated`, first, so finished and weight-gated layers skip the
-        // producer/consumer scans. A finished layer demands nothing; a
-        // gated one stays at `cols_done`, where `cum[c] - cum[c]` is
-        // exactly +0.0 (finite operands), so its demand is
-        // `(0.0 - progress).max(0.0)`. The common single-producer /
-        // single-consumer shapes dodge the iterator reductions.
-        for i in 0..n {
-            let l = &layers[i];
-            let done = l.cols_done >= l.work.out_cols;
-            let gated = l.weight_left > 0.0;
+        // 1. Wavefront-dependency analysis: how far may each live member
+        // run? Finished and weight-gated members keep the values of
+        // their last state change (see `Frame`), and the trace snapshots
+        // of why (`r_inputs`/`r_bps`) are recorded only when tracing. No
+        // state update depends on `tracing`.
+        let (ready, demand) = (&mut f.ready[..], &mut f.demand[..]);
+        for &i in &sc.live {
+            let (r_input, r_bp) = frontier(layers, ext_streams, &sc.consumers, i);
             if tracing {
-                sc.done_before[i] = done;
-                sc.gated[i] = gated;
-            }
-            if done {
-                sc.ready[i] = l.work.out_cols;
-                sc.demand[i] = 0.0;
-                continue;
-            }
-            if gated {
-                sc.ready[i] = l.cols_done;
-                sc.demand[i] = (0.0 - l.col_progress).max(0.0);
-                continue;
-            }
-            let avail_in = match l.producers.as_slice() {
-                &[Source::Local(j)] => layers[j].cols_done,
-                &[Source::External(e)] => ext_streams[e].fetched_cols,
-                ps => ps
-                    .iter()
-                    .map(|s| match *s {
-                        Source::External(e) => ext_streams[e].fetched_cols,
-                        Source::Local(j) => layers[j].cols_done,
-                    })
-                    .min()
-                    .unwrap_or(l.work.in_cols),
-            };
-            let r_input = max_out_cols(&l.work, avail_in);
-            // Backpressure: don't run more than `ahead_cols` past the
-            // slowest in-group consumer.
-            let r_bp = match sc.consumers[i].as_slice() {
-                &[] => usize::MAX,
-                &[j] => {
-                    let c = &layers[j];
-                    if c.cols_done >= c.work.out_cols {
-                        usize::MAX
-                    } else {
-                        (c.cols_done * c.work.stride).saturating_add(l.ahead_cols)
-                    }
-                }
-                cs => {
-                    let mut r_bp = usize::MAX;
-                    for &j in cs {
-                        let consumed = if layers[j].cols_done >= layers[j].work.out_cols {
-                            usize::MAX
-                        } else {
-                            layers[j].cols_done * layers[j].work.stride
-                        };
-                        r_bp = r_bp.min(consumed.saturating_add(l.ahead_cols));
-                    }
-                    r_bp
-                }
-            };
-            if tracing {
-                sc.r_inputs[i] = r_input;
-                sc.r_bps[i] = r_bp;
+                f.r_inputs[i] = r_input;
+                f.r_bps[i] = r_bp;
             }
             // 2. MAC demand.
+            let l = &layers[i];
             let r = r_input.min(r_bp).clamp(l.cols_done, l.work.out_cols);
-            sc.ready[i] = r;
-            sc.demand[i] = (l.cum_macs[r] - l.cum_macs[l.cols_done] - l.col_progress).max(0.0);
+            ready[i] = r;
+            let d = (l.cum_macs[r] - l.cum_macs[l.cols_done] - l.col_progress).max(0.0);
+            demand[i] = d;
         }
-        sched.allocate_into(&sc.demand, &mut sc.alloc);
+        sched.allocate_into(&f.demand[..n], &mut f.alloc);
         let mut executed_total = 0.0;
         let mut any_leftover = false;
         let mut any_unmet = false;
-        for (((((l, &d), &a), &r), u), um) in layers
-            .iter_mut()
-            .zip(&sc.demand)
-            .zip(&sc.alloc)
-            .zip(&sc.ready)
-            .zip(&mut sc.used_per)
-            .zip(&mut sc.unmet)
-        {
-            let offered = a * interval_capacity;
+        // Whether a member with unmet demand can still advance.
+        let mut movable = false;
+        // Whether a member finished or its weights arrived.
+        let mut changed = false;
+        let (ready, demand, alloc) = (&f.ready[..], &f.demand[..], &f.alloc[..]);
+        let (used_per, unmet_per) = (&mut f.used_per[..], &mut f.unmet[..]);
+        for &i in &sc.live {
+            let l = &mut layers[i];
+            let (d, r) = (demand[i], ready[i]);
+            let offered = alloc[i] * pace.capacity;
             // `advance_layer` with `ready == cols_done` is a strict no-op
             // (zero-MAC columns only auto-advance when `ready` moved past
-            // them), so the call is skipped for idle and finished layers.
+            // them), so the call is skipped for blocked members.
             let used = if r > l.cols_done {
                 advance_layer(l, d.min(offered), r)
             } else {
                 0.0
             };
-            *u = used;
+            used_per[i] = used;
             executed_total += used;
             // Every `offered - used` term is >= 0 (`used` never exceeds the
             // `d.min(offered)` budget), so the sign of the leftover sum is
-            // just "did any layer leave PEs idle" — the division-heavy sum
+            // just "did any member leave PEs idle" — the division-heavy sum
             // itself is only evaluated when the redistribution pass runs.
             any_leftover |= offered - used > 0.0;
             let unmet = (d - used).max(0.0);
-            *um = unmet;
+            unmet_per[i] = unmet;
             any_unmet |= unmet > 0.0;
+            movable |= unmet > 0.0 && r > l.cols_done;
+            changed |= l.cols_done >= l.work.out_cols;
         }
         if tracing {
-            sc.extra_share.fill(0.0);
+            f.extra_share[..n].fill(0.0);
         }
-        // Work-conserving pass: PEs freed by layers whose demand shrank
+        // Work-conserving pass: PEs freed by members whose demand shrank
         // since the last interval pick up queued work from other contexts
         // (the scheduler reallocates shares only every interval, but idle
         // PEs still drain whatever is in their context queues). `unmet`
         // is throttled in place into the extra grants — it has no reader
         // after this pass. With every demand already served the pass is a
         // no-op (throttling zeros and granting nothing), so it is skipped.
-        if any_leftover && any_unmet {
+        // A member outside the live set uses nothing, so it leaves PEs
+        // idle exactly when it holds a share: the full leftover test runs
+        // only when a live member has unmet demand and left none. When
+        // every member with unmet demand has reached its frontier, the
+        // pass moves nothing (`advance_layer` at `ready == cols_done` is a
+        // no-op) and only records the extra shares the trace reads.
+        if any_unmet
+            && (movable || tracing)
+            && (any_leftover
+                || f.alloc
+                    .iter()
+                    .zip(&f.used_per)
+                    .any(|(&a, &u)| a * pace.capacity - u > 0.0))
+        {
             // Rebuilt exactly as the advance loop used to accumulate it:
             // same terms, same left-to-right order, so the redistributed
-            // budget is bit-identical. `a * interval_capacity` re-rounds to
-            // the same `offered` the advance loop saw.
+            // budget is bit-identical. `a * capacity` re-rounds to the
+            // same `offered` the advance loop saw.
             let mut leftover_pes = 0.0;
-            for (&a, &u) in sc.alloc.iter().zip(&sc.used_per) {
-                leftover_pes += (a * interval_capacity - u) / interval_capacity;
+            for (&a, &u) in f.alloc.iter().zip(&f.used_per) {
+                leftover_pes += (a * pace.capacity - u) / pace.capacity;
             }
-            throttle(&mut sc.unmet, leftover_pes * interval_capacity);
-            for (i, l) in layers.iter_mut().enumerate() {
-                if sc.unmet[i] > 0.0 {
-                    let used = advance_layer(l, sc.unmet[i], sc.ready[i]);
-                    sc.used_per[i] += used;
+            throttle(&mut f.unmet[..n], leftover_pes * pace.capacity);
+            for &i in &sc.live {
+                if f.unmet[i] > 0.0 {
+                    let l = &mut layers[i];
+                    let used = advance_layer(l, f.unmet[i], f.ready[i]);
+                    f.used_per[i] += used;
                     executed_total += used;
+                    changed |= l.cols_done >= l.work.out_cols;
                     if tracing {
-                        sc.extra_share[i] = sc.unmet[i];
+                        f.extra_share[i] = f.unmet[i];
                     }
                 }
             }
@@ -442,142 +643,105 @@ fn simulate_group_into(
         // the external input streams, prefetching a few columns ahead of
         // the consumers (the decoupled fetcher FSMs of Sec. IV-A). Each
         // stream is tagged with the trace unit of the layer it serves.
-        let prefetch = 8usize;
-        for ((l, wr), wp) in layers
-            .iter()
-            .zip(&mut sc.weight_reads)
-            .zip(&mut sc.write_pending)
-        {
-            *wr = l.weight_left;
-            *wp = if l.writes_extern {
-                l.produced_bytes - l.written_bytes
+        // Only requesters that can demand bytes are posted: the others'
+        // zeros are identities in every sum and product of the step, and
+        // a zero request emits no trace event.
+        sc.weights.post(|i| layers[i].weight_left);
+        sc.acts.post(|e| {
+            let s = &mut ext_streams[e];
+            s.remaining_bytes(&layers[s.owner].work.in_bytes_per_col, prefetch)
+        });
+        let mut writing = false;
+        sc.writers.post(|i| {
+            let w = layers[i].produced_bytes - layers[i].written_bytes;
+            writing |= w != 0.0;
+            w
+        });
+        let (granted_read, granted_write) =
+            if sc.weights.is_empty() && sc.acts.is_empty() && !writing {
+                // Nothing posted: a step over all-zero demand.
+                mem.idle(interval);
+                (0.0, 0.0)
             } else {
-                0.0
+                if tracing {
+                    // One compute event per layer plus at most one DRAM
+                    // event per posted requester this interval; reserving
+                    // up front keeps the sink from growing its buffer
+                    // mid-stream.
+                    sink.hint_events(
+                        n + sc.weights.idx.len() + sc.acts.idx.len() + sc.writers.idx.len(),
+                    );
+                }
+                let tags = DramTags {
+                    t: t_start,
+                    weights: &sc.weights.units,
+                    acts: &sc.acts.units,
+                    writes: &sc.writers.units,
+                };
+                mem.step(
+                    &mut sc.weights.bytes,
+                    &mut sc.acts.bytes,
+                    &mut sc.writers.bytes,
+                    interval,
+                    tracing.then_some((tags, &mut *sink)),
+                )
             };
-        }
-        for (s, ar) in ext_streams.iter().zip(&mut sc.act_reads) {
-            *ar = s.remaining_bytes_to(
-                &layers[s.owner].work.in_bytes_per_col,
-                s.fetched_cols + prefetch,
-            );
-        }
-        if tracing {
-            // One compute event per layer plus at most one DRAM event per
-            // memory stream this interval; reserving up front keeps the
-            // sink from growing its buffer mid-stream.
-            sink.hint_events(n + n + ext_streams.len() + n);
-        }
-        let tags = DramTags {
-            t: t_start,
-            weights: &sc.unit_ids,
-            acts: &sc.stream_units,
-            writes: &sc.unit_ids,
-        };
-        let (granted_read, granted_write) = mem.step(
-            &mut sc.weight_reads,
-            &mut sc.act_reads,
-            &mut sc.write_pending,
-            interval,
-            tracing.then_some((tags, &mut *sink)),
-        );
-        // One fused pass applies the weight grants and the writeback (one
-        // writer per layer, distributed proportionally across sinks) and
-        // computes the termination check on the resulting state — the
-        // value is unchanged from checking after the trace block, which
-        // only observes.
-        let mut all_done = true;
-        for ((l, &g), &w) in layers
-            .iter_mut()
-            .zip(&sc.weight_reads)
-            .zip(&sc.write_pending)
-        {
+        // Apply the grants: weights (a stream whose bytes are all in
+        // leaves its set and ungates its layer), the writeback (one
+        // writer per layer, distributed proportionally across sinks),
+        // then the input streams.
+        sc.weights.settle(|i, g| {
+            let l = &mut layers[i];
             l.weight_left = (l.weight_left - g).max(0.0);
             l.weight_streamed += g;
+            changed |= l.weight_left <= 0.0;
+            l.weight_left > 0.0
+        });
+        let mut drained = true;
+        quiet = true;
+        for (&i, &w) in sc.writers.idx.iter().zip(&sc.writers.bytes) {
+            let l = &mut layers[i];
             l.written_bytes += w;
-            all_done &= l.cols_done >= l.work.out_cols
-                && (!l.writes_extern || l.produced_bytes - l.written_bytes < 1.0);
+            let pending = l.produced_bytes - l.written_bytes;
+            drained &= pending < 1.0;
+            quiet &= pending == 0.0;
         }
-        for (s, &g) in ext_streams.iter_mut().zip(&sc.act_reads) {
+        sc.acts.settle(|e, g| {
+            let s = &mut ext_streams[e];
             s.advance(&layers[s.owner].work.in_bytes_per_col, g);
             s.granted += g;
-        }
+            s.fetched_cols < s.cols
+        });
+        quiet &= sc.weights.is_empty() && sc.acts.is_empty();
 
-        // Per-unit occupancy attribution for this interval. Pure
-        // observation of the state the simulation already computed: busy
-        // is the effectual share of the PE time each context was offered,
-        // the intersection/merge inefficiency (`1 - pe_efficiency`) and
-        // scheduler-lag contention land on `MergeBound`, and idle time is
-        // classified by *why* the context could not run (weights still
-        // streaming, upstream wavefront missing, downstream queue budget,
-        // or writeback drain).
         if tracing {
-            let t_f = interval as f64;
+            emit_compute_events(sink, layers, f, &sc.unit_ids, t_start, pace);
+        }
+        // State changes, after the trace has read the interval's
+        // snapshot: a member that finished leaves the live set with zero
+        // demand, and one whose weights arrived joins it. That happens
+        // at most twice per member, so the rebuild walks the group.
+        if changed {
+            sc.live.clear();
             for (i, l) in layers.iter().enumerate() {
-                let wb_now = l.writes_extern && l.produced_bytes - l.written_bytes >= 1.0;
-                let mut busy = 0.0;
-                let mut stalls = [0.0f64; 4];
-                if sc.done_before[i] {
-                    // Compute finished in an earlier interval: the context
-                    // is either draining writeback or simply drained.
-                    let k = if wb_now {
-                        StallKind::DramThrottled
-                    } else {
-                        StallKind::InputStarved
-                    };
-                    stalls[k.index()] = t_f;
-                } else if sc.gated[i] {
-                    // Weights still streaming from DRAM gate all issue.
-                    stalls[StallKind::DramThrottled.index()] = t_f;
-                } else {
-                    let offered = sc.alloc[i] * interval_capacity + sc.extra_share[i];
-                    let active = if offered > 1e-9 {
-                        (sc.used_per[i] / offered).min(1.0) * t_f
-                    } else {
-                        0.0
-                    };
-                    busy = active * cfg.pe_efficiency;
-                    stalls[StallKind::MergeBound.index()] += active - busy;
-                    let idle = t_f - active;
-                    if idle > 0.0 {
-                        let k = if sc.demand[i] - sc.used_per[i] > 1e-9 {
-                            // Ready work left unserved: shared-array
-                            // contention / scheduler-interval lag.
-                            StallKind::MergeBound
-                        } else if sc.ready[i] >= l.work.out_cols {
-                            // Finished mid-interval.
-                            if wb_now {
-                                StallKind::DramThrottled
-                            } else {
-                                StallKind::InputStarved
-                            }
-                        } else if sc.r_bps[i] < sc.r_inputs[i] {
-                            StallKind::OutputBlocked
-                        } else {
-                            StallKind::InputStarved
-                        };
-                        stalls[k.index()] += idle;
-                    }
+                if !f.done_before[i] && l.cols_done >= l.work.out_cols {
+                    f.done_before[i] = true;
+                    f.ready[i] = l.work.out_cols;
+                    f.demand[i] = 0.0;
+                    f.used_per[i] = 0.0;
+                    f.unmet[i] = 0.0;
+                    unfinished -= 1;
                 }
-                sink.emit(TraceEvent::Compute {
-                    unit: sc.unit_ids[i],
-                    t: t_start,
-                    cycles: interval,
-                    busy,
-                    stalls,
-                });
+                f.gated[i] = l.weight_left > 0.0;
+                if !f.done_before[i] && !f.gated[i] {
+                    sc.live.push(i);
+                }
             }
         }
 
         // 4. Bookkeeping.
-        metrics.cycles += interval;
-        let mac_ratio = match inv_total_macs {
-            Some(inv) => executed_total * inv,
-            None => executed_total / total_macs,
-        };
-        metrics.mac_util.add(mac_ratio, interval);
-        metrics.effectual_macs += executed_total;
-
-        if all_done {
+        pace.account(&mut metrics, executed_total);
+        if unfinished == 0 && drained {
             break;
         }
         // The proportional scheduler follows the *previous* interval's
@@ -590,8 +754,8 @@ fn simulate_group_into(
             stalled_intervals <= 3,
             "pipeline deadlock in group {}: ready {:?} demand {:?} layers {:?} ext {:?}",
             group.name,
-            sc.ready,
-            sc.demand,
+            &f.ready[..n],
+            &f.demand[..n],
             layers
                 .iter()
                 .map(|l| (
@@ -635,6 +799,133 @@ fn simulate_group_into(
     let breakdown = sc.split.breakdown(&metrics, local_bytes_per_mac, names);
     out.push_group(group.name.clone(), metrics, breakdown);
     metrics.cycles
+}
+
+/// The input frontier and the backpressure bound of member `i`: how many
+/// output columns its producers allow, and how far it may run past its
+/// slowest in-group consumer (`usize::MAX` with none left). The common
+/// single-producer / single-consumer shapes dodge the iterator
+/// reductions.
+#[inline(always)]
+fn frontier(
+    layers: &[SimLayer],
+    ext_streams: &[ExtStream],
+    consumers: &[Vec<usize>],
+    i: usize,
+) -> (usize, usize) {
+    let l = &layers[i];
+    let avail_in = match l.producers.as_slice() {
+        &[Source::Local(j)] => layers[j].cols_done,
+        &[Source::External(e)] => ext_streams[e].fetched_cols,
+        ps => ps
+            .iter()
+            .map(|s| match *s {
+                Source::External(e) => ext_streams[e].fetched_cols,
+                Source::Local(j) => layers[j].cols_done,
+            })
+            .min()
+            .unwrap_or(l.work.in_cols),
+    };
+    let r_input = max_out_cols(&l.work, avail_in);
+    // Backpressure: don't run more than `ahead_cols` past the slowest
+    // in-group consumer.
+    let r_bp = match consumers[i].as_slice() {
+        &[] => usize::MAX,
+        &[j] => {
+            let c = &layers[j];
+            if c.cols_done >= c.work.out_cols {
+                usize::MAX
+            } else {
+                (c.cols_done * c.work.stride).saturating_add(l.ahead_cols)
+            }
+        }
+        cs => {
+            let mut r_bp = usize::MAX;
+            for &j in cs {
+                let consumed = if layers[j].cols_done >= layers[j].work.out_cols {
+                    usize::MAX
+                } else {
+                    layers[j].cols_done * layers[j].work.stride
+                };
+                r_bp = r_bp.min(consumed.saturating_add(l.ahead_cols));
+            }
+            r_bp
+        }
+    };
+    (r_input, r_bp)
+}
+
+/// Per-unit occupancy attribution for one interval: one compute event
+/// per member layer. Pure observation of the state the simulation
+/// already computed: busy is the effectual share of the PE time each
+/// context was offered, the intersection/merge inefficiency
+/// (`1 - pe_efficiency`) and scheduler-lag contention land on
+/// `MergeBound`, and idle time is classified by *why* the context could
+/// not run (weights still streaming, upstream wavefront missing,
+/// downstream queue budget, or writeback drain).
+fn emit_compute_events(
+    sink: &mut dyn TraceSink,
+    layers: &[SimLayer],
+    f: &Frame,
+    units: &[UnitId],
+    t: u64,
+    pace: Pace,
+) {
+    let t_f = pace.interval as f64;
+    for (i, l) in layers.iter().enumerate() {
+        let wb_now = l.writes_extern && l.produced_bytes - l.written_bytes >= 1.0;
+        let mut busy = 0.0;
+        let mut stalls = [0.0f64; 4];
+        if f.done_before[i] {
+            // Compute finished in an earlier interval: the context is
+            // either draining writeback or simply drained.
+            let k = if wb_now {
+                StallKind::DramThrottled
+            } else {
+                StallKind::InputStarved
+            };
+            stalls[k.index()] = t_f;
+        } else if f.gated[i] {
+            // Weights still streaming from DRAM gate all issue.
+            stalls[StallKind::DramThrottled.index()] = t_f;
+        } else {
+            let offered = f.alloc[i] * pace.capacity + f.extra_share[i];
+            let active = if offered > 1e-9 {
+                (f.used_per[i] / offered).min(1.0) * t_f
+            } else {
+                0.0
+            };
+            busy = active * pace.pe_efficiency;
+            stalls[StallKind::MergeBound.index()] += active - busy;
+            let idle = t_f - active;
+            if idle > 0.0 {
+                let k = if f.demand[i] - f.used_per[i] > 1e-9 {
+                    // Ready work left unserved: shared-array contention /
+                    // scheduler-interval lag.
+                    StallKind::MergeBound
+                } else if f.ready[i] >= l.work.out_cols {
+                    // Finished mid-interval.
+                    if wb_now {
+                        StallKind::DramThrottled
+                    } else {
+                        StallKind::InputStarved
+                    }
+                } else if f.r_bps[i] < f.r_inputs[i] {
+                    StallKind::OutputBlocked
+                } else {
+                    StallKind::InputStarved
+                };
+                stalls[k.index()] += idle;
+            }
+        }
+        sink.emit(TraceEvent::Compute {
+            unit: units[i],
+            t,
+            cycles: pace.interval,
+            busy,
+            stalls,
+        });
+    }
 }
 
 /// Simulates a whole network: maps it into groups and runs them in order
@@ -699,7 +990,11 @@ pub fn simulate_mapping_traced(
     let mut t0 = 0u64;
     let mut sc = IntervalScratch::default();
     for group in &mapping.groups {
-        t0 += simulate_group_into(net, cfg, group, seed, t0, sink, &index, &mut sc, &mut out);
+        t0 += if sink.enabled() {
+            simulate_group_into::<true>(net, cfg, group, seed, t0, sink, &index, &mut sc, &mut out)
+        } else {
+            simulate_group_into::<false>(net, cfg, group, seed, t0, sink, &index, &mut sc, &mut out)
+        };
     }
     out
 }
@@ -815,6 +1110,8 @@ fn build_group_state(
                 scale,
                 owner,
                 granted: 0.0,
+                window_at: usize::MAX,
+                window: 0.0,
             });
             ext_ids.push(key);
             ext_streams.len() - 1

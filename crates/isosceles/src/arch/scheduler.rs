@@ -66,16 +66,8 @@ impl DynamicScheduler {
         };
         if total > 0.0 {
             let prev = self.prev_demand.as_ref().expect("history checked above");
-            if prev.len() == 1
-                && isos_sim::dram::exact_recip(self.total_pes).is_some()
-                && (self.total_pes * prev[0]).is_finite()
-            {
-                // Single layer, power-of-two PE count: the share expression
-                // is `pes * d / d` with `pes * d` exact (a pure exponent
-                // shift that neither rounds nor overflows, per the guard),
-                // so the correctly-rounded quotient is exactly `pes` — no
-                // division needed.
-                out.push(self.total_pes);
+            if let &[d] = prev.as_slice() {
+                out.push(self.lone_share(1, d));
             } else {
                 // Zero-demand layers (gated, starved, or finished) get a
                 // share of exactly `pes * 0.0 / total == +0.0`; branching
@@ -101,6 +93,47 @@ impl DynamicScheduler {
             }
             None => self.prev_demand = Some(demand.to_vec()),
         }
+    }
+
+    /// `Some(h)` when layer `i`'s previous demand `h > 0` is the only
+    /// nonzero entry of a history of `n` entries (see
+    /// [`lone_share`](Self::lone_share)).
+    pub fn lone_history(&self, i: usize, n: usize) -> Option<f64> {
+        let prev = self.prev_demand.as_ref().filter(|p| p.len() == n)?;
+        let lone = prev[i] > 0.0 && prev.iter().enumerate().all(|(j, &d)| j == i || d == 0.0);
+        lone.then_some(prev[i])
+    }
+
+    /// The share [`allocate_into`](Self::allocate_into) gives the one
+    /// layer of `n` whose previous demand `h > 0` is the only nonzero
+    /// entry of the history, whatever the current demand: the history
+    /// sums to exactly `h`, so the share is `pes * h / h`, and every
+    /// other layer gets `+0.0`.
+    pub fn lone_share(&self, n: usize, h: f64) -> f64 {
+        if n == 1
+            && isos_sim::dram::exact_recip(self.total_pes).is_some()
+            && (self.total_pes * h).is_finite()
+        {
+            // Single layer, power-of-two PE count: `pes * h` is exact (a
+            // pure exponent shift that neither rounds nor overflows, per
+            // the guard), so the correctly-rounded quotient is exactly
+            // `pes` — no division needed.
+            self.total_pes
+        } else {
+            self.total_pes * h / h
+        }
+    }
+
+    /// Records `d` as layer `i`'s entry of the demand history, as an
+    /// [`allocate_into`](Self::allocate_into) call whose demand differs
+    /// from the history only there would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the history has no entry `i`.
+    pub fn record_demand(&mut self, i: usize, d: f64) {
+        let prev = self.prev_demand.as_mut().expect("no demand history");
+        prev[i] = d;
     }
 
     /// Forgets the demand history, as at [`new`](Self::new), but keeps
@@ -167,6 +200,53 @@ mod tests {
         for demand in [[3.0, 1.0], [0.0, 0.0], [5.0, 5.0]] {
             assert_eq!(s.allocate(&demand), fresh.allocate(&demand));
         }
+    }
+
+    #[test]
+    fn lone_share_is_the_share_allocate_gives_the_only_demand_in_history() {
+        // 4096 takes the power-of-two shortcut for a single layer; the
+        // others divide.
+        for pes in [4096.0, 3072.0, 100.0] {
+            for n in [1, 3] {
+                for h in [1.0, 7.3, 1e-9, 123_456.789] {
+                    let mut s = DynamicScheduler::new(pes);
+                    let mut history = vec![0.0; n];
+                    history[n - 1] = h;
+                    s.allocate(&history);
+                    assert_eq!(s.lone_history(n - 1, n), Some(h));
+                    let share = s.lone_share(n, h);
+                    let shares = s.allocate(&vec![5.0; n]);
+                    assert_eq!(shares[n - 1].to_bits(), share.to_bits(), "{pes} {n} {h}");
+                    assert!(shares[..n - 1].iter().all(|&a| a == 0.0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lone_history_needs_one_positive_entry_of_the_right_length() {
+        let mut s = DynamicScheduler::new(100.0);
+        assert_eq!(s.lone_history(0, 2), None, "no history yet");
+        s.allocate(&[0.0, 4.0]);
+        assert_eq!(s.lone_history(1, 2), Some(4.0));
+        assert_eq!(s.lone_history(0, 2), None, "zero at i");
+        assert_eq!(s.lone_history(1, 3), None, "other length");
+        s.allocate(&[1.0, 4.0]);
+        assert_eq!(s.lone_history(1, 2), None, "two demands");
+        s.reset();
+        assert_eq!(s.lone_history(1, 2), None, "reset");
+    }
+
+    #[test]
+    fn record_demand_equals_allocating_that_demand() {
+        let mut recorded = DynamicScheduler::new(3072.0);
+        let mut allocated = DynamicScheduler::new(3072.0);
+        for s in [&mut recorded, &mut allocated] {
+            s.allocate(&[0.0, 2.5, 0.0]);
+        }
+        recorded.record_demand(1, 9.75);
+        allocated.allocate(&[0.0, 9.75, 0.0]);
+        assert_eq!(recorded, allocated);
     }
 
     #[test]
