@@ -6,6 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use isosceles::accel::{fnv1a, FNV_OFFSET};
+
 const BINS: [(&str, &str); 3] = [
     ("stream_run", env!("CARGO_BIN_EXE_stream_run")),
     ("trace_run", env!("CARGO_BIN_EXE_trace_run")),
@@ -81,6 +83,21 @@ fn bad_input_exits_2_with_an_error_and_usage() {
         );
         assert!(out.stdout.is_empty(), "{name} {args:?} printed to stdout");
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn stream_run_smoke_report_is_pinned() {
+    // The report carries no wall time, and `cache_hit` is false with the
+    // cache off, so its bytes are a function of the code alone.
+    let dir = scratch_dir("streampin");
+    let out = run_in(&dir, "stream_run", &["--smoke", "--no-cache"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(fnv1a(FNV_OFFSET, &out.stdout), 0x4c9e_219d_e0f0_376d);
     let _ = std::fs::remove_dir_all(dir);
 }
 
