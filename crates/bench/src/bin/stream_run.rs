@@ -193,7 +193,8 @@ fn main() {
             let Some(accel) = accel_by_name(name) else {
                 args.fail(&format!("unknown model {name:?}"));
             };
-            let (s, cache_hit) = run_stream_cached(&engine, accel.as_ref(), id, seed, &cfg);
+            let (s, cache_hit) = run_stream_cached(&engine, accel.as_ref(), id, seed, &cfg)
+                .map_or_else(|e| args.fail(&e), |(s, record)| (s, record.cache_hit));
             rows.push(row_out(id, accel.name(), cache_hit, &s, &cfg, &params));
         }
     }

@@ -247,13 +247,6 @@ impl CacheStore {
         self.store_payload(key, "metrics", meta, metrics);
     }
 
-    /// Re-checks `key` right after [`load`](Self::load) missed it (say,
-    /// once the caller has claimed the right to compute it). A hit
-    /// counts as usual; a miss is not counted a second time.
-    pub(crate) fn reload(&self, key: u64, expect: &EntryMeta) -> Option<NetworkMetrics> {
-        self.lookup(key, "metrics", expect)
-    }
-
     /// Loads the entry for `key`, validating it against `kind` and
     /// `expect` and decoding its payload as `T`.
     ///
@@ -275,8 +268,14 @@ impl CacheStore {
         hit
     }
 
-    /// [`load_payload`](Self::load_payload) without counting a miss.
-    fn lookup<T: Deserialize>(&self, key: u64, kind: &str, expect: &EntryMeta) -> Option<T> {
+    /// [`load_payload`](Self::load_payload) without counting a miss, for
+    /// the re-check of a key whose load just missed.
+    pub(crate) fn lookup<T: Deserialize>(
+        &self,
+        key: u64,
+        kind: &str,
+        meta: &EntryMeta,
+    ) -> Option<T> {
         let shard = shard_of(key);
         let _guard = self.locks[shard].lock().expect("shard lock poisoned");
         let path = self.entry_path(key);
@@ -286,7 +285,7 @@ impl CacheStore {
         let size = file.metadata().map_or(0, |m| m.len() as usize);
         let mut text = String::with_capacity(size);
         file.read_to_string(&mut text).ok()?;
-        let Some(payload) = decode_hit(&text, kind, expect) else {
+        let Some(payload) = decode_hit(&text, kind, meta) else {
             // Corrupt, truncated, or from an unknown schema version:
             // quarantine so the next run does not trip on it again.
             if !is_sound(&text) {

@@ -222,7 +222,8 @@ impl StreamSearchResult {
 ///
 /// # Errors
 ///
-/// Propagates [`screen_arch`]'s validation failures.
+/// Propagates [`screen_arch`]'s validation failures, and
+/// [`run_stream_cached`]'s rejection of `base` or the workload.
 pub fn search_stream(
     engine: &SuiteEngine,
     workload: &Workload,
@@ -241,15 +242,16 @@ pub fn search_stream(
         pick_survivors(&mut ArchScreen::new(&workload.network), points, opts)?;
     let accels = accels_of(&survivors);
 
-    let mut evaluated: Vec<StreamEvaluatedPoint> = survivors
+    let mut evaluated = survivors
         .iter()
         .zip(&accels)
         .flat_map(|(p, accel)| {
             batches.iter().map(move |&batch| {
                 let cfg = StreamConfig { batch, ..*base };
-                let (s, _) = run_stream_cached(engine, accel, workload.id, seed, &cfg);
+                let (s, _) = run_stream_cached(engine, accel, workload.id, seed, &cfg)
+                    .map_err(ArchError::new)?;
                 let energy = energy_of(&s.total.activity, &EnergyParams::default());
-                StreamEvaluatedPoint {
+                Ok(StreamEvaluatedPoint {
                     label: p.label.clone(),
                     desc: p.desc.clone(),
                     batch,
@@ -260,10 +262,10 @@ pub fn search_stream(
                     throughput_imgs_per_sec: s.throughput_imgs_per_sec(cfg.clock_ghz),
                     area_mm2: accel.area_mm2(),
                     energy_mj: energy.total_mj(),
-                }
+                })
             })
         })
-        .collect();
+        .collect::<Result<Vec<StreamEvaluatedPoint>, ArchError>>()?;
     evaluated.sort_by(|a, b| a.cycles.cmp(&b.cycles).then(a.batch.cmp(&b.batch)));
 
     let objectives: Vec<Vec<f64>> = evaluated

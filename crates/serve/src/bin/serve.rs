@@ -12,9 +12,10 @@
 //! in-flight jobs before exiting.
 //!
 //! `--smoke` binds an ephemeral port, runs one suite request, one
-//! inline-config request, and a stats query against itself, validates
-//! the responses, shuts down cleanly, and exits 0/1 — the self-check
-//! `scripts/check.sh` runs.
+//! inline-config request, a batch of two identical stream jobs and stats
+//! queries against itself, validates the responses (the two stream jobs
+//! must cost at most one computation), shuts down cleanly, and exits
+//! 0/1 — the self-check `scripts/check.sh` runs.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -42,8 +43,8 @@ fn usage_text() -> String {
          --threads N            engine worker threads (also ISOS_THREADS)\n\
          --no-cache             disable the result cache (also ISOS_NO_CACHE)\n\
          --cache-bytes N        bound the result cache, e.g. 512m (also ISOS_CACHE_BYTES)\n\
-         --smoke                serve one suite, one inline-config and one stats\n\
-         \x20                      request on an ephemeral port, check them, exit 0/1",
+         --smoke                serve suite, inline-config, duplicate stream and stats\n\
+         \x20                      requests on an ephemeral port, check them, exit 0/1",
         defaults.workers,
         defaults.idle_timeout.as_secs(),
     )
@@ -232,22 +233,24 @@ fn run_smoke(opts: ServerOptions) -> i32 {
             return Err(format!("inline run echoed label `{label}`"));
         }
 
-        // 3. Stats reflect the two requests.
+        // 3. Two identical stream jobs in one batch.
+        let stream = r#"{"type":"stream","workload":"G58","model":"isosceles","requests":2}"#;
+        let batch = format!(r#"{{"type":"batch","jobs":[{stream},{stream}]}}"#);
+        roundtrip(&addr, &batch, &["done"])?;
+
+        // 4. Stats account for all four rows. Each pair of duplicates
+        // shares one key, so it costs at most one compute: with a cold
+        // cache one compute and one hit (or dedup), with a warm one none.
         let stats = roundtrip(&addr, r#"{"type":"stats"}"#, &["stats"])?;
         let stats = serde::json::parse(&stats[0]).map_err(|e| e.to_string())?;
-        let computes = stats
-            .field("computes")
-            .and_then(serde::json::Value::as_u64)
-            .map_err(|e| format!("stats without computes: {e}"))?;
-        let hits = stats
-            .field("hits")
-            .and_then(serde::json::Value::as_u64)
-            .map_err(|e| format!("stats without hits: {e}"))?;
-        // Both runs share one job key, so with a cold cache one compute
-        // and one hit; with a warm cache zero computes and two hits.
-        if computes + hits < 2 {
+        let field = |f| stats.field(f).and_then(serde::json::Value::as_u64);
+        let [computes, hits, misses, deduped] = ["computes", "hits", "misses", "deduped"]
+            .map(|f| field(f).map_err(|e| format!("stats without {f}: {e}")));
+        let (computes, hits, misses, deduped) = (computes?, hits?, misses?, deduped?);
+        if hits + misses + deduped != 4 || computes > 2 {
             return Err(format!(
-                "stats did not account for both requests: computes={computes} hits={hits}"
+                "stats did not account for the four rows at one compute per pair: \
+                 computes={computes} hits={hits} misses={misses} deduped={deduped}"
             ));
         }
         Ok(())

@@ -31,13 +31,13 @@
 //! - `{"type":"batch","jobs":[{...},{...}]}` — heterogeneous scenarios
 //!   (each entry a `run`- or `stream`-shaped object, discriminated by
 //!   its own `"type"`, default `run`) submitted as one request.
-//!   Identical concurrent untraced `run` jobs are deduplicated through the
-//!   engine's single-flight table, so duplicates cost one simulation.
-//!   `stream` jobs have no single-flight claim: two identical stream
-//!   jobs in flight each simulate every request, unless one has already
-//!   stored its row in the cache.
+//!   Identical concurrent untraced jobs, `run` and `stream` alike, are
+//!   deduplicated through the engine's single-flight table, so
+//!   duplicates cost one computation.
 //! - `{"type":"stats"}` — lifetime engine, store, and worker counters,
 //!   plus the open connections and the jobs queued for a worker. The
+//!   engine's `hits`, `misses`, `deduped` and `computes` count untraced
+//!   `run` and `stream` rows alike (traced jobs bypass them). The
 //!   `store` object holds the cache root, `byte_limit`, the live
 //!   `entries` and `bytes`, and `counters` (`hits`, `misses`, `writes`,
 //!   `quarantined`, `evicted_entries`, `evicted_bytes`).

@@ -504,50 +504,58 @@ fn batch_requests_mix_kinds_and_dedup_identical_jobs() {
     let (addr, handle) = test_server("batch", 4);
     let mut client = Client::connect(addr);
 
-    // Two identical run jobs plus one stream job in a single request:
-    // the duplicates must cost one simulation (single-flight dedup or a
-    // cache hit, depending on timing), never two.
+    // Two identical run jobs plus two identical stream jobs in a single
+    // request: each pair of duplicates must cost one computation
+    // (single-flight dedup or a cache hit, depending on timing), never two.
     let lines = client.roundtrip(
         concat!(
             r#"{"type":"batch","jobs":["#,
             r#"{"workload":"G58","model":"isosceles","seed":42},"#,
             r#"{"workload":"G58","model":"isosceles","seed":42},"#,
+            r#"{"type":"stream","workload":"G58","model":"isosceles","requests":4,"batch":2,"seed":42},"#,
             r#"{"type":"stream","workload":"G58","model":"isosceles","requests":4,"batch":2,"seed":42}"#,
             r#"]}"#
         ),
         &["done"],
     );
-    assert_eq!(lines.len(), 4, "3 rows + done");
+    assert_eq!(lines.len(), 5, "4 rows + done");
     let done = lines.last().unwrap();
-    assert_eq!(u64_field(done, "jobs"), 3);
+    assert_eq!(u64_field(done, "jobs"), 4);
     assert!(
-        u64_field(done, "hits") + u64_field(done, "deduped") >= 1,
-        "duplicate run jobs must dedup: {}",
+        u64_field(done, "hits") + u64_field(done, "deduped") >= 2,
+        "duplicate jobs must dedup: {}",
         done.render()
     );
-    let rows: Vec<&Value> = lines[..3].iter().collect();
-    let stream_rows: Vec<&&Value> = rows
+    let rows: Vec<&Value> = lines[..4].iter().collect();
+    let (stream_rows, run_rows): (Vec<&Value>, Vec<&Value>) = rows
         .iter()
-        .filter(|r| r.field("metrics").unwrap().field("p99_cycles").is_ok())
-        .collect();
-    assert_eq!(stream_rows.len(), 1, "exactly one stream row");
-    let run_rows: Vec<&&Value> = rows
-        .iter()
-        .filter(|r| r.field("metrics").unwrap().field("p99_cycles").is_err())
-        .collect();
-    assert_eq!(run_rows.len(), 2);
-    assert_eq!(
-        run_rows[0].field("metrics").unwrap().render(),
-        run_rows[1].field("metrics").unwrap().render(),
-        "deduped duplicates are bit-identical"
-    );
+        .partition(|r| r.field("metrics").unwrap().field("p99_cycles").is_ok());
+    let recalled = |r: &Value| {
+        ["cache_hit", "deduped"]
+            .iter()
+            .any(|f| r.field(f).and_then(Value::as_bool).unwrap_or(false))
+    };
+    for (kind, pair) in [("run", &run_rows), ("stream", &stream_rows)] {
+        assert_eq!(pair.len(), 2, "two {kind} rows");
+        assert_eq!(
+            pair[0].field("metrics").unwrap().render(),
+            pair[1].field("metrics").unwrap().render(),
+            "deduped {kind} duplicates are bit-identical"
+        );
+        assert_eq!(
+            pair.iter().filter(|r| recalled(r)).count(),
+            1,
+            "one {kind} row is a hit or deduped"
+        );
+    }
 
-    // The engine computed at most one single-inference job for the two
-    // duplicates (the stream job simulates its own requests).
+    // The engine computed one row per pair of duplicates; `stats`
+    // counts stream rows next to single-inference ones.
     let stats = client
         .roundtrip(r#"{"type":"stats"}"#, &["stats"])
         .remove(0);
-    assert_eq!(u64_field(&stats, "misses"), 1, "{}", stats.render());
+    assert_eq!(u64_field(&stats, "misses"), 2, "{}", stats.render());
+    assert_eq!(u64_field(&stats, "computes"), 2, "{}", stats.render());
 
     client.roundtrip(r#"{"type":"shutdown"}"#, &["bye"]);
     handle.join().expect("server thread");
